@@ -2,17 +2,18 @@
 and trajectory simulations, all emitting flat greppable text.
 
 Exit status: 0 on success, 1 on validation problems (bad scenario, case and
-scenario disagreeing), 2 on numerical failure (singular system, limiter not
-converging).
+scenario disagreeing), 2 on numerical failure (singular system, undefined
+measurement, non-finite result).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from . import __version__, dcb, nodal, trajectory
-from .errors import ModelError, NumericalError
+from .errors import MeasurementError, ModelError, NumericalError
 from .faults import (
     FaultSolution,
     solve_lg_downstream,
@@ -49,6 +50,23 @@ def fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+def _require_finite(**values: complex) -> None:
+    """A non-finite result is a numerical failure, never a printed row."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise NumericalError(f"{name} is not finite: {value}")
+
+
+def _solve_with_oracle(solver, m: MicrogridModel, location: RelayLocation):
+    """Closed-form solution, nodal oracle and their relative error."""
+    sol: FaultSolution = solver(m)
+    oracle = nodal.solve_network(m, location)
+    _require_finite(z_measured=sol.z_measured, z_oracle=oracle.z_measured)
+    if oracle.z_measured == 0:
+        raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
+    return sol, oracle, abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
+
+
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
     policy = s.get("relay", "k_policy")
     if isinstance(policy, complex):
@@ -83,11 +101,12 @@ def run_case(s: Scenario, case: int) -> str:
         raise ModelError(f"case {case} needs source = {source_req}, scenario has {source_kind}")
 
     m = build_model(s)
-    sol: FaultSolution = solver(m)
-    oracle = nodal.solve_network(m, location)
-    rel_err = abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
+    sol, oracle, rel_err = _solve_with_oracle(solver, m, location)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
+    z_comp = _compensated(sol, m, k)
+    _require_finite(k=k, z_compensated=z_comp, z_d1=z_d1,
+                    **{f"int.{key}": v for key, v in sol.intermediates.items()})
 
     lines = [
         "# admrelay case result",
@@ -103,7 +122,7 @@ def run_case(s: Scenario, case: int) -> str:
         f"relative_error = {rel_err:.6e}",
         f"k_policy = {policy_name}",
         f"k = {fmt_complex(k)}",
-        f"z_compensated = {fmt_complex(_compensated(sol, m, k))}",
+        f"z_compensated = {fmt_complex(z_comp)}",
         f"z_d1 = {fmt_complex(z_d1)}",
     ]
     for key in sorted(sol.intermediates):
@@ -126,10 +145,7 @@ def run_sweep(s: Scenario) -> str:
     location, solver = _sweep_case(s)
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     for rf in sweep_points(s):
-        m = build_model(s, rf=rf)
-        sol: FaultSolution = solver(m)
-        oracle = nodal.solve_network(m, location)
-        rel_err = abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
+        sol, oracle, rel_err = _solve_with_oracle(solver, build_model(s, rf=rf), location)
         z = sol.z_measured
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
@@ -199,6 +215,8 @@ def run_trajectory(s: Scenario) -> str:
         limiter=limiter,
         relay_location=relay_location(s),
     )
+    for p in points:
+        _require_finite(z_lg=p.z_lg, z_ll=p.z_ll, i_a=p.relay_i.a)
     out = trajectory.format_trajectory(points)
     final = points[-1]
     post = [p for p in points if p.t >= fault_time]

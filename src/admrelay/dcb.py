@@ -10,8 +10,8 @@ Timing model (fixed scan step): block deliveries due at a scan instant are
 applied before the relays are evaluated, so a block landing exactly at timer
 expiry still suppresses the trip; carrier transitions computed during a scan
 become visible on the channel at the end of that scan.  Net effect on the
-classic race: a blocking signal wins if and only if its channel latency is
-strictly below the coordination time.
+classic race: a blocking signal wins if and only if its channel latency plus
+one scan step is at or below the coordination time.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 Two branches matter to callers: ``ModelError`` for bad inputs or scenario
-content (CLI exit status 1) and ``NumericalError`` for singularities and
-non-convergence discovered during a solve (CLI exit status 2).
+content (CLI exit status 1) and ``NumericalError`` for singular systems,
+undefined measurements and non-finite results (CLI exit status 2).
 """
 
 
@@ -31,7 +31,7 @@ class SingularSystemError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative loop (current-limiter fixed point) failed to converge."""
+    """Calibration found no positive-sequence voltage to measure unbalance against."""
 
 
 class MeasurementError(NumericalError):

@@ -29,19 +29,9 @@ from .network import (
     RelayLocation,
     SequenceImpedancePair,
 )
-from .phasors import ALPHA, PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
+from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
 
 RESIDUAL_LIMIT = 1e-9
-
-# Synthesis matrix: phases = FORTESCUE @ (zero, pos, neg).
-FORTESCUE = np.array(
-    [
-        [1.0, 1.0, 1.0],
-        [1.0, ALPHA * ALPHA, ALPHA],
-        [1.0, ALPHA, ALPHA * ALPHA],
-    ],
-    dtype=complex,
-)
 
 
 def sequence_to_phase_matrix(z: SequenceImpedancePair) -> np.ndarray:
@@ -50,11 +40,11 @@ def sequence_to_phase_matrix(z: SequenceImpedancePair) -> np.ndarray:
     Diagonal entries are (z0 + 2*z1)/3, off-diagonal entries (z0 - z1)/3,
     which is the similarity transform of diag(z0, z1, z1).
     """
-    diag = (z.z0 + 2.0 * z.z1) / 3.0
-    off = (z.z0 - z.z1) / 3.0
-    out = np.full((3, 3), off, dtype=complex)
-    np.fill_diagonal(out, diag)
-    return out
+    return _balanced_block((z.z0 + 2.0 * z.z1) / 3.0, (z.z0 - z.z1) / 3.0)
+
+
+def _balanced_block(diag: complex, off: complex) -> np.ndarray:
+    return np.array([[diag, off, off], [off, diag, off], [off, off, diag]], dtype=complex)
 
 
 def _phase_admittance(z: SequenceImpedancePair) -> np.ndarray:
@@ -67,11 +57,7 @@ def _phase_admittance(z: SequenceImpedancePair) -> np.ndarray:
     y1 = 1.0 / z.z1
     z0 = complex(z.z0)
     y0 = 0j if not (math.isfinite(z0.real) and math.isfinite(z0.imag)) else 1.0 / z0
-    diag = (y0 + 2.0 * y1) / 3.0
-    off = (y0 - y1) / 3.0
-    out = np.full((3, 3), off, dtype=complex)
-    np.fill_diagonal(out, diag)
-    return out
+    return _balanced_block((y0 + 2.0 * y1) / 3.0, (y0 - y1) / 3.0)
 
 
 def _shunt_admittance(z: complex) -> complex:
@@ -89,9 +75,8 @@ class NodalSystem:
 
     node_names lists every non-ground node; ground is the implicit reference.
     known maps node name to a fixed voltage (source phases and, for a bolted
-    line-ground fault, the faulted phase node).  y is the full admittance
-    matrix over node_names and injections the (all-zero here) current vector;
-    the solver partitions both around the known entries.
+    line-ground fault, the faulted phase node); known nodes come first in
+    node_names.  y is the full admittance matrix over node_names.
     """
 
     node_names: list[str]
@@ -113,8 +98,7 @@ def build_system(
 ) -> NodalSystem:
     """Assemble the admittance matrix and known-voltage set for one model.
 
-    source_seq overrides the source's own sequence voltages (used by the
-    trajectory simulator while the current limiter rescales the source).
+    source_seq overrides the source's own sequence voltages in the known set.
     """
     rf = m.fault.rf
     faulted = math.isfinite(rf)
@@ -125,91 +109,144 @@ def build_system(
     solid_neutral = complex(m.load.z_ground) == 0
 
     node_names = ["1a", "1b", "1c", "Ma", "Mb", "Mc", "2a", "2b", "2c"]
-    alias = {n: n for n in node_names}
     if merge_bc:
         node_names.remove("Mc")
-        alias["Mc"] = "Mb"
     if not solid_neutral:
         node_names.append("n")
-        alias["n"] = "n"
     index = {name: i for i, name in enumerate(node_names)}
-
-    def idx(name: str) -> int:
-        return index[alias[name]]
-
+    at = dict(index, Mc=index["Mb"]) if merge_bc else index
     n = len(node_names)
-    y = np.zeros((n, n), dtype=complex)
+    y = [[0j] * n for _ in range(n)]
 
-    def stamp_series_block(block: np.ndarray, from_nodes: list[str], to_nodes: list[str]) -> None:
-        fi = [idx(p) for p in from_nodes]
-        ti = [idx(p) for p in to_nodes]
-        for r in range(3):
-            for c in range(3):
-                v = block[r, c]
-                y[fi[r], fi[c]] += v
-                y[ti[r], ti[c]] += v
-                y[fi[r], ti[c]] -= v
-                y[ti[r], fi[c]] -= v
+    def stamp(block: list[list[complex]], frm: tuple[str, ...], to: tuple[str, ...] = ()) -> None:
+        """Series admittance block between the nodes frm and to; to ground
+        when to is empty."""
+        fi = [at[name] for name in frm]
+        ti = [at[name] for name in to]
+        for r, row in enumerate(block):
+            for c, v in enumerate(row):
+                y[fi[r]][fi[c]] += v
+                if ti:
+                    y[ti[r]][ti[c]] += v
+                    y[fi[r]][ti[c]] -= v
+                    y[ti[r]][fi[c]] -= v
 
-    def stamp_shunt(node: str, adm: complex) -> None:
-        y[idx(node), idx(node)] += adm
-
-    def stamp_branch(a: str, b: str, adm: complex) -> None:
-        ia, ib = idx(a), idx(b)
-        y[ia, ia] += adm
-        y[ib, ib] += adm
-        y[ia, ib] -= adm
-        y[ib, ia] -= adm
-
-    stamp_series_block(_phase_admittance(m.line_1m), ["1a", "1b", "1c"], ["Ma", "Mb", "Mc"])
-    stamp_series_block(_phase_admittance(m.line_m2), ["Ma", "Mb", "Mc"], ["2a", "2b", "2c"])
-
+    stamp(_phase_admittance(m.line_1m).tolist(), ("1a", "1b", "1c"), ("Ma", "Mb", "Mc"))
+    stamp(_phase_admittance(m.line_m2).tolist(), ("Ma", "Mb", "Mc"), ("2a", "2b", "2c"))
     y_load = 1.0 / m.load.z_load
     for ph in ("a", "b", "c"):
-        if solid_neutral:
-            stamp_shunt(f"2{ph}", y_load)
-        else:
-            stamp_branch(f"2{ph}", "n", y_load)
+        stamp([[y_load]], (f"2{ph}",), () if solid_neutral else ("n",))
     if not solid_neutral:
-        stamp_shunt("n", _shunt_admittance(m.load.z_ground))
-
+        stamp([[_shunt_admittance(m.load.z_ground)]], ("n",))
     if faulted and not pin_a and not merge_bc:
         if lg:
-            stamp_shunt("Ma", 1.0 / rf)
+            stamp([[1.0 / rf]], ("Ma",))
         elif ll:
-            stamp_branch("Mb", "Mc", 1.0 / rf)
+            stamp([[1.0 / rf]], ("Mb",), ("Mc",))
 
     v_src = _source_phase_voltages(m, source_seq)
     known: dict[str, complex] = {"1a": v_src.a, "1b": v_src.b, "1c": v_src.c}
     if pin_a:
         known["Ma"] = 0j
 
-    return NodalSystem(node_names=node_names, index=index, y=y, known=known)
+    return NodalSystem(
+        node_names=node_names, index=index, y=np.array(y, dtype=complex), known=known
+    )
 
 
-def _solve_node_voltages(sys: NodalSystem) -> dict[str, complex]:
-    unknown = sys.unknown_names()
-    u_idx = [sys.index[n] for n in unknown]
-    k_names = list(sys.known)
-    k_idx = [sys.index[n] for n in k_names]
-    v_known = np.array([sys.known[n] for n in k_names], dtype=complex)
+@dataclass(frozen=True)
+class Transfer:
+    """One factorized network topology, linear in the source phase voltages.
 
-    a_uu = sys.y[np.ix_(u_idx, u_idx)]
-    a_uk = sys.y[np.ix_(u_idx, k_idx)]
-    b = -a_uk @ v_known
+    maps stacks four 3x3 blocks over the source phases (a, b, c): rows 0-2
+    give the fault-node (relay-point) voltage, rows 3-5 the source-side
+    segment current (source bus -> fault node), rows 6-8 the load-side
+    segment current (fault node -> load bus) and rows 9-11 the load-bus
+    voltage.  residual is the relative residual of the factorization.
+    """
+
+    model: MicrogridModel
+    maps: np.ndarray
+    residual: float
+
+    def solve(
+        self, relay_location: RelayLocation, source_seq: SequenceTriple | None = None
+    ) -> FaultSolution:
+        """Relay quantities for one source; see :func:`solve_network`."""
+        m = self.model
+        v_1 = _source_phase_voltages(m, source_seq)
+        out = (self.maps @ np.array(v_1, dtype=complex)).tolist()
+        v_m = PhaseTriple(*out[0:3])
+        i_up, i_dn = out[3:6], out[6:9]
+
+        if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
+            relay_i = PhaseTriple(*i_up)
+        elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
+            relay_i = PhaseTriple(*i_dn)
+        else:
+            raise ValueError(f"unknown relay location {relay_location!r}")
+
+        # fault-branch currents: Ohm's law through rf, or the current balance
+        # at the fault node when the fault is bolted
+        rf = m.fault.rf
+        lg = m.fault.kind is FaultKind.LINE_GROUND_A
+        i_f_a = i_f_b = i_f_c = 0j
+        if math.isfinite(rf) and lg:
+            i_f_a = v_m.a / rf if rf > 0 else i_up[0] - i_dn[0]
+        elif math.isfinite(rf):
+            i_f_b = (v_m.b - v_m.c) / rf if rf > 0 else i_up[1] - i_dn[1]
+            i_f_c = -i_f_b
+
+        if lg:
+            z_measured = v_m.a / relay_i.a
+        else:
+            z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
+        inter = {
+            "i_f_a": i_f_a,
+            "i_f_b": i_f_b,
+            "i_f_c": i_f_c,
+            "residual": complex(self.residual, 0.0),
+            "v_src_a": v_1.a,
+            "v_load_a": out[9],
+        }
+        return FaultSolution(
+            relay_v=v_m,
+            relay_i=relay_i,
+            relay_seq_i=phase_to_sequence(relay_i),
+            z_measured=z_measured,
+            intermediates=inter,
+        )
+
+
+def transfer(m: MicrogridModel) -> Transfer:
+    """Factor the network of one model once, with the three source phases as
+    right-hand sides; any source voltage then follows by superposition.
+
+    The known nodes (source phases, then a pinned fault node) come first in
+    the node order, so the unknown block is the trailing square of y.
+    Raises SingularSystemError unless the relative residual is below RESIDUAL_LIMIT.
+    """
+    sysm = build_system(m)
+    k = len(sysm.known)
+    a_uu = sysm.y[k:, k:]
+    b = -sysm.y[k:, :3]
     try:
         x = np.linalg.solve(a_uu, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"nodal matrix is singular: {exc}") from exc
     scale = np.linalg.norm(b)
-    residual = np.linalg.norm(a_uu @ x - b) / (scale if scale > 0 else 1.0)
+    residual = float(np.linalg.norm(a_uu @ x - b) / (scale if scale > 0 else 1.0))
     if not residual < RESIDUAL_LIMIT:
         raise SingularSystemError(f"nodal solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT}")
 
-    voltages = dict(sys.known)
-    voltages.update({name: complex(val) for name, val in zip(unknown, x)})
-    voltages["residual"] = complex(residual, 0.0)
-    return voltages
+    # node voltages per unit source phase voltage; a pinned fault node is 0
+    v = np.concatenate((np.eye(k, 3), x))
+    idx = sysm.index
+    v_m = v[[idx["Ma"], idx["Mb"], idx.get("Mc", idx["Mb"])]]
+    v_2 = v[[idx["2a"], idx["2b"], idx["2c"]]]
+    i_up = _phase_admittance(m.line_1m) @ (np.eye(3) - v_m)
+    i_dn = _phase_admittance(m.line_m2) @ (v_m - v_2)
+    return Transfer(model=m, maps=np.vstack([v_m, i_up, i_dn, v_2]), residual=residual)
 
 
 def solve_network(
@@ -225,62 +262,4 @@ def solve_network(
     downstream one.  The intermediates map carries the fault-branch currents
     (i_f_a, i_f_b, i_f_c) and the solve residual.
     """
-    sysm = build_system(m, source_seq)
-    voltages = _solve_node_voltages(sysm)
-    merge_bc = "Mc" not in sysm.index
-
-    mc_name = "Mb" if merge_bc else "Mc"
-    v_1 = PhaseTriple(voltages["1a"], voltages["1b"], voltages["1c"])
-    v_m = PhaseTriple(voltages["Ma"], voltages["Mb"], voltages[mc_name])
-    v_2 = PhaseTriple(voltages["2a"], voltages["2b"], voltages["2c"])
-
-    y_1m = _phase_admittance(m.line_1m)
-    y_m2 = _phase_admittance(m.line_m2)
-    d1 = np.array([v_1.a - v_m.a, v_1.b - v_m.b, v_1.c - v_m.c], dtype=complex)
-    d2 = np.array([v_m.a - v_2.a, v_m.b - v_2.b, v_m.c - v_2.c], dtype=complex)
-    i_up = y_1m @ d1
-    i_dn = y_m2 @ d2
-
-    if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-        relay_i = PhaseTriple(*(complex(v) for v in i_up))
-    elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
-        relay_i = PhaseTriple(*(complex(v) for v in i_dn))
-    else:
-        raise ValueError(f"unknown relay location {relay_location!r}")
-
-    rf = m.fault.rf
-    faulted = math.isfinite(rf)
-    i_f_a = i_f_b = i_f_c = 0j
-    if faulted and m.fault.kind is FaultKind.LINE_GROUND_A:
-        if rf > 0:
-            i_f_a = v_m.a / rf
-        else:
-            i_f_a = complex(i_up[0] - i_dn[0])
-    elif faulted and m.fault.kind is FaultKind.LINE_LINE_BC:
-        if rf > 0:
-            i_f_b = (v_m.b - v_m.c) / rf
-        else:
-            i_f_b = complex(i_up[1] - i_dn[1])
-        i_f_c = -i_f_b
-
-    relay_seq_i = phase_to_sequence(relay_i)
-    if m.fault.kind is FaultKind.LINE_GROUND_A:
-        z_measured = v_m.a / relay_i.a
-    else:
-        z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
-
-    inter = {
-        "i_f_a": i_f_a,
-        "i_f_b": i_f_b,
-        "i_f_c": i_f_c,
-        "residual": voltages["residual"],
-        "v_src_a": v_1.a,
-        "v_load_a": v_2.a,
-    }
-    return FaultSolution(
-        relay_v=v_m,
-        relay_i=relay_i,
-        relay_seq_i=relay_seq_i,
-        z_measured=z_measured,
-        intermediates=inter,
-    )
+    return transfer(m).solve(relay_location, source_seq)

@@ -66,6 +66,7 @@ class FieldSpec:
     units: tuple[str, ...] = ()
     choices: tuple[str, ...] = ()
     default: object = None
+    allow_inf: bool = False  # +inf has a model meaning (no fault, no cap, ...)
 
 
 def _q(value: float, unit: str) -> tuple[float, str]:
@@ -82,14 +83,16 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         "dc_bus_voltage": FieldSpec("quantity", ("V",), default=_q(1800, "V")),
         "filter_inductance": FieldSpec("quantity", ("uF", "uH"), default=_q(18, "uF")),
         "filter_capacitance": FieldSpec("quantity", ("F", "nF", "uF"), default=_q(250, "nF")),
-        "i_max": FieldSpec("quantity", ("A",), default=_q(70, "A")),
+        "i_max": FieldSpec("quantity", ("A",), default=_q(70, "A"), allow_inf=True),
         "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=_q(39, "mohm")),
         "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=_q(70.8, "uH")),
-        "cable_zero_seq_scale": FieldSpec("number", default=CABLE_ZERO_SEQ_SCALE),
+        "cable_zero_seq_scale": FieldSpec("number", default=CABLE_ZERO_SEQ_SCALE, allow_inf=True),
         "fault_position": FieldSpec("number", default=0.5),
         "load_real_power": FieldSpec("quantity", ("W", "kW"), default=_q(25, "kW")),
         "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=_q(12.5, "kvar")),
-        "load_grounding_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=_q(1, "ohm")),
+        "load_grounding_resistance": FieldSpec(
+            "quantity", ("ohm", "mohm"), default=_q(1, "ohm"), allow_inf=True
+        ),
         "v2_fraction": FieldSpec("number", default=0.6),
         "v0_fraction": FieldSpec("number", default=0.6),
         "v2_angle": FieldSpec("quantity", ("deg", "rad"), default=_q(0, "deg")),
@@ -109,7 +112,7 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
     },
     "fault": {
         "kind": FieldSpec("choice", choices=("lg", "ll"), default="lg"),
-        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=_q(3.68, "ohm")),
+        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=_q(3.68, "ohm"), allow_inf=True),
         "rf_min": FieldSpec("quantity", ("ohm", "mohm"), default=_q(3.68, "ohm")),
         "rf_max": FieldSpec("quantity", ("ohm", "mohm"), default=_q(1000, "ohm")),
         "rf_points": FieldSpec("integer", default=40),
@@ -173,6 +176,13 @@ def _fmt_num(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _finite(where: str, tok: str, value: float, spec: FieldSpec) -> float:
+    if math.isfinite(value) or (spec.allow_inf and value == math.inf):
+        return value
+    allowed = "a finite number or inf" if spec.allow_inf else "a finite number"
+    raise ScenarioError(f"{where}: expected {allowed}, got {tok!r}")
+
+
 def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
     where = f"[{section}] {key}"
     tokens = raw.split()
@@ -182,7 +192,7 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
         if len(tokens) != 2:
             raise ScenarioError(f"{where}: expected '<number> <unit>', got {raw!r}")
         try:
-            value = float(tokens[0])
+            value = _finite(where, tokens[0], float(tokens[0]), spec)
         except ValueError as exc:
             raise ScenarioError(f"{where}: bad number {tokens[0]!r}") from exc
         if tokens[1] not in spec.units:
@@ -195,7 +205,7 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
     tok = tokens[0]
     if spec.kind == "number":
         try:
-            return float(tok)
+            return _finite(where, tok, float(tok), spec)
         except ValueError as exc:
             raise ScenarioError(f"{where}: bad number {tok!r}") from exc
     if spec.kind == "integer":
@@ -215,11 +225,13 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
         if tok in ("auto", "line", "downstream-path"):
             return tok
         try:
-            return complex(tok)
+            k = complex(tok)
         except ValueError as exc:
             raise ScenarioError(
                 f"{where}: expected auto, line, downstream-path or a complex literal"
             ) from exc
+        _finite(where, tok, abs(k), spec)
+        return k
     raise ScenarioError(f"{where}: unhandled field kind {spec.kind!r}")
 
 

@@ -1,7 +1,8 @@
 """Quasi-static R-X trajectory simulation with inverter current limiting.
 
-The network is re-solved phasor-statically at every time step (fault branch
-open before the fault instant, closed after).  When any source phase current
+The network has two topologies, fault branch open before the fault instant
+and closed after; each is factored once and every time step superposes the
+applied source voltages through it.  When any source phase current
 exceeds the inverter's RMS cap the limiter engages: the internal source is
 rescaled so the worst phase lands on the cap, and negative-/zero-sequence
 content appears at the inverter's configured fractions of the rescaled
@@ -39,7 +40,6 @@ DURATION_DEFAULT_S = 0.200
 FAULT_TIME_DEFAULT_S = 0.050
 TAU_LIM_DEFAULT_S = 5e-3
 _CAP_SLACK = 1e-6
-_MAX_FIXED_POINT_ITER = 50
 
 
 class LimiterKind(Enum):
@@ -57,12 +57,8 @@ class TrajectoryPoint:
     limited: bool
 
 
-def _open_fault(m: MicrogridModel) -> MicrogridModel:
-    return m.with_fault(replace(m.fault, rf=math.inf))
-
-
-def _source_currents(m: MicrogridModel, seq: SequenceTriple) -> PhaseTriple:
-    return nodal.solve_network(m, RelayLocation.UPSTREAM_OF_FAULT, source_seq=seq).relay_i
+def _source_currents(tf: nodal.Transfer, seq: SequenceTriple) -> PhaseTriple:
+    return tf.solve(RelayLocation.UPSTREAM_OF_FAULT, seq).relay_i
 
 
 def _worst_phase(i: PhaseTriple) -> float:
@@ -81,21 +77,13 @@ def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float) -> Seq
     )
 
 
-def _target_scale(m: MicrogridModel, src: CurrentLimitedInverter) -> float:
-    """Fixed point of the limiter: the source scale whose fully engaged,
-    unbalance-injecting solution puts the worst phase exactly on the cap.
-    The network is linear in the scale, so this converges immediately; the
-    loop guards the contract anyway."""
-    scale = 1.0
-    worst = math.inf
-    for _ in range(_MAX_FIXED_POINT_ITER):
-        worst = _worst_phase(_source_currents(m, _limited_seq(src, scale, 1.0)))
-        if worst <= src.i_max_rms * (1.0 + _CAP_SLACK):
-            return scale
-        scale *= src.i_max_rms / worst
-    raise ConvergenceError(
-        f"limiter fixed point did not converge: scale={scale:.6g}, worst={worst:.6g} A"
-    )
+def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter) -> float:
+    """Source scale whose fully engaged, unbalance-injecting solution puts the
+    worst phase exactly on the cap.  The network and the fully engaged source
+    are both linear in the scale, so it is i_max over the worst phase at unit
+    scale; a source already within the cap at unit scale keeps scale 1."""
+    worst = _worst_phase(_source_currents(tf, _limited_seq(src, 1.0, 1.0)))
+    return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
 def simulate_trajectory(
@@ -130,7 +118,9 @@ def simulate_trajectory(
         else:
             k_lg = 0j
 
-    healthy = _open_fault(m)
+    # (healthy, faulted), indexed by whether the fault is on
+    topologies = (nodal.transfer(m.with_fault(replace(m.fault, rf=math.inf))), nodal.transfer(m))
+    targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / tau_lim)
 
@@ -142,10 +132,10 @@ def simulate_trajectory(
     for i in range(n_steps + 1):
         t = i * dt
         faulted = t >= fault_time
-        model_t = m if faulted else healthy
+        tf = topologies[faulted]
         seq = _limited_seq(src, target, level) if engaged else balanced
 
-        sol = nodal.solve_network(model_t, relay_location, source_seq=seq)
+        sol = tf.solve(relay_location, seq)
         seq_i = sol.relay_seq_i
         z_lg = measure_zlg(sol.relay_v.a, sol.relay_i.a, seq_i.zero, k_lg)
         z_ll = measure_zll(sol.relay_v.b, sol.relay_v.c, sol.relay_i.b, sol.relay_i.c)
@@ -158,18 +148,19 @@ def simulate_trajectory(
 
         if not limit_active:
             continue
+        if engaged:
+            # the latching limiter keeps its engagement target
+            if limiter is LimiterKind.INSTANTANEOUS_SATURATION:
+                target = targets[faulted]
+            level += smoothing * (1.0 - level)
+            continue
         if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
             i_src = sol.relay_i
         else:
-            i_src = _source_currents(model_t, seq)
-        if not engaged:
-            if _worst_phase(i_src) > src.i_max_rms * (1.0 + _CAP_SLACK):
-                engaged = True
-                target = _target_scale(model_t, src)
-        else:
-            if limiter is LimiterKind.INSTANTANEOUS_SATURATION:
-                target = _target_scale(model_t, src)
-            level += smoothing * (1.0 - level)
+            i_src = _source_currents(tf, seq)
+        if _worst_phase(i_src) > src.i_max_rms * (1.0 + _CAP_SLACK):
+            engaged = True
+            target = targets[faulted]
 
     return points
 

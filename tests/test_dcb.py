@@ -90,12 +90,13 @@ def test_internal_fault_dead_channel_still_trips():
 
 def test_block_latency_race_is_strict():
     c = 16.7
-    # latency below the coordination time blocks the trip ...
+    # the carrier leaves at the end of its 0.1 ms scan: latency plus one scan
+    # at or below the coordination time blocks the trip ...
     for latency in (0.1, 8.0, c - 0.1):
         summary = dcb.trip_summary(dcb.simulate(scripted(EXTERNAL, latency=latency)))
         assert not summary["A"]["tripped"], f"latency {latency}"
-    # ... while latency at or above it cannot arrive in time
-    for latency in (c, c + 0.1, 3 * c):
+    # ... while a block due later than that cannot arrive in time
+    for latency in (c - 0.05, c, c + 0.1, 3 * c):
         summary = dcb.trip_summary(dcb.simulate(scripted(EXTERNAL, latency=latency)))
         assert summary["A"]["tripped"], f"latency {latency}"
 

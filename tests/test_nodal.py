@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from admrelay import nodal
+from admrelay.errors import SingularSystemError
 from admrelay.network import (
     FaultKind,
     FaultSpec,
@@ -169,3 +172,54 @@ def test_z_measured_matches_relay_quantities():
         (sol2.relay_v.b - sol2.relay_v.c) / (sol2.relay_i.b - sol2.relay_i.c),
         1e-12,
     )
+
+
+def _dense_reference(m, seq):
+    """Relay-point voltage, segment currents and load-bus voltage from one
+    direct dense solve of the assembled system for this very source."""
+    sysm = nodal.build_system(m, seq)
+    unknown = [sysm.index[n] for n in sysm.unknown_names()]
+    known = [sysm.index[n] for n in sysm.known]
+    v = np.zeros(len(sysm.node_names), dtype=complex)
+    v[known] = list(sysm.known.values())
+    a_uu = sysm.y[np.ix_(unknown, unknown)]
+    v[unknown] = np.linalg.solve(a_uu, -sysm.y[np.ix_(unknown, known)] @ v[known])
+
+    def bus(prefix):
+        return np.array([v[sysm.index.get(prefix + p, sysm.index.get("Mb"))] for p in "abc"])
+
+    v_1, v_m, v_2 = bus("1"), bus("M"), bus("2")
+    i_up = np.linalg.solve(nodal.sequence_to_phase_matrix(m.line_1m), v_1 - v_m)
+    i_dn = np.linalg.solve(nodal.sequence_to_phase_matrix(m.line_m2), v_m - v_2)
+    return v_m, i_up, i_dn, v_2[0]
+
+
+@pytest.mark.parametrize("z_ground", [1.0 + 0j, 0j], ids=["grounded", "solid"])
+@pytest.mark.parametrize("rf", [0.0, 3.68, math.inf])
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_transfer_superposes_like_a_direct_solve(make, rf, z_ground):
+    rng = np.random.default_rng(20210119)
+    m = make(rf, z_ground=z_ground)
+    tf = nodal.transfer(m)
+    for _ in range(5):
+        parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        seq = SequenceTriple(*(complex(x) for x in parts))
+        v_m, i_up, i_dn, v_load_a = _dense_reference(m, seq)
+        up, down = tf.solve(UP, seq), tf.solve(DOWN, seq)
+        v_scale = max(abs(x) for x in sequence_to_phase(seq))
+        i_scale = max(np.abs(np.concatenate([i_up, i_dn])))
+        assert np.allclose(up.relay_v, v_m, rtol=0, atol=1e-12 * v_scale)
+        assert np.allclose(down.relay_v, v_m, rtol=0, atol=1e-12 * v_scale)
+        assert np.allclose(up.relay_i, i_up, rtol=0, atol=1e-12 * i_scale)
+        assert np.allclose(down.relay_i, i_dn, rtol=0, atol=1e-12 * i_scale)
+        assert abs(up.intermediates["v_load_a"] - v_load_a) <= 1e-12 * v_scale
+
+
+@pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
+def test_nan_cable_resistance_raises_singular_system(segment):
+    # a nan in the source-side segment makes LAPACK report a singular matrix;
+    # one in the load-side segment only shows in the residual check
+    m = lg_model(3.68)
+    bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
+    with pytest.raises(SingularSystemError):
+        nodal.solve_network(replace(m, **{segment: bad}), UP)

@@ -7,6 +7,7 @@ from admrelay.errors import ScenarioError
 from admrelay.network import FaultKind
 from admrelay.phasors import phasor
 from admrelay.scenario import (
+    FIELDS,
     build_model,
     default_scenario,
     parse_scenario,
@@ -311,3 +312,87 @@ def test_cli_results_carry_version_and_digest(tmp_path, capsys):
         out = capsys.readouterr().out
         assert digest in out
         assert "0.1.0" in out
+
+
+def _set_field(section, key, value):
+    """Default scenario text with one field's value replaced."""
+    lines = default_text().splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            current = line[1:-1]
+        elif current == section and line.startswith(f"{key} = "):
+            lines[i] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def _run(tmp_path, text, *argv):
+    path = tmp_path / "scenario.scn"
+    path.write_text(text, encoding="utf-8")
+    return cli.main([argv[0], str(path), *argv[1:]])
+
+
+INF_MEANS_SOMETHING = {
+    ("fault", "rf"),
+    ("system", "i_max"),
+    ("system", "load_grounding_resistance"),
+    ("system", "cable_zero_seq_scale"),
+}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_cli_validate_rejects_non_finite_numbers_by_field(tmp_path, capsys, token):
+    for section, fields in FIELDS.items():
+        for key, spec in fields.items():
+            if spec.kind not in ("quantity", "number", "integer", "kpolicy"):
+                continue
+            value = f"{token} {spec.units[0]}" if spec.kind == "quantity" else token
+            code = _run(tmp_path, _set_field(section, key, value), "validate")
+            out, err = capsys.readouterr()
+            if token == "inf" and (section, key) in INF_MEANS_SOMETHING:
+                assert code == 0, (section, key)
+                assert f"{key} = inf" in out
+            else:
+                assert code == 1, (section, key)
+                assert f"[{section}] {key}" in err
+
+
+def test_cli_sweep_to_infinite_rf_is_a_validation_error(tmp_path, capsys):
+    assert _run(tmp_path, _set_field("fault", "rf_max", "inf ohm"), "sweep") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[fault] rf_max" in err
+
+
+def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys):
+    # with no zero-sequence path along the cable the upstream line-ground
+    # closed form is undefined (nan); the run must not print it
+    text = _set_field("system", "cable_zero_seq_scale", "inf")
+    for argv in (["sweep"], ["case", "--case", "2"]):
+        assert _run(tmp_path, text, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure: z_measured is not finite" in err
+
+
+def test_cli_trajectory_with_undefined_ground_reading_is_a_numerical_failure(tmp_path, capsys):
+    # a downstream ground element compensated for an ungrounded load path
+    # reads nan at every step
+    text = _set_field("system", "load_grounding_resistance", "inf ohm")
+    text = text.replace("location = upstream", "location = downstream")
+    assert _run(tmp_path, text, "trajectory") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: z_lg is not finite" in err
+
+
+def test_cli_bolted_fault_oracle_reading_is_a_numerical_failure(tmp_path, capsys):
+    bolted_case = _set_field("fault", "rf", "0 ohm")
+    bolted_sweep = _set_field("fault", "rf_min", "0 ohm").replace(
+        "rf_spacing = log", "rf_spacing = linear"
+    )
+    for text, argv in ((bolted_case, ["case", "--case", "2"]), (bolted_sweep, ["sweep"])):
+        assert _run(tmp_path, text, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "z_oracle = 0" in err

@@ -16,6 +16,8 @@ from admrelay.phasors import phase_to_sequence
 from admrelay.trajectory import (
     LimiterKind,
     TRAJECTORY_HEADER,
+    _limited_seq,
+    _target_scale,
     calibrate_unbalance,
     format_trajectory,
     simulate_trajectory,
@@ -34,6 +36,10 @@ def post_fault(points, t0=0.05):
 
 def settled(points):
     return [p for p in points if p.t >= SETTLE_T]
+
+
+def worst_phase(p):
+    return max(abs(p.relay_i.a), abs(p.relay_i.b), abs(p.relay_i.c))
 
 
 def test_no_fault_gives_constant_load_impedance():
@@ -87,8 +93,34 @@ def test_current_cap_holds_at_settled_steps():
         late = settled(pts)
         assert late, "window too short to settle"
         assert all(p.limited for p in late)
-        worst = max(max(abs(p.relay_i.a), abs(p.relay_i.b), abs(p.relay_i.c)) for p in late)
+        worst = max(worst_phase(p) for p in late)
         assert worst <= 70.0 * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_closed_form_target_puts_the_worst_phase_on_the_cap(make):
+    m = make(1.0)
+    src = m.source
+    tf = nodal.transfer(m)
+    scale = _target_scale(tf, src)
+    assert 0.0 < scale < 1.0
+    i_src = tf.solve(UP, _limited_seq(src, scale, 1.0)).relay_i
+    worst = max(abs(i_src.a), abs(i_src.b), abs(i_src.c))
+    assert abs(worst - src.i_max_rms) <= 1e-9 * src.i_max_rms
+
+
+def test_instantaneous_limiter_retargets_when_the_fault_switches_on():
+    # the healthy load current (about 33 A) already exceeds a 20 A cap, so the
+    # limiter engages before the fault on the healthy topology's target
+    m = lg_model(3.68, inverter(i_max_rms=20.0))
+    inst = simulate_trajectory(m, limiter=LimiterKind.INSTANTANEOUS_SATURATION)
+    latch = simulate_trajectory(m, limiter=LimiterKind.LATCHING)
+    pre = [p for p in inst if p.t < 0.05]
+    assert pre[-1].limited and latch[len(pre) - 1].limited
+    # after the fault the instantaneous limiter settles on the faulted
+    # topology's target, the latching one keeps the healthy target
+    assert abs(worst_phase(inst[-1]) - 20.0) <= 1e-9 * 20.0
+    assert worst_phase(latch[-1]) > 2.0 * 20.0
 
 
 def test_latching_scale_is_non_increasing():
