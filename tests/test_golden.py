@@ -1,8 +1,10 @@
-"""Byte-for-byte CLI documents on the reference scenario.
+"""Byte-for-byte CLI documents on the reference scenario and its variants.
 
 The files under ``tests/golden/`` are the stdout of each subcommand on
-``scenarios/default.scn``.  They pin the current behaviour for refactors;
-a refactor that changes a byte must explain the change, not regenerate them.
+``scenarios/default.scn`` and of ``case`` and ``sweep`` on the variant
+scenarios next to them (ideal source, line-line, downstream relay).  They
+pin the current behaviour for refactors; a refactor that changes a byte
+must explain the change, not regenerate them.
 """
 
 from pathlib import Path
@@ -22,11 +24,27 @@ DOCUMENTS = {
     "dcb": ["dcb"],
     "trajectory": ["trajectory"],
 }
+# golden file stem -> (variant scenario under tests/golden/, subcommand arguments)
+VARIANT_DOCUMENTS = {}
+for variant, case in (("ideal", 1), ("downstream-lg", 3), ("ll-ideal", 4), ("ll", 5),
+                      ("downstream-ll", 6)):
+    VARIANT_DOCUMENTS[f"{variant}.case{case}"] = (variant, ["case", "--case", str(case)])
+    VARIANT_DOCUMENTS[f"{variant}.sweep"] = (variant, ["sweep"])
+
+
+def _matches_golden(name, scenario, argv, tmp_path):
+    command, *extra = argv
+    out = tmp_path / f"{name}.txt"
+    assert cli.main([command, str(scenario), *extra, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_default_scenario_documents_match_goldens(name, tmp_path):
-    command, *extra = DOCUMENTS[name]
-    out = tmp_path / f"{name}.txt"
-    assert cli.main([command, str(SCENARIO), *extra, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+    _matches_golden(name, SCENARIO, DOCUMENTS[name], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_DOCUMENTS))
+def test_variant_scenario_documents_match_goldens(name, tmp_path):
+    variant, argv = VARIANT_DOCUMENTS[name]
+    _matches_golden(name, GOLDEN / f"{variant}.scn", argv, tmp_path)
