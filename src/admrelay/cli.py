@@ -12,7 +12,9 @@ import argparse
 import cmath
 import sys
 
-from . import __version__, dcb, nodal, trajectory
+# nodal, dcb and trajectory are imported by the subcommands that use them:
+# they load numpy, which `validate` never needs
+from . import __version__
 from .errors import MeasurementError, ModelError, NumericalError
 from .faults import (
     FaultSolution,
@@ -57,14 +59,12 @@ def _require_finite(**values: complex) -> None:
             raise NumericalError(f"{name} is not finite: {value}")
 
 
-def _solve_with_oracle(solver, m: MicrogridModel, location: RelayLocation):
-    """Closed-form solution, nodal oracle and their relative error."""
-    sol: FaultSolution = solver(m)
-    oracle = nodal.solve_network(m, location)
+def _oracle_error(sol: FaultSolution, oracle: FaultSolution) -> float:
+    """Relative error of a closed-form reading against the nodal oracle's."""
     _require_finite(z_measured=sol.z_measured, z_oracle=oracle.z_measured)
     if oracle.z_measured == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
-    return sol, oracle, abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
+    return abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
@@ -100,8 +100,12 @@ def run_case(s: Scenario, case: int) -> str:
     if source_req is not None and source_kind != source_req:
         raise ModelError(f"case {case} needs source = {source_req}, scenario has {source_kind}")
 
+    from . import nodal
+
     m = build_model(s)
-    sol, oracle, rel_err = _solve_with_oracle(solver, m, location)
+    sol: FaultSolution = solver(m)
+    oracle = nodal.solve_network(m, location)
+    rel_err = _oracle_error(sol, oracle)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
@@ -142,10 +146,15 @@ def _sweep_case(s: Scenario) -> tuple[RelayLocation, object]:
 
 
 def run_sweep(s: Scenario) -> str:
+    from . import nodal
+
     location, solver = _sweep_case(s)
+    grid = sweep_points(s)
+    models = [build_model(s, rf=rf) for rf in grid]
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
-    for rf in sweep_points(s):
-        sol, oracle, rel_err = _solve_with_oracle(solver, build_model(s, rf=rf), location)
+    for rf, m, tf in zip(grid, models, nodal.transfers(models)):
+        sol, oracle = solver(m), tf.solve(location)
+        rel_err = _oracle_error(sol, oracle)
         z = sol.z_measured
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
@@ -157,6 +166,8 @@ def run_sweep(s: Scenario) -> str:
 
 
 def run_dcb(s: Scenario, seed: int | None = None) -> str:
+    from . import dcb
+
     if not s.has("dcb"):
         raise ModelError("scenario has no [dcb] section")
     m = build_model(s)
@@ -201,6 +212,8 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
 
 
 def run_trajectory(s: Scenario) -> str:
+    from . import trajectory
+
     if not s.has("transient"):
         raise ModelError("scenario has no [transient] section")
     m = build_model(s)

@@ -278,9 +278,10 @@ def couple_from_network(
         line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
     healthy = not math.isfinite(m.fault.rf)
     source_seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else None
+    tf = nodal.transfer(m)
     script: dict[str, list[PickupChange]] = {}
     for relay_id, location in zip((RELAY_A, RELAY_B), placements):
-        sol = nodal.solve_network(m, location, source_seq=source_seq)
+        sol = tf.solve(location, source_seq)
         v2 = phase_to_sequence(sol.relay_v).neg
         i2 = sol.relay_seq_i.neg
         decision = directional_neg_seq(v2, i2, line_angle)

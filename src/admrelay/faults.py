@@ -12,17 +12,21 @@ Conventions shared by all six cases:
   segment current (fault node -> load bus);
 * the upstream solvers follow the compact current-divider chains, which treat
   the source-side segment as negligible against the load path when splitting
-  the negative-/zero-sequence current.  Their results therefore carry a small
-  systematic error (within 2 percent on the reference system) against the
-  phase-domain solver in :mod:`admrelay.nodal`; the downstream solvers are
-  exact.
+  the negative-/zero-sequence current.  Their line-ground results therefore
+  carry a systematic error against the phase-domain solver in
+  :mod:`admrelay.nodal` that grows as rf falls.  Measured on the reference
+  system with the inverter source: at most 2 percent for rf of about 3.6 ohm
+  and above (1.97e-2 at 3.68 ohm, 5.1e-3 at 1000 ohm), but 2.05e-2 at
+  3.5 ohm, 6.5e-2 at 1 ohm and 6.3 at 0.01 ohm; with the ideal source the
+  2 percent crossing is at about 2.8 ohm.  The line-line and downstream
+  solvers are exact.
 
 Conventions kept deliberately:
 
 * the upstream line-ground relay voltage carries the negative- and
   zero-sequence segment drops with a positive sign; the small bias this
-  convention introduces sits well inside the 2 percent budget above and is
-  part of this module's contract;
+  convention introduces is part of the error band above and of this
+  module's contract;
 * the compensation that makes a downstream ground element read exactly the
   positive-sequence load-path impedance is z0/z1 - 1 (see
   :func:`admrelay.relaying.path_compensation`), the negative of the textbook

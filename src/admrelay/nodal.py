@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -218,35 +219,61 @@ class Transfer:
         )
 
 
-def transfer(m: MicrogridModel) -> Transfer:
-    """Factor the network of one model once, with the three source phases as
-    right-hand sides; any source voltage then follows by superposition.
+def transfers(models: Sequence[MicrogridModel]) -> list[Transfer]:
+    """Factor the networks of many models, in the order given; one model's
+    transfer is exactly what it would get on its own.
 
-    The known nodes (source phases, then a pinned fault node) come first in
-    the node order, so the unknown block is the trailing square of y.
-    Raises SingularSystemError unless the relative residual is below RESIDUAL_LIMIT.
+    Each model is assembled by build_system and solved with the three source
+    phases as right-hand sides; any source voltage then follows by
+    superposition.  Systems sharing a topology (node list and known-node
+    count) are stacked into one batched solve.  The known nodes (source
+    phases, then a pinned fault node) come first in the node order, so the
+    unknown block is the trailing square of y.  Raises SingularSystemError
+    if any member is singular or its relative residual is not below
+    RESIDUAL_LIMIT.
     """
-    sysm = build_system(m)
-    k = len(sysm.known)
-    a_uu = sysm.y[k:, k:]
-    b = -sysm.y[k:, :3]
-    try:
-        x = np.linalg.solve(a_uu, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"nodal matrix is singular: {exc}") from exc
-    scale = np.linalg.norm(b)
-    residual = float(np.linalg.norm(a_uu @ x - b) / (scale if scale > 0 else 1.0))
-    if not residual < RESIDUAL_LIMIT:
-        raise SingularSystemError(f"nodal solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT}")
+    systems = [build_system(m) for m in models]
+    groups: dict[tuple[tuple[str, ...], int], list[int]] = {}
+    for i, sysm in enumerate(systems):
+        groups.setdefault((tuple(sysm.node_names), len(sysm.known)), []).append(i)
 
-    # node voltages per unit source phase voltage; a pinned fault node is 0
-    v = np.concatenate((np.eye(k, 3), x))
-    idx = sysm.index
-    v_m = v[[idx["Ma"], idx["Mb"], idx.get("Mc", idx["Mb"])]]
-    v_2 = v[[idx["2a"], idx["2b"], idx["2c"]]]
-    i_up = _phase_admittance(m.line_1m) @ (np.eye(3) - v_m)
-    i_dn = _phase_admittance(m.line_m2) @ (v_m - v_2)
-    return Transfer(model=m, maps=np.vstack([v_m, i_up, i_dn, v_2]), residual=residual)
+    out: list[Transfer] = [None] * len(models)  # type: ignore[list-item]
+    for (_, k), members in groups.items():
+        y = np.stack([systems[i].y for i in members])
+        a_uu = y[:, k:, k:]
+        b = -y[:, k:, :3]
+        try:
+            x = np.linalg.solve(a_uu, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"nodal matrix is singular: {exc}") from exc
+        scale = np.linalg.norm(b, axis=(1, 2))
+        residuals = (
+            np.linalg.norm(a_uu @ x - b, axis=(1, 2)) / np.where(scale > 0, scale, 1.0)
+        ).tolist()
+        for residual in residuals:
+            if not residual < RESIDUAL_LIMIT:
+                raise SingularSystemError(
+                    f"nodal solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT}"
+                )
+
+        # node voltages per unit source phase voltage; a pinned fault node is 0
+        v = np.concatenate((np.broadcast_to(np.eye(k, 3), (len(members), k, 3)), x), axis=1)
+        idx = systems[members[0]].index
+        v_m = v[:, [idx["Ma"], idx["Mb"], idx.get("Mc", idx["Mb"])]]
+        v_2 = v[:, [idx["2a"], idx["2b"], idx["2c"]]]
+        y_1m = np.stack([_phase_admittance(models[i].line_1m) for i in members])
+        y_m2 = np.stack([_phase_admittance(models[i].line_m2) for i in members])
+        maps = np.concatenate(
+            (v_m, y_1m @ (np.eye(3) - v_m), y_m2 @ (v_m - v_2), v_2), axis=1
+        )
+        for j, i in enumerate(members):
+            out[i] = Transfer(model=models[i], maps=maps[j], residual=residuals[j])
+    return out
+
+
+def transfer(m: MicrogridModel) -> Transfer:
+    """Factor the network of one model once; see :func:`transfers`."""
+    return transfers([m])[0]
 
 
 def solve_network(

@@ -149,6 +149,14 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
 
 OPTIONAL_SECTIONS = ("dcb", "transient")
 
+# Upper bounds on the work one scenario can request, far above the defaults
+# (40 rf points, 200 trajectory steps, 1,000 DCB scans).  Step and scan
+# counts are duration/step rounded, as the simulators count them.  A sweep
+# factors all of its points at once, so rf_points also bounds its memory.
+MAX_RF_POINTS = 10_000
+MAX_TRANSIENT_STEPS = 100_000
+MAX_DCB_SCANS = 1_000_000
+
 
 @dataclass
 class Scenario:
@@ -314,15 +322,28 @@ def _check_consistency(s: Scenario) -> None:
         raise ScenarioError("[fault] rf: must be >= 0")
     if s.si("fault", "rf_min") > s.si("fault", "rf_max"):
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
-    if int(s.get("fault", "rf_points")) < 1:  # type: ignore[arg-type]
+    rf_points = int(s.get("fault", "rf_points"))  # type: ignore[arg-type]
+    if rf_points < 1:
         raise ScenarioError("[fault] rf_points: must be >= 1")
+    if rf_points > MAX_RF_POINTS:
+        raise ScenarioError(f"[fault] rf_points: must not exceed {MAX_RF_POINTS}")
     if s.has("dcb"):
         loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
         if not 0.0 <= loss <= 1.0:
             raise ScenarioError("[dcb] loss: must lie in [0, 1]")
+        if s.si("dcb", "step") <= 0:
+            raise ScenarioError("[dcb] step: must be positive")
+        if s.si("dcb", "duration") / s.si("dcb", "step") >= MAX_DCB_SCANS + 0.5:
+            raise ScenarioError(
+                f"[dcb] step: duration/step must not exceed {MAX_DCB_SCANS} scans"
+            )
     if s.has("transient"):
         if s.si("transient", "dt") <= 0:
             raise ScenarioError("[transient] dt: must be positive")
+        if s.si("transient", "duration") / s.si("transient", "dt") >= MAX_TRANSIENT_STEPS + 0.5:
+            raise ScenarioError(
+                f"[transient] dt: duration/dt must not exceed {MAX_TRANSIENT_STEPS} steps"
+            )
         if s.si("transient", "fault_time") >= s.si("transient", "duration"):
             raise ScenarioError("[transient] fault_time: must fall before duration")
 

@@ -119,7 +119,7 @@ def simulate_trajectory(
             k_lg = 0j
 
     # (healthy, faulted), indexed by whether the fault is on
-    topologies = (nodal.transfer(m.with_fault(replace(m.fault, rf=math.inf))), nodal.transfer(m))
+    topologies = nodal.transfers([m.with_fault(replace(m.fault, rf=math.inf)), m])
     targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / tau_lim)

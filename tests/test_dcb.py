@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from admrelay import dcb
+from admrelay import dcb, nodal
 from admrelay.errors import ModelError
+from admrelay.network import RelayLocation
+from admrelay.phasors import SequenceTriple, phase_to_sequence
+from admrelay.relaying import DirectionalDecision, directional_neg_seq
 
 from support import inverter, lg_model
 
@@ -177,3 +180,31 @@ def test_scenario_validation():
             duration=1.0,
             step=0.0,
         )
+
+
+@pytest.mark.parametrize("m", [
+    lg_model(3.68, inverter()),
+    lg_model(3.68, inverter(), fault_position=0.98),
+    lg_model(math.inf, inverter()),
+], ids=["internal", "near-load-bus", "healthy"])
+def test_couple_from_network_assembles_one_network(monkeypatch, m):
+    # the script equals the one two separate oracle solves give
+    healthy = not math.isfinite(m.fault.rf)
+    seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else None
+    angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
+    expected = {}
+    for relay, loc in zip(("A", "B"), (RelayLocation.UPSTREAM_OF_FAULT,
+                                       RelayLocation.DOWNSTREAM_OF_FAULT)):
+        sol = nodal.solve_network(m, loc, source_seq=seq)
+        decision = directional_neg_seq(
+            phase_to_sequence(sol.relay_v).neg, sol.relay_seq_i.neg, angle
+        )
+        if decision is not DirectionalDecision.INDETERMINATE:
+            fwd = decision is DirectionalDecision.FORWARD
+            expected[relay] = [dcb.PickupChange(10.0, fwd, not fwd)]
+
+    calls = []
+    build = nodal.build_system
+    monkeypatch.setattr(nodal, "build_system", lambda *a: calls.append(a) or build(*a))
+    assert dcb.couple_from_network(m) == expected
+    assert len(calls) == 1

@@ -229,3 +229,13 @@ def test_oracle_ll_fault_branch_antisymmetry():
     orc = nodal.solve_network(m, UP)
     i_fb = orc.intermediates["i_f_b"]
     assert abs(i_fb + orc.intermediates["i_f_c"]) <= 1e-12 * abs(i_fb)
+
+
+@pytest.mark.parametrize("rf, within", [(3.68, True), (1000.0, True), (1.0, False)])
+def test_upstream_lg_error_band_on_the_reference_system(rf, within):
+    # the compact chain is within 2 % of the oracle only from about 3.6 ohm
+    # up; at 1 ohm it is 6.5e-2 off (see the module docstring)
+    m = lg_model(rf, inverter())
+    err = rel_err(solve_lg_upstream_inverter(m).z_measured,
+                  nodal.solve_network(m, UP).z_measured)
+    assert (err <= 0.02) is within, err

@@ -223,3 +223,48 @@ def test_nan_cable_resistance_raises_singular_system(segment):
     bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
     with pytest.raises(SingularSystemError):
         nodal.solve_network(replace(m, **{segment: bad}), UP)
+
+
+def _mixed_models():
+    """Models over several topologies, interleaved so that stacking has to
+    keep the caller's order."""
+    models = []
+    for rf in (0.0, 3.68, 100.0, math.inf, 1.0):
+        for make in (lg_model, ll_model):
+            for z_ground in (1.0 + 0j, 0j):
+                models.append(make(rf, z_ground=z_ground))
+    return models
+
+
+def test_transfers_stack_each_topology_and_match_single_transfers_exactly():
+    models = _mixed_models()
+    batch = nodal.transfers(models)
+    assert len(batch) == len(models)
+    for m, tf in zip(models, batch):
+        alone = nodal.transfers([m])[0]
+        assert tf.model is m
+        assert tf.maps.shape == (12, 3)
+        assert np.array_equal(tf.maps, alone.maps)
+        assert tf.residual < nodal.RESIDUAL_LIMIT
+        for loc in (UP, DOWN):
+            assert tf.solve(loc) == nodal.solve_network(m, loc)
+
+
+def test_transfers_assemble_each_model_once(monkeypatch):
+    calls = []
+    build = nodal.build_system
+    monkeypatch.setattr(nodal, "build_system", lambda m: calls.append(m) or build(m))
+    models = _mixed_models()
+    nodal.transfers(models)
+    assert calls == models
+
+
+@pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
+def test_singular_member_of_a_stack_raises_singular_system(segment):
+    # the bad member shares its topology with healthy ones, so it sits
+    # inside a stacked solve
+    models = [lg_model(rf) for rf in (1.0, 3.68, 10.0)]
+    bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(models[1], segment).z0)
+    models[1] = replace(models[1], **{segment: bad})
+    with pytest.raises(SingularSystemError):
+        nodal.transfers(models)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from admrelay import cli
+from admrelay import cli, nodal
 from admrelay.errors import ScenarioError
 from admrelay.network import FaultKind
 from admrelay.phasors import phasor
@@ -396,3 +400,46 @@ def test_cli_bolted_fault_oracle_reading_is_a_numerical_failure(tmp_path, capsys
         out, err = capsys.readouterr()
         assert out == ""
         assert "z_oracle = 0" in err
+
+
+@pytest.mark.parametrize("section, key, ok, over", [
+    ("fault", "rf_points", "10000", "10001"),
+    ("transient", "dt", "0.002 ms", "0.0019 ms"),  # 200 ms window: 100,000 steps
+    ("dcb", "step", "0.0001 ms", "0.00009 ms"),  # 100 ms window: 1,000,000 scans
+])
+def test_scenario_work_is_bounded_by_validation(tmp_path, capsys, section, key, ok, over):
+    # validation alone: the capped loops themselves are never run
+    assert _run(tmp_path, _set_field(section, key, ok), "validate") == 0
+    capsys.readouterr()
+    assert _run(tmp_path, _set_field(section, key, over), "validate") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"[{section}] {key}" in err
+
+
+def test_dcb_step_must_be_positive(tmp_path, capsys):
+    assert _run(tmp_path, _set_field("dcb", "step", "0 ms"), "validate") == 1
+    assert "[dcb] step: must be positive" in capsys.readouterr().err
+
+
+def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    transfers = nodal.transfers
+    monkeypatch.setattr(nodal, "transfers", lambda ms: calls.append(len(ms)) or transfers(ms))
+    monkeypatch.setattr(nodal, "solve_network", None)
+    assert cli.main(["sweep", _write_default(tmp_path)]) == 0
+    assert calls == [40]
+
+
+def test_validate_never_imports_numpy(tmp_path):
+    path = _write_default(tmp_path)
+    code = (
+        "import sys\n"
+        "from admrelay import cli\n"
+        f"assert cli.main(['validate', {path!r}, '--out', {str(tmp_path / 'v.scn')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'validate imported numpy'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
