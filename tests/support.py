@@ -11,6 +11,7 @@ from admrelay.network import (
     default_inverter_source,
     reference_model,
 )
+from admrelay.scenario import build_model, parse_scenario
 
 RF_GRID_20 = [3.68 * (1000.0 / 3.68) ** (i / 19.0) for i in range(20)]
 
@@ -21,6 +22,14 @@ def close(a: complex, b: complex, rel: float, abs_tol: float = 0.0) -> bool:
 
 def rel_err(a: complex, b: complex) -> float:
     return abs(a - b) / abs(b)
+
+
+def scenario_model(kind: str, rf: float, **system: object) -> MicrogridModel:
+    """Model of the default scenario with a `kind` fault through rf [ohm] and
+    the given [system] fields, each written as in a scenario file (units
+    included, for example ``load_grounding_resistance="0 ohm"``)."""
+    fields = "".join(f"{key} = {value}\n" for key, value in system.items())
+    return build_model(parse_scenario(f"[system]\n{fields}[fault]\nkind = {kind}\n"), rf=rf)
 
 
 def lg_model(rf: float, source: SourceModel | None = None, **kw) -> MicrogridModel:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -8,8 +9,19 @@ import pytest
 
 from admrelay import cli, nodal
 from admrelay.errors import ScenarioError
-from admrelay.network import FaultKind
+from admrelay.network import (
+    CurrentLimitedInverter,
+    FaultKind,
+    FaultSpec,
+    LoadModel,
+    MicrogridModel,
+    SequenceImpedancePair,
+    cable_impedance,
+    load_impedance_from_power,
+)
 from admrelay.phasors import phasor
+from admrelay.relaying import directional_neg_seq
+from admrelay.trajectory import simulate_trajectory
 from admrelay.scenario import (
     FIELDS,
     build_model,
@@ -109,6 +121,38 @@ def test_build_model_matches_reference_values():
     assert m.fault.kind is FaultKind.LINE_GROUND_A
     assert m.fault.rf == 3.68
     assert m.source.i_max_rms == 70.0
+
+
+def test_default_scenario_builds_the_nameplate_model_exactly():
+    cable = cable_impedance(0.039, 70.8e-6, 60.0)
+    pair = SequenceImpedancePair(z1=cable, z0=cable * 3.0)
+    nameplate = MicrogridModel(
+        source=CurrentLimitedInverter(
+            v1=phasor(480.0 / math.sqrt(3.0)),
+            v2_fraction=0.6,
+            v0_fraction=0.6,
+            v2_angle=0.0,
+            v0_angle=0.0,
+            i_max_rms=70.0,
+        ),
+        line_1m=pair.scaled(0.5),
+        line_m2=pair.scaled(0.5),
+        load=LoadModel(
+            z_load=load_impedance_from_power(25e3, 12.5e3, 480.0), z_ground=1.0 + 0j
+        ),
+        fault=FaultSpec(FaultKind.LINE_GROUND_A, 3.68),
+        frequency=60.0,
+    )
+    assert build_model(default_scenario()) == nameplate
+
+    # the defaults the simulators and the directional element fall back on
+    floors = inspect.signature(directional_neg_seq).parameters
+    assert floors["voltage_floor"].default == 5.542562584220408
+    assert floors["current_floor"].default == 1.2028130608117205
+    window = inspect.signature(simulate_trajectory).parameters
+    assert window["dt"].default == 0.001
+    assert window["duration"].default == 0.2
+    assert window["fault_time"].default == 0.05
 
 
 def test_sweep_points_default_and_degenerate():
