@@ -27,10 +27,8 @@ from .errors import (
 from .network import (
     CurrentLimitedInverter,
     FaultKind,
-    FaultLocation,
     FaultSpec,
     IdealSource,
-    InverterControlParams,
     LoadModel,
     MicrogridModel,
     RelayLocation,
@@ -38,8 +36,6 @@ from .network import (
     TheveninSet,
     cable_impedance,
     load_impedance_from_power,
-    norton_source,
-    reference_model,
     thevenin_line_ground,
 )
 from .phasors import (
@@ -59,10 +55,8 @@ __all__ = [
     "CurrentLimitedInverter",
     "DegenerateParallelError",
     "FaultKind",
-    "FaultLocation",
     "FaultSpec",
     "IdealSource",
-    "InverterControlParams",
     "LoadModel",
     "MeasurementError",
     "MicrogridModel",
@@ -77,11 +71,9 @@ __all__ = [
     "TheveninSet",
     "cable_impedance",
     "load_impedance_from_power",
-    "norton_source",
     "parallel",
     "phase_to_sequence",
     "phasor",
-    "reference_model",
     "sequence_to_phase",
     "thevenin_line_ground",
 ]

@@ -28,7 +28,6 @@ from .phasors import SequenceTriple, phase_to_sequence
 from .relaying import DirectionalDecision, directional_neg_seq
 from . import nodal
 
-COORDINATION_TIME_DEFAULT_MS = 16.7  # one fundamental cycle
 RELAY_A = "A"
 RELAY_B = "B"
 
@@ -67,7 +66,7 @@ class RelayInputs:
 
 @dataclass(frozen=True)
 class RelaySettings:
-    coordination_time: float = COORDINATION_TIME_DEFAULT_MS  # ms
+    coordination_time: float  # ms
 
     def __post_init__(self) -> None:
         if not self.coordination_time > 0:
@@ -78,10 +77,10 @@ class RelaySettings:
 class ChannelModel:
     """Blocking channel: fixed latency [ms], per-transition loss, seeded."""
 
-    latency: float = 2.0
-    operational: bool = True
-    loss_probability: float = 0.0
-    seed: int = 0
+    latency: float
+    operational: bool
+    loss_probability: float
+    seed: int
 
     def __post_init__(self) -> None:
         if self.latency < 0:
@@ -108,8 +107,8 @@ class DcbScenario:
     relay_b: RelaySettings
     channel: ChannelModel
     fault_script: FaultScript
-    duration: float = 100.0  # ms
-    step: float = 0.1  # ms
+    duration: float  # ms
+    step: float  # ms
 
     def __post_init__(self) -> None:
         if not self.step > 0:
@@ -253,22 +252,22 @@ def trip_summary(events: Iterable[DcbEvent]) -> dict[str, dict[str, bool]]:
 
 def couple_from_network(
     m: MicrogridModel,
+    fault_time: float,
     placements: tuple[RelayLocation, RelayLocation] = (
         RelayLocation.UPSTREAM_OF_FAULT,
         RelayLocation.DOWNSTREAM_OF_FAULT,
     ),
-    fault_time: float = 10.0,
     line_angle: float | None = None,
 ) -> dict[str, list[PickupChange]]:
     """Derive the pickup script from a steady-state fault study.
 
     Both relays measure their own segment current in the source->load
     direction, matching the directional element's source-side-injector
-    polarity.  Directional decisions at fault inception become the scripted
-    pickups; an undecided element contributes no pickup at all.  On a radial
-    feed with the injecting source at one end, a fault beyond the far relay
-    still reads FORWARD at both ends (no remote infeed to reverse it), so
-    genuine external-fault studies are scripted by hand.
+    polarity.  Directional decisions at fault inception become pickups
+    scripted at fault_time [ms]; an undecided element contributes no pickup
+    at all.  On a radial feed with the injecting source at one end, a fault
+    beyond the far relay still reads FORWARD at both ends (no remote infeed
+    to reverse it), so genuine external-fault studies are scripted by hand.
 
     A model without a fault branch (infinite rf) is solved with the source
     balanced: the inverter only holds unbalanced voltage while its limiter

@@ -1,10 +1,14 @@
 """Two-bus microgrid data model and its per-sequence Thevenin reductions.
 
 The system is a source bus feeding a load bus over a cable, with the fault
-applied at an interior point of the cable (the midpoint by default).  The
-relay point is that interior node: an upstream relay measures the current in
-the source-side segment, a downstream relay the current in the load-side
-segment, both together with the node voltage.
+applied at an interior point of the cable.  The relay point is that interior
+node: an upstream relay measures the current in the source-side segment, a
+downstream relay the current in the load-side segment, both together with
+the node voltage.
+
+The reference system's nameplate values are the defaults in
+:data:`admrelay.scenario.FIELDS`, and ``build_model(default_scenario())``
+builds its model.
 """
 
 from __future__ import annotations
@@ -15,29 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ModelError
-from .phasors import SequenceTriple, parallel, phasor
-
-# Nameplate operating point of the reference system (the load reactive power
-# is reactive despite the nameplate carrying a watt unit).
-SYSTEM_FREQUENCY_HZ = 60.0
-LINE_LINE_VOLTAGE_V = 480.0
-CABLE_RESISTANCE_OHM = 0.039
-CABLE_INDUCTANCE_H = 70.8e-6
-LOAD_REAL_POWER_W = 25e3
-LOAD_REACTIVE_POWER_VAR = 12.5e3
-INVERTER_RATED_POWER_W = 50e3
-INVERTER_MAX_RMS_CURRENT_A = 70.0
-UNBALANCE_FRACTION = 0.60
-# The cable's zero-sequence impedance and the load neutral grounding have no
-# nameplate values; the usual assumptions for a run with ground return and a
-# resistance-grounded wye load are adopted, overridable per scenario.
-CABLE_ZERO_SEQ_SCALE = 3.0
-LOAD_GROUNDING_OHM = 1.0
-DC_BUS_VOLTAGE_V = 1800.0
-FILTER_INDUCTANCE_VALUE = 18.0  # nameplate lists a microfarad unit; inert metadata
-FILTER_CAPACITANCE_F = 250e-9
-
-LINE_NEUTRAL_VOLTAGE_V = LINE_LINE_VOLTAGE_V / math.sqrt(3.0)
+from .phasors import SequenceTriple, parallel
 
 
 @dataclass(frozen=True)
@@ -76,11 +58,11 @@ class CurrentLimitedInverter:
     """
 
     v1: complex
-    v2_fraction: float = UNBALANCE_FRACTION
-    v0_fraction: float = UNBALANCE_FRACTION
-    v2_angle: float = 0.0
-    v0_angle: float = 0.0
-    i_max_rms: float = INVERTER_MAX_RMS_CURRENT_A
+    v2_fraction: float
+    v0_fraction: float
+    v2_angle: float
+    v0_angle: float
+    i_max_rms: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.v2_fraction <= 1.0 or not 0.0 <= self.v0_fraction <= 1.0:
@@ -116,10 +98,6 @@ class FaultKind(Enum):
     LINE_LINE_BC = "ll"
 
 
-class FaultLocation(Enum):
-    MIDPOINT = "midpoint"
-
-
 class RelayLocation(Enum):
     UPSTREAM_OF_FAULT = "upstream"
     DOWNSTREAM_OF_FAULT = "downstream"
@@ -134,7 +112,6 @@ class FaultSpec:
 
     kind: FaultKind
     rf: float
-    location: FaultLocation = FaultLocation.MIDPOINT
 
     def __post_init__(self) -> None:
         if self.rf < 0 or math.isnan(self.rf):
@@ -150,7 +127,7 @@ class MicrogridModel:
     line_m2: SequenceImpedancePair
     load: LoadModel
     fault: FaultSpec
-    frequency: float = SYSTEM_FREQUENCY_HZ
+    frequency: float
 
     def __post_init__(self) -> None:
         if not self.frequency > 0:
@@ -170,31 +147,6 @@ class TheveninSet:
     v_eq1: complex
 
 
-@dataclass(frozen=True)
-class InverterControlParams:
-    """Controller gains and hardware ratings of the reference design, carried
-    as inert metadata so scenario files can round-trip the full parameter set.
-    None of these values enter any computation (filter_l keeps the nameplate's
-    unit quirk and is deliberately left uninterpreted)."""
-
-    kpv: float = 0.35
-    krv: float = 400.0
-    kvh5: float = 4.0
-    kvh7: float = 20.0
-    kvh11: float = 11.0
-    kpi: float = 0.7
-    kri: float = 400.0
-    kih5: float = 30.0
-    kih7: float = 30.0
-    kih11: float = 30.0
-    p_rated: float = INVERTER_RATED_POWER_W
-    vdc: float = DC_BUS_VOLTAGE_V
-    filter_l: float = FILTER_INDUCTANCE_VALUE
-    filter_c: float = FILTER_CAPACITANCE_F
-    cable_r: float = CABLE_RESISTANCE_OHM
-    cable_l: float = CABLE_INDUCTANCE_H
-
-
 def load_impedance_from_power(p: float, q: float, v_ll: float) -> complex:
     """Per-phase wye impedance drawing p [W] + j q [var] at v_ll [V] line-line.
 
@@ -212,13 +164,6 @@ def cable_impedance(r: float, l: float, f: float) -> complex:
     if r < 0 or l < 0 or f < 0:
         raise ModelError("cable parameters must be nonnegative")
     return complex(r, 2.0 * math.pi * f * l)
-
-
-def norton_source(v: complex, z: complex) -> complex:
-    """Norton current v/z of a voltage source v behind impedance z."""
-    if z == 0:
-        raise ModelError("norton_source: source impedance must be nonzero")
-    return v / z
 
 
 def downstream_path(m: MicrogridModel) -> tuple[complex, complex]:
@@ -241,53 +186,3 @@ def thevenin_line_ground(m: MicrogridModel) -> TheveninSet:
     v_eq1 = m.source.v1 * z_d1 / (m.line_1m.z1 + z_d1)
     z_eq0 = parallel(m.line_1m.z0, z_d0)
     return TheveninSet(z_eq1=z_eq1, z_eq2=z_eq1, z_eq0=z_eq0, v_eq1=v_eq1)
-
-
-def default_ideal_source() -> IdealSource:
-    """Stiff source at the rated line-neutral voltage, zero degrees."""
-    return IdealSource(v1=phasor(LINE_NEUTRAL_VOLTAGE_V))
-
-
-def default_inverter_source(
-    v2_fraction: float = UNBALANCE_FRACTION,
-    v0_fraction: float = UNBALANCE_FRACTION,
-    i_max_rms: float = INVERTER_MAX_RMS_CURRENT_A,
-) -> CurrentLimitedInverter:
-    """Current-limited inverter at the rated operating point."""
-    return CurrentLimitedInverter(
-        v1=phasor(LINE_NEUTRAL_VOLTAGE_V),
-        v2_fraction=v2_fraction,
-        v0_fraction=v0_fraction,
-        i_max_rms=i_max_rms,
-    )
-
-
-def reference_model(
-    fault: FaultSpec,
-    source: SourceModel | None = None,
-    *,
-    fault_position: float = 0.5,
-    zero_seq_scale: float = CABLE_ZERO_SEQ_SCALE,
-    z_ground: complex = complex(LOAD_GROUNDING_OHM),
-) -> MicrogridModel:
-    """Build the reference study case from the nameplate parameters.
-
-    fault_position is the fraction of the cable upstream of the fault node
-    (0.5 places the fault at the midpoint); zero_seq_scale multiplies the
-    cable positive-sequence impedance to form its zero-sequence value.
-    """
-    if not 0.0 < fault_position < 1.0:
-        raise ModelError("fault_position must lie strictly inside (0, 1)")
-    z_cable = cable_impedance(CABLE_RESISTANCE_OHM, CABLE_INDUCTANCE_H, SYSTEM_FREQUENCY_HZ)
-    cable = SequenceImpedancePair(z1=z_cable, z0=z_cable * zero_seq_scale)
-    z_load = load_impedance_from_power(
-        LOAD_REAL_POWER_W, LOAD_REACTIVE_POWER_VAR, LINE_LINE_VOLTAGE_V
-    )
-    return MicrogridModel(
-        source=source if source is not None else default_inverter_source(),
-        line_1m=cable.scaled(fault_position),
-        line_m2=cable.scaled(1.0 - fault_position),
-        load=LoadModel(z_load=z_load, z_ground=z_ground),
-        fault=fault,
-        frequency=SYSTEM_FREQUENCY_HZ,
-    )

@@ -77,13 +77,17 @@ class NodalSystem:
     node_names lists every non-ground node; ground is the implicit reference.
     known maps node name to a fixed voltage (source phases and, for a bolted
     line-ground fault, the faulted phase node); known nodes come first in
-    node_names.  y is the full admittance matrix over node_names.
+    node_names.  y is the full admittance matrix over node_names; y_1m and
+    y_m2 are the phase-admittance blocks of the two line segments stamped
+    into it.
     """
 
     node_names: list[str]
     index: dict[str, int]
     y: np.ndarray
     known: dict[str, complex]
+    y_1m: np.ndarray
+    y_m2: np.ndarray
 
     def unknown_names(self) -> list[str]:
         return [n for n in self.node_names if n not in self.known]
@@ -132,8 +136,10 @@ def build_system(
                     y[fi[r]][ti[c]] -= v
                     y[ti[r]][fi[c]] -= v
 
-    stamp(_phase_admittance(m.line_1m).tolist(), ("1a", "1b", "1c"), ("Ma", "Mb", "Mc"))
-    stamp(_phase_admittance(m.line_m2).tolist(), ("Ma", "Mb", "Mc"), ("2a", "2b", "2c"))
+    y_1m = _phase_admittance(m.line_1m)
+    y_m2 = _phase_admittance(m.line_m2)
+    stamp(y_1m.tolist(), ("1a", "1b", "1c"), ("Ma", "Mb", "Mc"))
+    stamp(y_m2.tolist(), ("Ma", "Mb", "Mc"), ("2a", "2b", "2c"))
     y_load = 1.0 / m.load.z_load
     for ph in ("a", "b", "c"):
         stamp([[y_load]], (f"2{ph}",), () if solid_neutral else ("n",))
@@ -151,7 +157,8 @@ def build_system(
         known["Ma"] = 0j
 
     return NodalSystem(
-        node_names=node_names, index=index, y=np.array(y, dtype=complex), known=known
+        node_names=node_names, index=index, y=np.array(y, dtype=complex), known=known,
+        y_1m=y_1m, y_m2=y_m2,
     )
 
 
@@ -261,8 +268,8 @@ def transfers(models: Sequence[MicrogridModel]) -> list[Transfer]:
         idx = systems[members[0]].index
         v_m = v[:, [idx["Ma"], idx["Mb"], idx.get("Mc", idx["Mb"])]]
         v_2 = v[:, [idx["2a"], idx["2b"], idx["2c"]]]
-        y_1m = np.stack([_phase_admittance(models[i].line_1m) for i in members])
-        y_m2 = np.stack([_phase_admittance(models[i].line_m2) for i in members])
+        y_1m = np.stack([systems[i].y_1m for i in members])
+        y_m2 = np.stack([systems[i].y_m2 for i in members])
         maps = np.concatenate(
             (v_m, y_1m @ (np.eye(3) - v_m), y_m2 @ (v_m - v_2), v_2), axis=1
         )

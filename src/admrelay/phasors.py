@@ -39,11 +39,6 @@ def phasor(mag: float, angle_deg: float = 0.0) -> complex:
     return cmath.rect(mag, math.radians(angle_deg))
 
 
-def angle_deg(z: complex) -> float:
-    """Phase angle of a phasor in degrees."""
-    return math.degrees(cmath.phase(z))
-
-
 def phase_to_sequence(p: PhaseTriple) -> SequenceTriple:
     """Resolve phase quantities into their symmetrical components."""
     a, b, c = p

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MeasurementError, ModelError
-from .network import INVERTER_RATED_POWER_W, LINE_LINE_VOLTAGE_V, LINE_NEUTRAL_VOLTAGE_V
+from .scenario import default_scenario
 
-NOMINAL_VOLTAGE_V = LINE_NEUTRAL_VOLTAGE_V
-NOMINAL_CURRENT_A = INVERTER_RATED_POWER_W / (math.sqrt(3.0) * LINE_LINE_VOLTAGE_V)
+# Nominal phase voltage and current of the reference system's nameplate.
+_nameplate = default_scenario()
+NOMINAL_VOLTAGE_V = _nameplate.si("system", "line_line_voltage") / math.sqrt(3.0)
+NOMINAL_CURRENT_A = _nameplate.si("system", "rated_power") / (
+    math.sqrt(3.0) * _nameplate.si("system", "line_line_voltage")
+)
 
 # Directional elements refuse to decide below 2 percent of nominal.
 DEFAULT_VOLTAGE_FLOOR_V = 0.02 * NOMINAL_VOLTAGE_V

@@ -10,7 +10,9 @@ number formatting, preserving each value's own unit.
 
 The default scenario carries the reference system's nameplate ratings
 verbatim, including the filter inductance with its nameplate (microfarad)
-unit quirk; that entry is inert metadata.
+unit quirk; that entry is inert metadata.  The load's reactive power is
+reactive although the nameplate lists it in watts.  These defaults are the
+only copy of the nameplate in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .network import (
-    CABLE_ZERO_SEQ_SCALE,
     CurrentLimitedInverter,
     FaultKind,
     FaultSpec,
@@ -86,7 +87,10 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         "i_max": FieldSpec("quantity", ("A",), default=_q(70, "A"), allow_inf=True),
         "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=_q(39, "mohm")),
         "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=_q(70.8, "uH")),
-        "cable_zero_seq_scale": FieldSpec("number", default=CABLE_ZERO_SEQ_SCALE, allow_inf=True),
+        # The cable's zero-sequence impedance and the load neutral grounding
+        # have no nameplate values: the usual assumptions for a run with
+        # ground return and a resistance-grounded wye load are the defaults.
+        "cable_zero_seq_scale": FieldSpec("number", default=3.0, allow_inf=True),
         "fault_position": FieldSpec("number", default=0.5),
         "load_real_power": FieldSpec("quantity", ("W", "kW"), default=_q(25, "kW")),
         "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=_q(12.5, "kvar")),
@@ -128,6 +132,7 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         "latency": FieldSpec("quantity", ("ms", "s"), default=_q(2, "ms")),
         "loss": FieldSpec("number", default=0),
         "seed": FieldSpec("integer", default=1),
+        # one fundamental cycle
         "coordination_time": FieldSpec("quantity", ("ms", "s"), default=_q(16.7, "ms")),
         "operational": FieldSpec("boolean", default=True),
         "script": FieldSpec(
@@ -333,6 +338,8 @@ def _check_consistency(s: Scenario) -> None:
             raise ScenarioError("[dcb] loss: must lie in [0, 1]")
         if s.si("dcb", "step") <= 0:
             raise ScenarioError("[dcb] step: must be positive")
+        if s.si("dcb", "duration") < s.si("dcb", "step"):
+            raise ScenarioError("[dcb] duration: must cover at least one step")
         if s.si("dcb", "duration") / s.si("dcb", "step") >= MAX_DCB_SCANS + 0.5:
             raise ScenarioError(
                 f"[dcb] step: duration/step must not exceed {MAX_DCB_SCANS} scans"
@@ -373,9 +380,9 @@ def default_scenario() -> Scenario:
     return s
 
 
-def _source_from(s: Scenario, kind: str) -> SourceModel:
+def _source_from(s: Scenario) -> SourceModel:
     v1 = phasor(s.si("system", "line_line_voltage") / math.sqrt(3.0))
-    if kind == "ideal":
+    if s.get("system", "source") == "ideal":
         return IdealSource(v1=v1)
     return CurrentLimitedInverter(
         v1=v1,
@@ -387,16 +394,10 @@ def _source_from(s: Scenario, kind: str) -> SourceModel:
     )
 
 
-def build_model(
-    s: Scenario,
-    *,
-    rf: float | None = None,
-    source_kind: str | None = None,
-) -> MicrogridModel:
+def build_model(s: Scenario, *, rf: float | None = None) -> MicrogridModel:
     """Materialize the microgrid model a scenario describes.
 
-    rf overrides the fault resistance (sweeps); source_kind overrides the
-    scenario's source selection (case runs that pin the model type).
+    rf overrides the fault resistance (sweeps).
     """
     f = s.si("system", "frequency")
     z_cable = cable_impedance(
@@ -414,7 +415,7 @@ def build_model(
     kind = FaultKind(str(s.get("fault", "kind")))
     fault = FaultSpec(kind=kind, rf=s.si("fault", "rf") if rf is None else rf)
     return MicrogridModel(
-        source=_source_from(s, source_kind or str(s.get("system", "source"))),
+        source=_source_from(s),
         line_1m=cable.scaled(pos),
         line_m2=cable.scaled(1.0 - pos),
         load=LoadModel(

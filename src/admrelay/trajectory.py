@@ -33,11 +33,14 @@ from .network import (
 )
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence
 from .relaying import measure_zlg, measure_zll, path_compensation
+from .scenario import default_scenario
 from . import nodal
 
-DT_DEFAULT_S = 1e-3
-DURATION_DEFAULT_S = 0.200
-FAULT_TIME_DEFAULT_S = 0.050
+# The default window is the scenario's [transient] default.
+_transient = default_scenario()
+DT_DEFAULT_S = _transient.si("transient", "dt")
+DURATION_DEFAULT_S = _transient.si("transient", "duration")
+FAULT_TIME_DEFAULT_S = _transient.si("transient", "fault_time")
 TAU_LIM_DEFAULT_S = 5e-3
 _CAP_SLACK = 1e-6
 

@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from admrelay.network import (
-    FaultKind,
-    FaultSpec,
-    MicrogridModel,
-    SourceModel,
-    default_ideal_source,
-    default_inverter_source,
-    reference_model,
-)
+from admrelay.network import MicrogridModel
 from admrelay.scenario import build_model, parse_scenario
 
 RF_GRID_20 = [3.68 * (1000.0 / 3.68) ** (i / 19.0) for i in range(20)]
@@ -32,19 +24,20 @@ def scenario_model(kind: str, rf: float, **system: object) -> MicrogridModel:
     return build_model(parse_scenario(f"[system]\n{fields}[fault]\nkind = {kind}\n"), rf=rf)
 
 
-def lg_model(rf: float, source: SourceModel | None = None, **kw) -> MicrogridModel:
-    src = source if source is not None else default_inverter_source()
-    return reference_model(FaultSpec(FaultKind.LINE_GROUND_A, rf), src, **kw)
+def lg_model(rf: float, source: dict[str, object] | None = None, **system: object) -> MicrogridModel:
+    return scenario_model("lg", rf, **(source or {}), **system)
 
 
-def ll_model(rf: float, source: SourceModel | None = None, **kw) -> MicrogridModel:
-    src = source if source is not None else default_inverter_source()
-    return reference_model(FaultSpec(FaultKind.LINE_LINE_BC, rf), src, **kw)
+def ll_model(rf: float, source: dict[str, object] | None = None, **system: object) -> MicrogridModel:
+    return scenario_model("ll", rf, **(source or {}), **system)
 
 
-def ideal() -> SourceModel:
-    return default_ideal_source()
+def ideal() -> dict[str, object]:
+    """[system] fields selecting the stiff source."""
+    return {"source": "ideal"}
 
 
-def inverter(**kw) -> SourceModel:
-    return default_inverter_source(**kw)
+def inverter(**system: object) -> dict[str, object]:
+    """[system] fields selecting the current-limited inverter, with overrides
+    such as ``i_max="20 A"``."""
+    return {"source": "inverter", **system}

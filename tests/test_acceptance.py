@@ -181,10 +181,12 @@ def test_criterion_08_dcb_truth_table():
         }
 
         def run(script, **kw):
-            channel = dcb.ChannelModel(**{"latency": 2.0, "seed": 5, **kw})
+            channel = dcb.ChannelModel(
+                **{"latency": 2.0, "operational": True, "loss_probability": 0.0, "seed": 5, **kw}
+            )
             sc = dcb.DcbScenario(
-                relay_a=dcb.RelaySettings(),
-                relay_b=dcb.RelaySettings(),
+                relay_a=dcb.RelaySettings(coordination_time=16.7),
+                relay_b=dcb.RelaySettings(coordination_time=16.7),
                 channel=channel,
                 fault_script=script,
                 duration=100.0,

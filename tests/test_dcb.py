@@ -144,7 +144,7 @@ def test_full_loss_behaves_like_dead_channel():
 
 
 def test_couple_from_network_internal_fault():
-    script = dcb.couple_from_network(lg_model(3.68, inverter()))
+    script = dcb.couple_from_network(lg_model(3.68, inverter()), 10.0)
     assert set(script) == {"A", "B"}
     for changes in script.values():
         assert len(changes) == 1
@@ -154,13 +154,13 @@ def test_couple_from_network_internal_fault():
 def test_couple_from_network_fault_near_load_bus():
     # fault placed essentially at the far relay: radial feed, both still forward
     m = lg_model(3.68, inverter(), fault_position=0.98)
-    script = dcb.couple_from_network(m)
+    script = dcb.couple_from_network(m, 10.0)
     assert script["A"][0].fwd
     assert script["B"][0].fwd
 
 
 def test_couple_from_network_no_fault_gives_empty_script():
-    script = dcb.couple_from_network(lg_model(math.inf, inverter()))
+    script = dcb.couple_from_network(lg_model(math.inf, inverter()), 10.0)
     assert script == {}
     events = dcb.simulate(scripted(script))
     assert events == []
@@ -168,18 +168,11 @@ def test_couple_from_network_no_fault_gives_empty_script():
 
 def test_scenario_validation():
     with pytest.raises(ModelError):
-        dcb.ChannelModel(latency=-1.0)
+        scripted({}, latency=-1.0)
     with pytest.raises(ModelError):
-        dcb.ChannelModel(loss_probability=1.5)
+        scripted({}, loss=1.5)
     with pytest.raises(ModelError):
-        dcb.DcbScenario(
-            relay_a=dcb.RelaySettings(),
-            relay_b=dcb.RelaySettings(),
-            channel=dcb.ChannelModel(),
-            fault_script={},
-            duration=1.0,
-            step=0.0,
-        )
+        scripted({}, duration=1.0, step=0.0)
 
 
 @pytest.mark.parametrize("m", [
@@ -206,5 +199,5 @@ def test_couple_from_network_assembles_one_network(monkeypatch, m):
     calls = []
     build = nodal.build_system
     monkeypatch.setattr(nodal, "build_system", lambda *a: calls.append(a) or build(*a))
-    assert dcb.couple_from_network(m) == expected
+    assert dcb.couple_from_network(m, 10.0) == expected
     assert len(calls) == 1

@@ -12,11 +12,7 @@ from admrelay.faults import (
     solve_ll_upstream_ideal,
     solve_ll_upstream_inverter,
 )
-from admrelay.network import (
-    RelayLocation,
-    default_inverter_source,
-    downstream_path,
-)
+from admrelay.network import RelayLocation, downstream_path
 from admrelay.phasors import sequence_to_phase
 
 from support import RF_GRID_20, close, ideal, inverter, lg_model, ll_model, rel_err
@@ -89,7 +85,7 @@ def test_lg_upstream_inverter_agrees_with_oracle():
 def test_inverter_with_zero_fractions_degenerates_to_ideal():
     for rf in (0.5, 3.68, 100.0):
         m_i = lg_model(rf, ideal())
-        m_v = lg_model(rf, default_inverter_source(v2_fraction=0.0, v0_fraction=0.0))
+        m_v = lg_model(rf, inverter(v2_fraction=0, v0_fraction=0))
         a = solve_lg_upstream_ideal(m_i)
         b = solve_lg_upstream_inverter(m_v)
         assert close(b.z_measured, a.z_measured, 1e-12)
@@ -97,7 +93,7 @@ def test_inverter_with_zero_fractions_degenerates_to_ideal():
             assert close(b.intermediates[key], a.intermediates[key], 1e-12, abs_tol=1e-12)
 
         m_i = ll_model(rf, ideal())
-        m_v = ll_model(rf, default_inverter_source(v2_fraction=0.0, v0_fraction=0.0))
+        m_v = ll_model(rf, inverter(v2_fraction=0, v0_fraction=0))
         a = solve_ll_upstream_ideal(m_i)
         b = solve_ll_upstream_inverter(m_v)
         assert close(b.z_measured, a.z_measured, 1e-12)
@@ -113,7 +109,7 @@ def test_lg_downstream_identity_all_sources_and_rf():
 
 
 def test_lg_downstream_symmetric_network_needs_no_compensation():
-    m = lg_model(3.68, ideal(), zero_seq_scale=1.0, z_ground=0j)
+    m = lg_model(3.68, ideal(), cable_zero_seq_scale=1, load_grounding_resistance="0 ohm")
     sol = solve_lg_downstream(m)
     assert abs(sol.intermediates["k"]) < 1e-12
     i = sol.relay_seq_i

@@ -12,15 +12,12 @@ from admrelay.network import (
     MicrogridModel,
     SequenceImpedancePair,
     cable_impedance,
-    default_ideal_source,
     load_impedance_from_power,
-    norton_source,
-    reference_model,
     thevenin_line_ground,
 )
-from admrelay.phasors import parallel, phasor
+from admrelay.phasors import parallel
 
-from support import close
+from support import close, ideal, lg_model
 
 
 def test_load_impedance_reproduces_complex_power():
@@ -57,18 +54,6 @@ def test_cable_impedance_reference_values():
     assert cable_impedance(0.039, 70.8e-6, 0.0).imag == 0.0
 
 
-def test_norton_source_values():
-    assert close(norton_source(1 + 0j, 1 + 0j), 1 + 0j, 1e-12)
-    assert norton_source(0j, 2 + 1j) == 0j
-    v = phasor(480.0 / math.sqrt(3.0))
-    z = complex(0.039, 2 * math.pi * 60 * 70.8e-6)
-    i = norton_source(v, z)
-    assert abs(abs(i) - abs(v) / abs(z)) < 1e-9
-    assert 5800 < abs(i) < 5900
-    with pytest.raises(ModelError):
-        norton_source(v, 0j)
-
-
 def _passive_model(z1m, z0m, z1d, z0d, z_load, z_g, v=277.0 + 0j):
     return MicrogridModel(
         source=IdealSource(v1=v),
@@ -76,11 +61,12 @@ def _passive_model(z1m, z0m, z1d, z0d, z_load, z_g, v=277.0 + 0j):
         line_m2=SequenceImpedancePair(z1d, z0d),
         load=LoadModel(z_load=z_load, z_ground=z_g),
         fault=FaultSpec(FaultKind.LINE_GROUND_A, 1.0),
+        frequency=60.0,
     )
 
 
 def test_thevenin_formulas_match_direct_parallel():
-    m = reference_model(FaultSpec(FaultKind.LINE_GROUND_A, 3.68), default_ideal_source())
+    m = lg_model(3.68, ideal())
     th = thevenin_line_ground(m)
     z_d1 = m.line_m2.z1 + m.load.z_load
     z_d0 = m.line_m2.z0 + m.load.z_load + 3 * m.load.z_ground
@@ -92,7 +78,7 @@ def test_thevenin_formulas_match_direct_parallel():
 
 
 def test_thevenin_negative_equals_positive_bit_for_bit():
-    m = reference_model(FaultSpec(FaultKind.LINE_GROUND_A, 3.68))
+    m = lg_model(3.68)
     th = thevenin_line_ground(m)
     assert th.z_eq1 == th.z_eq2
 
@@ -112,9 +98,7 @@ def test_thevenin_open_downstream_limit():
 
 
 def test_symmetric_data_collapses_zero_sequence_to_positive():
-    m = reference_model(
-        FaultSpec(FaultKind.LINE_GROUND_A, 3.68), zero_seq_scale=1.0, z_ground=0j
-    )
+    m = lg_model(3.68, cable_zero_seq_scale=1, load_grounding_resistance="0 ohm")
     th = thevenin_line_ground(m)
     assert close(th.z_eq0, th.z_eq1, 1e-12)
 
@@ -136,22 +120,11 @@ def test_model_validation():
     with pytest.raises(ModelError):
         FaultSpec(FaultKind.LINE_GROUND_A, -1.0)
     with pytest.raises(ModelError):
-        reference_model(FaultSpec(FaultKind.LINE_GROUND_A, 1.0), fault_position=0.0)
-
-
-def test_control_params_metadata_defaults():
-    from admrelay.network import InverterControlParams
-
-    p = InverterControlParams()
-    assert (p.kpv, p.krv, p.kvh5, p.kvh7, p.kvh11) == (0.35, 400.0, 4.0, 20.0, 11.0)
-    assert (p.kpi, p.kri, p.kih5, p.kih7, p.kih11) == (0.7, 400.0, 30.0, 30.0, 30.0)
-    assert p.p_rated == 50e3 and p.vdc == 1800.0 and p.filter_c == 250e-9
-    assert p.filter_l == 18.0  # inert, deliberately uninterpreted unit
-    assert p.cable_r == 0.039 and p.cable_l == 70.8e-6
+        lg_model(1.0, fault_position=0.0)
 
 
 def test_reference_model_splits_cable_at_fault_position():
-    m = reference_model(FaultSpec(FaultKind.LINE_GROUND_A, 1.0), fault_position=0.25)
+    m = lg_model(1.0, fault_position=0.25)
     cable = cable_impedance(0.039, 70.8e-6, 60.0)
     assert close(m.line_1m.z1, 0.25 * cable, 1e-12)
     assert close(m.line_m2.z1, 0.75 * cable, 1e-12)

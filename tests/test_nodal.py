@@ -7,12 +7,8 @@ import pytest
 from admrelay import nodal
 from admrelay.errors import SingularSystemError
 from admrelay.network import (
-    FaultKind,
-    FaultSpec,
     RelayLocation,
     SequenceImpedancePair,
-    default_ideal_source,
-    reference_model,
     thevenin_line_ground,
 )
 from admrelay.phasors import SequenceTriple, sequence_to_phase
@@ -120,11 +116,8 @@ def test_superposition_of_sequence_sources():
 def test_removing_grounding_sources_kills_lg_fault_current():
     grounded = lg_model(3.68, ideal())
     sol_g = nodal.solve_network(grounded, UP)
-    open_zero = reference_model(
-        FaultSpec(FaultKind.LINE_GROUND_A, 3.68),
-        default_ideal_source(),
-        zero_seq_scale=math.inf,
-        z_ground=complex(math.inf),
+    open_zero = lg_model(
+        3.68, ideal(), cable_zero_seq_scale="inf", load_grounding_resistance="inf ohm"
     )
     sol_o = nodal.solve_network(open_zero, UP)
     ratio = abs(sol_o.intermediates["i_f_a"]) / abs(sol_g.intermediates["i_f_a"])
@@ -156,7 +149,7 @@ def test_nodal_matrix_is_well_conditioned_and_residual_small():
 
 
 def test_solidly_grounded_load_drops_neutral_node():
-    m = lg_model(3.68, z_ground=0j)
+    m = lg_model(3.68, load_grounding_resistance="0 ohm")
     sysm = nodal.build_system(m)
     assert "n" not in sysm.index
 
@@ -194,12 +187,12 @@ def _dense_reference(m, seq):
     return v_m, i_up, i_dn, v_2[0]
 
 
-@pytest.mark.parametrize("z_ground", [1.0 + 0j, 0j], ids=["grounded", "solid"])
+@pytest.mark.parametrize("grounding", ["1 ohm", "0 ohm"], ids=["grounded", "solid"])
 @pytest.mark.parametrize("rf", [0.0, 3.68, math.inf])
 @pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
-def test_transfer_superposes_like_a_direct_solve(make, rf, z_ground):
+def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
     rng = np.random.default_rng(20210119)
-    m = make(rf, z_ground=z_ground)
+    m = make(rf, load_grounding_resistance=grounding)
     tf = nodal.transfer(m)
     for _ in range(5):
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
@@ -231,8 +224,8 @@ def _mixed_models():
     models = []
     for rf in (0.0, 3.68, 100.0, math.inf, 1.0):
         for make in (lg_model, ll_model):
-            for z_ground in (1.0 + 0j, 0j):
-                models.append(make(rf, z_ground=z_ground))
+            for grounding in ("1 ohm", "0 ohm"):
+                models.append(make(rf, load_grounding_resistance=grounding))
     return models
 
 

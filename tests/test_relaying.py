@@ -64,7 +64,7 @@ def test_measure_zlg_downstream_identity_needs_path_compensation():
 
 
 def test_measure_zlg_downstream_symmetric_network_uncompensated():
-    m = lg_model(3.68, ideal(), zero_seq_scale=1.0, z_ground=0j)
+    m = lg_model(3.68, ideal(), cable_zero_seq_scale=1, load_grounding_resistance="0 ohm")
     orc = nodal.solve_network(m, DOWN)
     z_d1, z_d0 = downstream_path(m)
     k = k_factor(z_d0, z_d1)  # zero for symmetric data, either sign convention

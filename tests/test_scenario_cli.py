@@ -466,6 +466,15 @@ def test_dcb_step_must_be_positive(tmp_path, capsys):
     assert "[dcb] step: must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "dcb"])
+def test_dcb_duration_must_cover_one_step(tmp_path, capsys, command):
+    assert _run(tmp_path, _set_field("dcb", "duration", "0.05 ms"), command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[dcb] duration: must cover at least one step" in err
+    assert _run(tmp_path, _set_field("dcb", "duration", "0.1 ms"), command) == 0
+
+
 def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
     calls = []
     transfers = nodal.transfers

@@ -9,7 +9,6 @@ from admrelay.network import (
     FaultKind,
     FaultSpec,
     RelayLocation,
-    default_inverter_source,
     downstream_path,
 )
 from admrelay.phasors import phase_to_sequence
@@ -112,7 +111,7 @@ def test_closed_form_target_puts_the_worst_phase_on_the_cap(make):
 def test_instantaneous_limiter_retargets_when_the_fault_switches_on():
     # the healthy load current (about 33 A) already exceeds a 20 A cap, so the
     # limiter engages before the fault on the healthy topology's target
-    m = lg_model(3.68, inverter(i_max_rms=20.0))
+    m = lg_model(3.68, inverter(i_max="20 A"))
     inst = simulate_trajectory(m, limiter=LimiterKind.INSTANTANEOUS_SATURATION)
     latch = simulate_trajectory(m, limiter=LimiterKind.LATCHING)
     pre = [p for p in inst if p.t < 0.05]
@@ -144,7 +143,7 @@ def test_disabled_limiter_matches_static_solutions():
 
 
 def test_unlimited_inverter_keeps_balanced_source():
-    m = lg_model(3.68, default_inverter_source(i_max_rms=math.inf))
+    m = lg_model(3.68, inverter(i_max="inf A"))
     pts = simulate_trajectory(m)
     assert all(not p.limited for p in pts)
 
@@ -157,7 +156,7 @@ def test_calibration_brackets_the_configured_unbalance():
 
 
 def test_calibration_without_limiting_reads_near_zero():
-    m = lg_model(3.68, default_inverter_source(i_max_rms=math.inf))
+    m = lg_model(3.68, inverter(i_max="inf A"))
     v2_ratio, v0_ratio = calibrate_unbalance(m, m.fault)
     assert v2_ratio < 0.02
     assert v0_ratio < 0.02
