@@ -24,11 +24,15 @@ def scenario_model(kind: str, rf: float, **system: object) -> MicrogridModel:
     return build_model(parse_scenario(f"[system]\n{fields}[fault]\nkind = {kind}\n"), rf=rf)
 
 
-def lg_model(rf: float, source: dict[str, object] | None = None, **system: object) -> MicrogridModel:
+def lg_model(
+    rf: float, source: dict[str, object] | None = None, **system: object
+) -> MicrogridModel:
     return scenario_model("lg", rf, **(source or {}), **system)
 
 
-def ll_model(rf: float, source: dict[str, object] | None = None, **system: object) -> MicrogridModel:
+def ll_model(
+    rf: float, source: dict[str, object] | None = None, **system: object
+) -> MicrogridModel:
     return scenario_model("ll", rf, **(source or {}), **system)
 
 
