@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 
 # nodal, dcb and trajectory are imported by the subcommands that use them:
@@ -99,6 +100,8 @@ def run_case(s: Scenario, case: int) -> str:
     source_kind = str(s.get("system", "source"))
     if source_req is not None and source_kind != source_req:
         raise ModelError(f"case {case} needs source = {source_req}, scenario has {source_kind}")
+    if not math.isfinite(s.si("fault", "rf")):
+        raise ModelError("[fault] rf: a case is a fault study and needs a finite fault resistance")
 
     from . import nodal
 

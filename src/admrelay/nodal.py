@@ -49,15 +49,12 @@ def _balanced_block(diag: complex, off: complex) -> np.ndarray:
 
 
 def _phase_admittance(z: SequenceImpedancePair) -> np.ndarray:
-    """Phase-admittance block of a series element; an infinite zero-sequence
-    impedance simply contributes zero zero-sequence admittance."""
+    """Phase-admittance block of a series element."""
     if z.z1 == 0 or z.z0 == 0:
         raise SingularSystemError(
             "series element with zero sequence impedance makes the nodal system singular"
         )
-    y1 = 1.0 / z.z1
-    z0 = complex(z.z0)
-    y0 = 0j if not (math.isfinite(z0.real) and math.isfinite(z0.imag)) else 1.0 / z0
+    y1, y0 = 1.0 / z.z1, 1.0 / z.z0
     return _balanced_block((y0 + 2.0 * y1) / 3.0, (y0 - y1) / 3.0)
 
 

@@ -90,7 +90,7 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         # The cable's zero-sequence impedance and the load neutral grounding
         # have no nameplate values: the usual assumptions for a run with
         # ground return and a resistance-grounded wye load are the defaults.
-        "cable_zero_seq_scale": FieldSpec("number", default=3.0, allow_inf=True),
+        "cable_zero_seq_scale": FieldSpec("number", default=3.0),
         "fault_position": FieldSpec("number", default=0.5),
         "load_real_power": FieldSpec("quantity", ("W", "kW"), default=_q(25, "kW")),
         "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=_q(12.5, "kvar")),

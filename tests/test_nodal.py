@@ -113,17 +113,6 @@ def test_superposition_of_sequence_sources():
         assert close(getattr(combined.relay_i, attr), total_i, 1e-12)
 
 
-def test_removing_grounding_sources_kills_lg_fault_current():
-    grounded = lg_model(3.68, ideal())
-    sol_g = nodal.solve_network(grounded, UP)
-    open_zero = lg_model(
-        3.68, ideal(), cable_zero_seq_scale="inf", load_grounding_resistance="inf ohm"
-    )
-    sol_o = nodal.solve_network(open_zero, UP)
-    ratio = abs(sol_o.intermediates["i_f_a"]) / abs(sol_g.intermediates["i_f_a"])
-    assert ratio <= 1e-9
-
-
 def test_admittance_rows_sum_to_shunt_terms():
     m = lg_model(3.68)
     sysm = nodal.build_system(m)

@@ -384,7 +384,6 @@ INF_MEANS_SOMETHING = {
     ("fault", "rf"),
     ("system", "i_max"),
     ("system", "load_grounding_resistance"),
-    ("system", "cable_zero_seq_scale"),
 }
 
 
@@ -412,15 +411,37 @@ def test_cli_sweep_to_infinite_rf_is_a_validation_error(tmp_path, capsys):
     assert "[fault] rf_max" in err
 
 
-def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys):
-    # with no zero-sequence path along the cable the upstream line-ground
-    # closed form is undefined (nan); the run must not print it
+def test_cli_infinite_cable_zero_sequence_scale_is_a_validation_error(tmp_path, capsys):
+    # with no zero-sequence path along the cable the healthy network's nodal
+    # matrix is singular, so no subcommand may start on it
     text = _set_field("system", "cable_zero_seq_scale", "inf")
-    for argv in (["sweep"], ["case", "--case", "2"]):
-        assert _run(tmp_path, text, *argv) == 2
+    for argv in (["validate"], ["case", "--case", "2"], ["sweep"], ["dcb"], ["trajectory"]):
+        assert _run(tmp_path, text, *argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == ""
-        assert "numerical failure: z_measured is not finite" in err
+        assert "[system] cable_zero_seq_scale" in err
+
+
+@pytest.mark.parametrize("case, kind, source", [
+    (1, "lg", "ideal"), (2, "lg", "inverter"), (3, "lg", "inverter"),
+    (4, "ll", "ideal"), (5, "ll", "inverter"), (6, "ll", "ideal"),
+])
+def test_cli_case_without_a_fault_is_a_validation_error(tmp_path, capsys, case, kind, source):
+    text = _set_field("fault", "rf", "inf ohm")
+    text = text.replace("kind = lg", f"kind = {kind}").replace(
+        "source = inverter", f"source = {source}"
+    )
+    assert _run(tmp_path, text, "case", "--case", str(case)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[fault] rf" in err
+
+
+def test_trajectory_and_dcb_accept_an_open_fault(tmp_path, capsys):
+    text = _set_field("fault", "rf", "inf ohm")
+    for argv in (["trajectory"], ["dcb"]):
+        assert _run(tmp_path, text, *argv) == 0, argv
+        assert "scenario_digest" in capsys.readouterr().out
 
 
 def test_cli_trajectory_with_undefined_ground_reading_is_a_numerical_failure(tmp_path, capsys):
