@@ -60,12 +60,21 @@ def _require_finite(**values: complex) -> None:
             raise NumericalError(f"{name} is not finite: {value}")
 
 
-def _oracle_error(sol: FaultSolution, oracle: FaultSolution) -> float:
-    """Relative error of a closed-form reading against the nodal oracle's."""
+def _oracle_error(
+    sol: FaultSolution, oracle: FaultSolution, m: MicrogridModel, location: RelayLocation
+) -> float:
+    """Relative error of a closed-form reading against the nodal oracle's,
+    both read the same way: a downstream ground element compensated for its
+    load path (as solve_lg_downstream reads it), any other the plain ratio."""
     _require_finite(z_measured=sol.z_measured, z_oracle=oracle.z_measured)
     if oracle.z_measured == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
-    return abs(sol.z_measured - oracle.z_measured) / abs(oracle.z_measured)
+    z_ref = oracle.z_measured
+    if location is RelayLocation.DOWNSTREAM_OF_FAULT and m.fault.kind.value == "lg":
+        z_d1, z_d0 = downstream_path(m)
+        z_ref = _compensated(oracle, m, path_compensation(z_d0, z_d1))
+        _require_finite(z_oracle_compensated=z_ref)
+    return abs(sol.z_measured - z_ref) / abs(z_ref)
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
@@ -108,7 +117,7 @@ def run_case(s: Scenario, case: int) -> str:
     m = build_model(s)
     sol: FaultSolution = solver(m)
     oracle = nodal.solve_network(m, location)
-    rel_err = _oracle_error(sol, oracle)
+    rel_err = _oracle_error(sol, oracle, m, location)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
@@ -157,7 +166,7 @@ def run_sweep(s: Scenario) -> str:
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     for rf, m, tf in zip(grid, models, nodal.transfers(models)):
         sol, oracle = solver(m), tf.solve(location)
-        rel_err = _oracle_error(sol, oracle)
+        rel_err = _oracle_error(sol, oracle, m, location)
         z = sol.z_measured
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"

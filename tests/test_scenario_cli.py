@@ -225,6 +225,24 @@ def test_cli_case_3_reads_the_load_path(tmp_path, capsys):
     assert fields["z_measured"] == fields["z_d1"]
 
 
+def test_cli_downstream_ground_error_compares_compensated_readings(tmp_path, capsys):
+    # the closed form reads the compensated load path, so the oracle's reading
+    # is compensated the same way; the printed z_oracle stays the plain ratio
+    path = tmp_path / "downstream.scn"
+    path.write_text(default_text().replace("location = upstream", "location = downstream"),
+                    encoding="utf-8")
+    assert cli.main(["case", str(path), "--case", "3"]) == 0
+    fields = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                  if " = " in line)
+    assert float(fields["relative_error"]) < 1e-12
+    assert abs(complex(fields["z_oracle"]) - complex(fields["z_d1"])) > 0.1
+    assert cli.main(["sweep", str(path)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
+            if not line.startswith("#")]
+    assert len(rows) == 40
+    assert all(float(row[5]) < 1e-12 for row in rows)
+
+
 def test_cli_case_source_mismatch_fails_validation(tmp_path, capsys):
     path = _write_default(tmp_path)  # default source is the inverter
     assert cli.main(["case", path, "--case", "1"]) == 1
