@@ -12,10 +12,9 @@ import argparse
 import cmath
 import math
 import sys
+from dataclasses import replace
 
-# nodal, dcb and trajectory are imported by the subcommands that use them:
-# they load numpy, which `validate` never needs
-from . import __version__
+from . import __version__, dcb, nodal, trajectory
 from .errors import MeasurementError, ModelError, NumericalError
 from .faults import (
     FaultSolution,
@@ -112,8 +111,6 @@ def run_case(s: Scenario, case: int) -> str:
     if not math.isfinite(s.si("fault", "rf")):
         raise ModelError("[fault] rf: a case is a fault study and needs a finite fault resistance")
 
-    from . import nodal
-
     m = build_model(s)
     sol: FaultSolution = solver(m)
     oracle = nodal.solve_network(m, location)
@@ -158,11 +155,10 @@ def _sweep_case(s: Scenario) -> tuple[RelayLocation, object]:
 
 
 def run_sweep(s: Scenario) -> str:
-    from . import nodal
-
     location, solver = _sweep_case(s)
     grid = sweep_points(s)
-    models = [build_model(s, rf=rf) for rf in grid]
+    base = build_model(s)
+    models = [base.with_fault(replace(base.fault, rf=rf)) for rf in grid]
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     for rf, m, tf in zip(grid, models, nodal.transfers(models)):
         sol, oracle = solver(m), tf.solve(location)
@@ -178,8 +174,6 @@ def run_sweep(s: Scenario) -> str:
 
 
 def run_dcb(s: Scenario, seed: int | None = None) -> str:
-    from . import dcb
-
     if not s.has("dcb"):
         raise ModelError("scenario has no [dcb] section")
     m = build_model(s)
@@ -187,16 +181,10 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
     fault_time = s.si("dcb", "fault_time") * 1e3  # ms
     if script_kind == "network":
         script = dcb.couple_from_network(m, fault_time=fault_time)
-    elif script_kind == "internal":
-        script = {
-            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
-            dcb.RELAY_B: [dcb.PickupChange(fault_time, True, False)],
-        }
-    else:  # external: fault beyond relay B
-        script = {
-            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
-            dcb.RELAY_B: [dcb.PickupChange(fault_time, False, True)],
-        }
+    else:  # relay B looks forward on an internal fault, reverse on one beyond it
+        internal = script_kind == "internal"
+        script = {dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
+                  dcb.RELAY_B: [dcb.PickupChange(fault_time, internal, not internal)]}
     settings = dcb.RelaySettings(coordination_time=s.si("dcb", "coordination_time") * 1e3)
     channel = dcb.ChannelModel(
         latency=s.si("dcb", "latency") * 1e3,
@@ -224,8 +212,6 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
 
 
 def run_trajectory(s: Scenario) -> str:
-    from . import trajectory
-
     if not s.has("transient"):
         raise ModelError("scenario has no [transient] section")
     m = build_model(s)

@@ -1,41 +1,50 @@
 """Independent phase-domain nodal solver for the two-bus microgrid.
 
 Ground truth for the closed-form results in :mod:`admrelay.faults`: every
-conductor is represented explicitly and the faulted three-phase system is
-solved as one dense complex linear system with partial pivoting.  No
-sequence-network reductions are used anywhere in this module beyond the
-similarity transform that turns per-sequence element data into 3x3 phase
-matrices.
+conductor is represented explicitly and the network is solved as one dense
+complex linear system with partial pivoting; no sequence-network reduction
+is used beyond the transform of per-sequence element data into 3x3 blocks.
 
 Nodes are the three source-bus phases (known voltages), the three fault-node
-phases, the three load-bus phases and, when the load neutral is not solidly
-grounded, the neutral itself.  A bolted line-ground fault pins the faulted
-phase node to ground; a bolted line-line fault merges the two faulted phase
-nodes into one supernode.
+phases, the three load-bus phases and, unless the load neutral is solidly
+grounded, the neutral.  :func:`build_system` assembles the healthy network
+only.  A fault through rf adds the rank-1 branch u u^T / rf at the fault
+node (u = e_Ma line-ground, e_Mb - e_Mc line-line), so it is solved as a
+fault current i_f injected along u: with x0 the healthy solution for the
+source phases and w = A0^-1 u, z_kk = u^T w and i_f = u^T x0 / (rf + z_kk)
+(the Z-bus fault formula and compensation method; Grainger & Stevenson,
+*Power System Analysis*, ch. 10-12; Tinney, IEEE Trans. PAS-91, 1972).  The
+solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
+exactly, plus w rf i_f / z_kk; rf = inf leaves x0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SingularSystemError
 from .faults import FaultSolution
-from .network import (
-    FaultKind,
-    MicrogridModel,
-    RelayLocation,
-    SequenceImpedancePair,
-)
+from .network import FaultKind, MicrogridModel, RelayLocation, SequenceImpedancePair
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
 
 RESIDUAL_LIMIT = 1e-9
 
+Block = tuple[tuple[complex, ...], ...]
 
-def sequence_to_phase_matrix(z: SequenceImpedancePair) -> np.ndarray:
+
+class Matrix(tuple):
+    """Dense complex matrix as a tuple of row tuples; tobytes() is a content
+    key, as an ndarray's is (the benchmark tracer counts systems by it)."""
+
+    def tobytes(self) -> bytes:
+        return repr(self).encode()
+
+
+def sequence_to_phase_matrix(z: SequenceImpedancePair) -> Block:
     """3x3 phase-impedance image of a balanced series element.
 
     Diagonal entries are (z0 + 2*z1)/3, off-diagonal entries (z0 - z1)/3,
@@ -44,87 +53,52 @@ def sequence_to_phase_matrix(z: SequenceImpedancePair) -> np.ndarray:
     return _balanced_block((z.z0 + 2.0 * z.z1) / 3.0, (z.z0 - z.z1) / 3.0)
 
 
-def _balanced_block(diag: complex, off: complex) -> np.ndarray:
-    return np.array([[diag, off, off], [off, diag, off], [off, off, diag]], dtype=complex)
+def _balanced_block(diag: complex, off: complex) -> Block:
+    return ((diag, off, off), (off, diag, off), (off, off, diag))
 
 
-def _phase_admittance(z: SequenceImpedancePair) -> np.ndarray:
+def _phase_admittance(z: SequenceImpedancePair) -> Block:
     """Phase-admittance block of a series element."""
     if z.z1 == 0 or z.z0 == 0:
-        raise SingularSystemError(
-            "series element with zero sequence impedance makes the nodal system singular"
-        )
+        raise SingularSystemError("series element with zero sequence impedance makes the "
+                                  "nodal system singular")
     y1, y0 = 1.0 / z.z1, 1.0 / z.z0
     return _balanced_block((y0 + 2.0 * y1) / 3.0, (y0 - y1) / 3.0)
 
 
-def _shunt_admittance(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        return 0j
-    if z == 0:
-        raise SingularSystemError("zero-impedance shunt must be handled structurally")
-    return 1.0 / z
-
-
 @dataclass
 class NodalSystem:
-    """Assembled three-phase nodal problem.
+    """Assembled healthy three-phase nodal problem.
 
     node_names lists every non-ground node; ground is the implicit reference.
-    known maps node name to a fixed voltage (source phases and, for a bolted
-    line-ground fault, the faulted phase node); known nodes come first in
-    node_names.  y is the full admittance matrix over node_names; y_1m and
-    y_m2 are the phase-admittance blocks of the two line segments stamped
-    into it.
+    The first three are the source phases, whose voltages are the known
+    inputs; the rest are unknown.  y is the admittance matrix over
+    node_names; y_1m and y_m2 are the phase-admittance blocks of the two
+    line segments stamped into it.
     """
 
     node_names: list[str]
     index: dict[str, int]
-    y: np.ndarray
-    known: dict[str, complex]
-    y_1m: np.ndarray
-    y_m2: np.ndarray
-
-    def unknown_names(self) -> list[str]:
-        return [n for n in self.node_names if n not in self.known]
+    y: Matrix
+    y_1m: Block
+    y_m2: Block
 
 
-def _source_phase_voltages(m: MicrogridModel, source_seq: SequenceTriple | None) -> PhaseTriple:
-    seq = m.source.sequence_voltages() if source_seq is None else source_seq
-    return sequence_to_phase(seq)
-
-
-def build_system(
-    m: MicrogridModel, source_seq: SequenceTriple | None = None
-) -> NodalSystem:
-    """Assemble the admittance matrix and known-voltage set for one model.
-
-    source_seq overrides the source's own sequence voltages in the known set.
-    """
-    rf = m.fault.rf
-    faulted = math.isfinite(rf)
-    lg = m.fault.kind is FaultKind.LINE_GROUND_A
-    ll = m.fault.kind is FaultKind.LINE_LINE_BC
-    merge_bc = ll and faulted and rf == 0.0
-    pin_a = lg and faulted and rf == 0.0
-    solid_neutral = complex(m.load.z_ground) == 0
-
+def build_system(m: MicrogridModel) -> NodalSystem:
+    """Assemble the admittance matrix of one model's healthy network."""
+    z_g = complex(m.load.z_ground)
+    solid_neutral = z_g == 0
     node_names = ["1a", "1b", "1c", "Ma", "Mb", "Mc", "2a", "2b", "2c"]
-    if merge_bc:
-        node_names.remove("Mc")
     if not solid_neutral:
         node_names.append("n")
     index = {name: i for i, name in enumerate(node_names)}
-    at = dict(index, Mc=index["Mb"]) if merge_bc else index
-    n = len(node_names)
-    y = [[0j] * n for _ in range(n)]
+    y = [[0j] * len(node_names) for _ in node_names]
 
-    def stamp(block: list[list[complex]], frm: tuple[str, ...], to: tuple[str, ...] = ()) -> None:
+    def stamp(block: Block, frm: tuple[str, ...], to: tuple[str, ...] = ()) -> None:
         """Series admittance block between the nodes frm and to; to ground
         when to is empty."""
-        fi = [at[name] for name in frm]
-        ti = [at[name] for name in to]
+        fi = [index[name] for name in frm]
+        ti = [index[name] for name in to]
         for r, row in enumerate(block):
             for c, v in enumerate(row):
                 y[fi[r]][fi[c]] += v
@@ -135,43 +109,77 @@ def build_system(
 
     y_1m = _phase_admittance(m.line_1m)
     y_m2 = _phase_admittance(m.line_m2)
-    stamp(y_1m.tolist(), ("1a", "1b", "1c"), ("Ma", "Mb", "Mc"))
-    stamp(y_m2.tolist(), ("Ma", "Mb", "Mc"), ("2a", "2b", "2c"))
+    stamp(y_1m, ("1a", "1b", "1c"), ("Ma", "Mb", "Mc"))
+    stamp(y_m2, ("Ma", "Mb", "Mc"), ("2a", "2b", "2c"))
     y_load = 1.0 / m.load.z_load
     for ph in ("a", "b", "c"):
-        stamp([[y_load]], (f"2{ph}",), () if solid_neutral else ("n",))
-    if not solid_neutral:
-        stamp([[_shunt_admittance(m.load.z_ground)]], ("n",))
-    if faulted and not pin_a and not merge_bc:
-        if lg:
-            stamp([[1.0 / rf]], ("Ma",))
-        elif ll:
-            stamp([[1.0 / rf]], ("Mb",), ("Mc",))
+        stamp(((y_load,),), (f"2{ph}",), () if solid_neutral else ("n",))
+    if not solid_neutral:  # an infinite grounding impedance leaves the neutral floating
+        stamp(((1.0 / z_g if cmath.isfinite(z_g) else 0j,),), ("n",))
+    return NodalSystem(node_names, index, Matrix(map(tuple, y)), y_1m, y_m2)
 
-    v_src = _source_phase_voltages(m, source_seq)
-    known: dict[str, complex] = {"1a": v_src.a, "1b": v_src.b, "1c": v_src.c}
-    if pin_a:
-        known["Ma"] = 0j
 
-    return NodalSystem(
-        node_names=node_names, index=index, y=np.array(y, dtype=complex), known=known,
-        y_1m=y_1m, y_m2=y_m2,
-    )
+def _factor(a: list[list[complex]]) -> tuple[list[list[complex]], list[int]]:
+    """LU factorization with partial pivoting, in place: U on and above the
+    diagonal, the unit lower factor's multipliers below it, and the row
+    order."""
+    n = len(a)
+    order = list(range(n))
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(a[r][k]))
+        if a[piv][k] == 0:
+            raise SingularSystemError("nodal matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        order[k], order[piv] = order[piv], order[k]
+        pk = a[k]
+        for row in a[k + 1:]:
+            f = row[k] = row[k] / pk[k]
+            for c in range(k + 1, n):
+                row[c] -= f * pk[c]
+    return a, order
+
+
+def _lu_solve(lu: list[list[complex]], order: list[int], b: list[complex]) -> list[complex]:
+    """Solve with the factors of :func:`_factor`."""
+    n = len(b)
+    x = [b[i] for i in order]
+    for k in range(n):
+        x[k] -= sum(map(mul, lu[k][:k], x[:k]))
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - sum(map(mul, lu[k][k + 1:], x[k + 1:]))) / lu[k][k]
+    return x
+
+
+def _times(y: Block, d: list[list[complex]]) -> list[list[complex]]:
+    """The 3x3 block y times the 3-row matrix d."""
+    cols = list(zip(*d))
+    return [[sum(map(mul, row, col)) for col in cols] for row in y]
+
+
+def _norm(values: Iterable[complex]) -> float:
+    return math.sqrt(sum(abs(v) ** 2 for v in values))
+
+
+def _checked(residual: float) -> float:
+    if not residual < RESIDUAL_LIMIT:
+        raise SingularSystemError(f"nodal solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT}")
+    return residual
 
 
 @dataclass(frozen=True)
 class Transfer:
-    """One factorized network topology, linear in the source phase voltages.
+    """One model's network, linear in the source phase voltages.
 
-    maps stacks four 3x3 blocks over the source phases (a, b, c): rows 0-2
-    give the fault-node (relay-point) voltage, rows 3-5 the source-side
-    segment current (source bus -> fault node), rows 6-8 the load-side
-    segment current (fault node -> load bus) and rows 9-11 the load-bus
-    voltage.  residual is the relative residual of the factorization.
+    maps holds 13 rows over the source phases (a, b, c): the fault-node
+    (relay-point) voltage (rows 0-2), the source-side segment current, source
+    bus -> fault node (3-5), the load-side one, fault node -> load bus (6-8),
+    the load-bus voltage (9-11) and the fault-branch current, a to ground or
+    b to c (12; zero with the fault open).  residual is the relative
+    residual of the model's own solution.
     """
 
     model: MicrogridModel
-    maps: np.ndarray
+    maps: tuple[tuple[complex, complex, complex], ...]
     residual: float
 
     def solve(
@@ -179,105 +187,118 @@ class Transfer:
     ) -> FaultSolution:
         """Relay quantities for one source; see :func:`solve_network`."""
         m = self.model
-        v_1 = _source_phase_voltages(m, source_seq)
-        out = (self.maps @ np.array(v_1, dtype=complex)).tolist()
+        v_1 = sequence_to_phase(m.source.sequence_voltages() if source_seq is None else source_seq)
+        va, vb, vc = v_1
+        out = [r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in self.maps]
         v_m = PhaseTriple(*out[0:3])
-        i_up, i_dn = out[3:6], out[6:9]
-
         if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-            relay_i = PhaseTriple(*i_up)
+            relay_i = PhaseTriple(*out[3:6])
         elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
-            relay_i = PhaseTriple(*i_dn)
+            relay_i = PhaseTriple(*out[6:9])
         else:
             raise ValueError(f"unknown relay location {relay_location!r}")
 
-        # fault-branch currents: Ohm's law through rf, or the current balance
-        # at the fault node when the fault is bolted
-        rf = m.fault.rf
-        lg = m.fault.kind is FaultKind.LINE_GROUND_A
-        i_f_a = i_f_b = i_f_c = 0j
-        if math.isfinite(rf) and lg:
-            i_f_a = v_m.a / rf if rf > 0 else i_up[0] - i_dn[0]
-        elif math.isfinite(rf):
-            i_f_b = (v_m.b - v_m.c) / rf if rf > 0 else i_up[1] - i_dn[1]
-            i_f_c = -i_f_b
-
-        if lg:
+        i_f = out[12]
+        if m.fault.kind is FaultKind.LINE_GROUND_A:
+            i_fault = {"i_f_a": i_f, "i_f_b": 0j, "i_f_c": 0j}
             z_measured = v_m.a / relay_i.a
         else:
+            i_fault = {"i_f_a": 0j, "i_f_b": i_f, "i_f_c": -i_f}
             z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
-        inter = {
-            "i_f_a": i_f_a,
-            "i_f_b": i_f_b,
-            "i_f_c": i_f_c,
-            "residual": complex(self.residual, 0.0),
-            "v_src_a": v_1.a,
-            "v_load_a": out[9],
-        }
-        return FaultSolution(
-            relay_v=v_m,
-            relay_i=relay_i,
-            relay_seq_i=phase_to_sequence(relay_i),
-            z_measured=z_measured,
-            intermediates=inter,
-        )
+        inter = dict(i_fault, residual=complex(self.residual, 0.0), v_src_a=v_1.a,
+                     v_load_a=out[9])
+        return FaultSolution(v_m, relay_i, phase_to_sequence(relay_i), z_measured, inter)
 
 
-def transfers(models: Sequence[MicrogridModel]) -> list[Transfer]:
-    """Factor the networks of many models, in the order given; one model's
-    transfer is exactly what it would get on its own.
+class _Network:
+    """A factorized healthy network, its solution x0 for the source phases
+    and, per fault kind, the bolted solution; columns span the unknown nodes."""
 
-    Each model is assembled by build_system and solved with the three source
-    phases as right-hand sides; any source voltage then follows by
-    superposition.  Systems sharing a topology (node list and known-node
-    count) are stacked into one batched solve.  The known nodes (source
-    phases, then a pinned fault node) come first in the node order, so the
-    unknown block is the trailing square of y.  Raises SingularSystemError
-    if any member is singular or its relative residual is not below
-    RESIDUAL_LIMIT.
-    """
-    systems = [build_system(m) for m in models]
-    groups: dict[tuple[tuple[str, ...], int], list[int]] = {}
-    for i, sysm in enumerate(systems):
-        groups.setdefault((tuple(sysm.node_names), len(sysm.known)), []).append(i)
+    def __init__(self, sysm: NodalSystem) -> None:
+        self.y_1m, self.y_m2 = sysm.y_1m, sysm.y_m2
+        self.a0 = [row[3:] for row in sysm.y[3:]]
+        self.lu, self.order = _factor([list(row) for row in self.a0])
+        self.b = [[-row[j] for row in sysm.y[3:]] for j in range(3)]
+        self.b_norm = _norm(v for col in self.b for v in col) or 1.0
+        self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
+        residual = _checked(self._residual(self.x0, [0] * len(self.a0), (0, 0, 0)))
+        self.healthy = tuple(map(tuple, self._maps(self.x0, True) + [[0j] * 3])), residual
+        self.faults = {kind: self._bolted(kind) for kind in FaultKind}
 
-    out: list[Transfer] = [None] * len(models)  # type: ignore[list-item]
-    for (_, k), members in groups.items():
-        y = np.stack([systems[i].y for i in members])
-        a_uu = y[:, k:, k:]
-        b = -y[:, k:, :3]
-        try:
-            x = np.linalg.solve(a_uu, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"nodal matrix is singular: {exc}") from exc
-        scale = np.linalg.norm(b, axis=(1, 2))
-        residuals = (
-            np.linalg.norm(a_uu @ x - b, axis=(1, 2)) / np.where(scale > 0, scale, 1.0)
-        ).tolist()
-        for residual in residuals:
-            if not residual < RESIDUAL_LIMIT:
-                raise SingularSystemError(
-                    f"nodal solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT}"
-                )
+    def _residual(self, x: list[list[complex]], u: list, i_f) -> float:
+        """Relative residual of A0 x + u i_f = b over the three columns."""
+        r = 0.0
+        for xj, bj, fj in zip(x, self.b, i_f):
+            r += sum(abs(sum(map(mul, row, xj)) + ui * fj - bi) ** 2
+                     for row, ui, bi in zip(self.a0, u, bj))
+        return math.sqrt(r) / self.b_norm
 
-        # node voltages per unit source phase voltage; a pinned fault node is 0
-        v = np.concatenate((np.broadcast_to(np.eye(k, 3), (len(members), k, 3)), x), axis=1)
-        idx = systems[members[0]].index
-        v_m = v[:, [idx["Ma"], idx["Mb"], idx.get("Mc", idx["Mb"])]]
-        v_2 = v[:, [idx["2a"], idx["2b"], idx["2c"]]]
-        y_1m = np.stack([systems[i].y_1m for i in members])
-        y_m2 = np.stack([systems[i].y_m2 for i in members])
-        maps = np.concatenate(
-            (v_m, y_1m @ (np.eye(3) - v_m), y_m2 @ (v_m - v_2), v_2), axis=1
-        )
-        for j, i in enumerate(members):
-            out[i] = Transfer(model=models[i], maps=maps[j], residual=residuals[j])
-    return out
+    def _maps(self, x: list[list[complex]], source: bool) -> list[list[complex]]:
+        """The first 12 map rows of the columns x; source counts the source
+        phases in, as the identity, for solutions of the source columns."""
+        v_m = [list(v) for v in zip(*(col[0:3] for col in x))]
+        v_2 = [list(v) for v in zip(*(col[3:6] for col in x))]
+        v_1 = [[float(source and r == j) for j in range(len(x))] for r in range(3)]
+        d_up = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(v_1, v_m)]
+        d_dn = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(v_m, v_2)]
+        return v_m + _times(self.y_1m, d_up) + _times(self.y_m2, d_dn) + v_2
+
+    def _bolted(self, kind: FaultKind) -> tuple:
+        """u, w, z_kk, u^T x0 and its norm, the bolted solution p, its map
+        and the map of w, for one fault kind."""
+        lg = kind is FaultKind.LINE_GROUND_A
+        u = ([1, 0, 0] if lg else [0, 1, -1]) + [0] * (len(self.a0) - 3)
+        w = _lu_solve(self.lu, self.order, u)
+        z_kk = sum(map(mul, u, w))
+        if not (z_kk != 0 and cmath.isfinite(z_kk)):
+            raise SingularSystemError(f"fault-point impedance is {z_kk}")
+        ux0 = [sum(map(mul, u, col)) for col in self.x0]
+        p = [[xk - wk * (uj / z_kk) for xk, wk in zip(col, w)]
+             for col, uj in zip(self.x0, ux0)]
+        for col in p:  # u^T p = 0 exactly
+            col[0 if lg else 2] = 0j if lg else col[1]
+        lw = [row[0] for row in self._maps([w], False)]
+        return u, w, z_kk, ux0, _norm(ux0) or 1.0, p, self._maps(p, True), lw
+
+    def transfer(self, m: MicrogridModel) -> Transfer:
+        rf = m.fault.rf
+        if rf == math.inf:
+            return Transfer(m, *self.healthy)
+        u, w, z_kk, ux0, ux0_norm, p, bolted, lw = self.faults[m.fault.kind]
+        d = rf + z_kk
+        if not (d != 0 and cmath.isfinite(d)):
+            raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
+        i_f = [v / d for v in ux0]
+        c = [rf * f / z_kk for f in i_f]
+        x = [[pk + wk * cj for pk, wk in zip(col, w)] for col, cj in zip(p, c)]
+        residual = _checked(max(
+            self._residual(x, u, i_f),
+            _norm(sum(map(mul, u, xj)) - rf * fj for xj, fj in zip(x, i_f)) / ux0_norm,
+        ))
+        maps = tuple((b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
+                     for (b0, b1, b2), lk in zip(bolted, lw))
+        return Transfer(m, maps + (tuple(i_f),), residual)
+
+
+def transfers(models: Sequence[MicrogridModel]) -> Iterator[Transfer]:
+    """Transfers of many models, in order, each exactly what the model gets
+    on its own.  Models that differ only in their fault share one healthy
+    network, assembled and factored once before this returns; each transfer
+    is made as it is consumed, as its fault's bolted solution plus one
+    injection.  Raises SingularSystemError if a network is singular, a fault
+    current is undefined or a model's relative residual is not below
+    RESIDUAL_LIMIT."""
+    networks: dict[tuple, _Network] = {}
+    for m in models:
+        key = (m.line_1m, m.line_m2, m.load)
+        if key not in networks:
+            networks[key] = _Network(build_system(m))
+    return (networks[m.line_1m, m.line_m2, m.load].transfer(m) for m in models)
 
 
 def transfer(m: MicrogridModel) -> Transfer:
     """Factor the network of one model once; see :func:`transfers`."""
-    return transfers([m])[0]
+    return next(transfers([m]))
 
 
 def solve_network(

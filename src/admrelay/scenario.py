@@ -37,27 +37,11 @@ from .network import (
 )
 from .phasors import phasor
 
+# SI scale of every unit a quantity may carry; angles go to radians.
 _UNIT_SCALE = {
-    "": 1.0,
-    "Hz": 1.0,
-    "V": 1.0,
-    "A": 1.0,
-    "W": 1.0,
-    "kW": 1e3,
-    "var": 1.0,
-    "kvar": 1e3,
-    "ohm": 1.0,
-    "mohm": 1e-3,
-    "H": 1.0,
-    "mH": 1e-3,
-    "uH": 1e-6,
-    "F": 1.0,
-    "nF": 1e-9,
-    "uF": 1e-6,
-    "s": 1.0,
-    "ms": 1e-3,
-    "deg": math.pi / 180.0,
-    "rad": 1.0,
+    "Hz": 1.0, "V": 1.0, "A": 1.0, "W": 1.0, "kW": 1e3, "var": 1.0, "kvar": 1e3,
+    "ohm": 1.0, "mohm": 1e-3, "H": 1.0, "mH": 1e-3, "uH": 1e-6, "F": 1.0, "nF": 1e-9,
+    "uF": 1e-6, "s": 1.0, "ms": 1e-3, "deg": math.pi / 180.0, "rad": 1.0,
 }
 
 

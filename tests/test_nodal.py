@@ -6,14 +6,18 @@ import pytest
 
 from admrelay import nodal
 from admrelay.errors import SingularSystemError
+from admrelay.cli import run_sweep
 from admrelay.network import (
+    FaultKind,
     RelayLocation,
     SequenceImpedancePair,
     thevenin_line_ground,
 )
 from admrelay.phasors import SequenceTriple, sequence_to_phase
+from admrelay.scenario import default_scenario, sweep_points
+from admrelay.trajectory import simulate_trajectory
 
-from support import close, ideal, inverter, lg_model, ll_model, rel_err
+from support import close, ideal, inverter, lg_model, ll_model, rel_err, scenario_model
 
 UP = RelayLocation.UPSTREAM_OF_FAULT
 DOWN = RelayLocation.DOWNSTREAM_OF_FAULT
@@ -21,7 +25,7 @@ DOWN = RelayLocation.DOWNSTREAM_OF_FAULT
 
 def test_phase_matrix_balanced_element_is_uncoupled():
     z = 1.2 + 3.4j
-    m = nodal.sequence_to_phase_matrix(SequenceImpedancePair(z, z))
+    m = np.asarray(nodal.sequence_to_phase_matrix(SequenceImpedancePair(z, z)))
     assert np.allclose(np.diag(m), z)
     off = m[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.0)
@@ -35,7 +39,7 @@ def test_phase_matrix_common_mode_only():
 
 def test_phase_matrix_round_trip_recovers_sequence_data():
     z1, z0 = 0.5 + 0.2j, 1.9 + 0.7j
-    m = nodal.sequence_to_phase_matrix(SequenceImpedancePair(z1, z0))
+    m = np.asarray(nodal.sequence_to_phase_matrix(SequenceImpedancePair(z1, z0)))
     # row sum recovers z0, diagonal minus off-diagonal recovers z1
     assert close(m.sum(axis=1)[0], z0, 1e-12)
     assert close(m[0, 0] - m[0, 1], z1, 1e-12)
@@ -116,12 +120,12 @@ def test_superposition_of_sequence_sources():
 def test_admittance_rows_sum_to_shunt_terms():
     m = lg_model(3.68)
     sysm = nodal.build_system(m)
-    row_sums = sysm.y.sum(axis=1)
-    y_load = 1.0 / m.load.z_load
+    row_sums = np.asarray(sysm.y).sum(axis=1)
     for name in ("1a", "1b", "1c"):
         assert abs(row_sums[sysm.index[name]]) < 1e-9
-    # fault node phase a carries the fault shunt
-    assert close(row_sums[sysm.index["Ma"]], 1.0 / m.fault.rf, 1e-9)
+    # the healthy network only: the fault branch is not stamped
+    for name in ("Ma", "Mb", "Mc"):
+        assert abs(row_sums[sysm.index[name]]) < 1e-9
     # load buses connect to the neutral node, whose shunt is the grounding
     assert close(row_sums[sysm.index["n"]], 1.0 / m.load.z_ground, 1e-9)
     assert abs(row_sums[sysm.index["2a"]]) < 1e-9
@@ -130,8 +134,8 @@ def test_admittance_rows_sum_to_shunt_terms():
 def test_nodal_matrix_is_well_conditioned_and_residual_small():
     m = lg_model(3.68)
     sysm = nodal.build_system(m)
-    unknown = [sysm.index[n] for n in sysm.unknown_names()]
-    cond = np.linalg.cond(sysm.y[np.ix_(unknown, unknown)])
+    # the first three nodes are the source phases, the rest unknown
+    cond = np.linalg.cond(np.asarray(sysm.y)[3:, 3:])
     assert math.isfinite(cond)
     sol = nodal.solve_network(m, UP)
     assert abs(sol.intermediates["residual"]) < 1e-9
@@ -157,23 +161,42 @@ def test_z_measured_matches_relay_quantities():
 
 
 def _dense_reference(m, seq):
-    """Relay-point voltage, segment currents and load-bus voltage from one
-    direct dense solve of the assembled system for this very source."""
-    sysm = nodal.build_system(m, seq)
-    unknown = [sysm.index[n] for n in sysm.unknown_names()]
-    known = [sysm.index[n] for n in sysm.known]
-    v = np.zeros(len(sysm.node_names), dtype=complex)
-    v[known] = list(sysm.known.values())
-    a_uu = sysm.y[np.ix_(unknown, unknown)]
-    v[unknown] = np.linalg.solve(a_uu, -sysm.y[np.ix_(unknown, known)] @ v[known])
+    """Relay-point voltage, segment currents, load-bus voltage and
+    fault-branch current from one direct dense solve of the faulted system
+    for this very source.  The faulted matrix is assembled here: the healthy
+    build_system(m).y plus the 1/rf fault stamp, or at rf = 0 the faulted
+    node pinned to ground (line-ground) or the two faulted nodes merged into
+    one (line-line)."""
+    sysm = nodal.build_system(m)
+    y = np.array(sysm.y, dtype=complex)
+    a, b, c = (sysm.index[name] for name in ("Ma", "Mb", "Mc"))
+    lg = m.fault.kind is FaultKind.LINE_GROUND_A
+    rf = m.fault.rf
+    unknown = list(range(3, len(y)))
+    if 0 < rf < math.inf and lg:
+        y[a, a] += 1.0 / rf
+    elif 0 < rf < math.inf:
+        y[np.ix_([b, c], [b, c])] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / rf
+    elif rf == 0 and lg:
+        unknown.remove(a)
+    elif rf == 0:
+        y[b, :] += y[c, :]
+        y[:, b] += y[:, c]
+        unknown.remove(c)
+    v = np.zeros(len(y), dtype=complex)
+    v[:3] = sequence_to_phase(seq)
+    v[unknown] = np.linalg.solve(y[np.ix_(unknown, unknown)], -y[np.ix_(unknown, [0, 1, 2])] @ v[:3])
+    if rf == 0 and not lg:
+        v[c] = v[b]
 
-    def bus(prefix):
-        return np.array([v[sysm.index.get(prefix + p, sysm.index.get("Mb"))] for p in "abc"])
-
-    v_1, v_m, v_2 = bus("1"), bus("M"), bus("2")
-    i_up = np.linalg.solve(nodal.sequence_to_phase_matrix(m.line_1m), v_1 - v_m)
-    i_dn = np.linalg.solve(nodal.sequence_to_phase_matrix(m.line_m2), v_m - v_2)
-    return v_m, i_up, i_dn, v_2[0]
+    v_1, v_m, v_2 = v[0:3], v[3:6], v[6:9]
+    z_1m = np.asarray(nodal.sequence_to_phase_matrix(m.line_1m))
+    z_m2 = np.asarray(nodal.sequence_to_phase_matrix(m.line_m2))
+    i_up = np.linalg.solve(z_1m, v_1 - v_m)
+    i_dn = np.linalg.solve(z_m2, v_m - v_2)
+    # the fault branch by current balance at the faulted phase of the node
+    i_f = i_up[0] - i_dn[0] if lg else i_up[1] - i_dn[1]
+    return v_m, i_up, i_dn, v_2[0], i_f
 
 
 @pytest.mark.parametrize("grounding", ["1 ohm", "0 ohm"], ids=["grounded", "solid"])
@@ -186,7 +209,7 @@ def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
     for _ in range(5):
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         seq = SequenceTriple(*(complex(x) for x in parts))
-        v_m, i_up, i_dn, v_load_a = _dense_reference(m, seq)
+        v_m, i_up, i_dn, v_load_a, _ = _dense_reference(m, seq)
         up, down = tf.solve(UP, seq), tf.solve(DOWN, seq)
         v_scale = max(abs(x) for x in sequence_to_phase(seq))
         i_scale = max(np.abs(np.concatenate([i_up, i_dn])))
@@ -199,8 +222,8 @@ def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
 
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
 def test_nan_cable_resistance_raises_singular_system(segment):
-    # a nan in the source-side segment makes LAPACK report a singular matrix;
-    # one in the load-side segment only shows in the residual check
+    # a nan in either segment spreads through the healthy network's factors
+    # and shows in its residual check
     m = lg_model(3.68)
     bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
     with pytest.raises(SingularSystemError):
@@ -208,8 +231,8 @@ def test_nan_cable_resistance_raises_singular_system(segment):
 
 
 def _mixed_models():
-    """Models over several topologies, interleaved so that stacking has to
-    keep the caller's order."""
+    """Models over two healthy networks and both fault kinds, interleaved so
+    that sharing a factorization has to keep the caller's order."""
     models = []
     for rf in (0.0, 3.68, 100.0, math.inf, 1.0):
         for make in (lg_model, ll_model):
@@ -218,27 +241,70 @@ def _mixed_models():
     return models
 
 
-def test_transfers_stack_each_topology_and_match_single_transfers_exactly():
+def test_transfers_match_single_transfers_exactly():
     models = _mixed_models()
-    batch = nodal.transfers(models)
+    batch = list(nodal.transfers(models))
     assert len(batch) == len(models)
     for m, tf in zip(models, batch):
-        alone = nodal.transfers([m])[0]
+        alone = nodal.transfer(m)
         assert tf.model is m
-        assert tf.maps.shape == (12, 3)
-        assert np.array_equal(tf.maps, alone.maps)
+        assert len(tf.maps) == 13 and all(len(row) == 3 for row in tf.maps)
+        assert tf.maps == alone.maps
         assert tf.residual < nodal.RESIDUAL_LIMIT
         for loc in (UP, DOWN):
             assert tf.solve(loc) == nodal.solve_network(m, loc)
 
 
-def test_transfers_assemble_each_model_once(monkeypatch):
+def test_build_system_runs_once_per_distinct_healthy_network(tmp_path, monkeypatch):
     calls = []
     build = nodal.build_system
     monkeypatch.setattr(nodal, "build_system", lambda m: calls.append(m) or build(m))
-    models = _mixed_models()
-    nodal.transfers(models)
-    assert calls == models
+    list(nodal.transfers(_mixed_models()))
+    assert len(calls) == 2  # one per load grounding
+
+    calls.clear()
+    s = default_scenario()
+    run_sweep(s)
+    assert len(sweep_points(s)) == 40
+    assert len(calls) == 1
+
+    calls.clear()
+    simulate_trajectory(lg_model(3.68))
+    assert len(calls) == 1
+
+
+def _random_model(rng, kind, grounded):
+    """A random system and rf: rf is 0, inf or log-uniform in [1e-3, 1e4]."""
+    rf = rng.choice([0.0, math.inf, float(10.0 ** rng.uniform(-3.0, 4.0))], p=[0.2, 0.2, 0.6])
+    grounding = float(10.0 ** rng.uniform(-3.0, 3.0)) if grounded else 0.0
+    return scenario_model(
+        kind, float(rf),
+        fault_position=float(rng.uniform(0.02, 0.98)),
+        cable_zero_seq_scale=float(10.0 ** rng.uniform(-0.7, 1.3)),
+        load_grounding_resistance=f"{grounding!r} ohm",
+    )
+
+
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
+@pytest.mark.parametrize("kind", ["lg", "ll"])
+def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
+    rng = np.random.default_rng(20240611)
+    models = [_random_model(rng, kind, grounded) for _ in range(40)]
+    assert {0.0, math.inf} <= {m.fault.rf for m in models}
+    for m, tf in zip(models, nodal.transfers(models)):
+        parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        seq = SequenceTriple(*(complex(x) for x in parts))
+        v_m, i_up, i_dn, v_load_a, i_f = _dense_reference(m, seq)
+        up, down = tf.solve(UP, seq), tf.solve(DOWN, seq)
+        v_scale = max(abs(x) for x in sequence_to_phase(seq))
+        i_scale = max(np.abs(np.concatenate([i_up, i_dn])))
+        assert np.allclose(up.relay_v, v_m, rtol=0, atol=1e-11 * v_scale), m
+        assert np.allclose(up.relay_i, i_up, rtol=0, atol=1e-11 * i_scale), m
+        assert np.allclose(down.relay_i, i_dn, rtol=0, atol=1e-11 * i_scale), m
+        assert abs(up.intermediates["v_load_a"] - v_load_a) <= 1e-11 * v_scale, m
+        i_f_kernel = up.intermediates["i_f_a" if kind == "lg" else "i_f_b"]
+        assert abs(i_f_kernel - i_f) <= 1e-11 * i_scale, m
+        assert tf.residual < nodal.RESIDUAL_LIMIT
 
 
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])

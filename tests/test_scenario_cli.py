@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -523,15 +524,33 @@ def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
     assert calls == [40]
 
 
-def test_validate_never_imports_numpy(tmp_path):
-    path = _write_default(tmp_path)
+def test_no_subcommand_imports_numpy():
+    # the child blocks numpy, so any import of it fails; every golden
+    # document must still come out byte for byte
+    from test_golden import DOCUMENTS, GOLDEN, SCENARIO, VARIANT_DOCUMENTS
+
+    runs = {name: (str(SCENARIO), argv) for name, argv in DOCUMENTS.items()}
+    runs.update({name: (str(GOLDEN / f"{variant}.scn"), argv)
+                 for name, (variant, argv) in VARIANT_DOCUMENTS.items()})
     code = (
-        "import sys\n"
-        "from admrelay import cli\n"
-        f"assert cli.main(['validate', {path!r}, '--out', {str(tmp_path / 'v.scn')!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'validate imported numpy'\n"
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import admrelay.cli, admrelay.dcb, admrelay.nodal, admrelay.trajectory\n"
+        f"runs = {runs!r}\n"
+        "out = {}\n"
+        "for name, (path, (command, *extra)) in runs.items():\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = admrelay.cli.main([command, path, *extra])\n"
+        "    out[name] = (code, buf.getvalue())\n"
+        "print(json.dumps(out))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert sorted(results) == sorted(runs)
+    for name, (code, out) in results.items():
+        assert code == 0, name
+        assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
