@@ -12,7 +12,6 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import replace
 
 from . import __version__, dcb, nodal, trajectory
 from .errors import MeasurementError, ModelError, NumericalError
@@ -25,7 +24,7 @@ from .faults import (
     solve_ll_upstream_ideal,
     solve_ll_upstream_inverter,
 )
-from .network import MicrogridModel, RelayLocation, downstream_path
+from .network import FaultSpec, MicrogridModel, RelayLocation, downstream_path
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import (
     Scenario,
@@ -158,7 +157,7 @@ def run_sweep(s: Scenario) -> str:
     location, solver = _sweep_case(s)
     grid = sweep_points(s)
     base = build_model(s)
-    models = [base.with_fault(replace(base.fault, rf=rf)) for rf in grid]
+    models = [base.with_fault(FaultSpec(base.fault.kind, rf)) for rf in grid]
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     for rf, m, tf in zip(grid, models, nodal.transfers(models)):
         sol, oracle = solver(m), tf.solve(location)

@@ -157,7 +157,7 @@ def _times(y: Block, d: list[list[complex]]) -> list[list[complex]]:
 
 
 def _norm(values: Iterable[complex]) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for v in values))
+    return math.hypot(*map(abs, values))
 
 
 def _checked(residual: float) -> float:
@@ -227,11 +227,9 @@ class _Network:
 
     def _residual(self, x: list[list[complex]], u: list, i_f) -> float:
         """Relative residual of A0 x + u i_f = b over the three columns."""
-        r = 0.0
-        for xj, bj, fj in zip(x, self.b, i_f):
-            r += sum(abs(sum(map(mul, row, xj)) + ui * fj - bi) ** 2
-                     for row, ui, bi in zip(self.a0, u, bj))
-        return math.sqrt(r) / self.b_norm
+        r = [sum(map(mul, row, xj)) + ui * fj - bi for xj, bj, fj in zip(x, self.b, i_f)
+             for row, ui, bi in zip(self.a0, u, bj)]
+        return math.hypot(*map(abs, r)) / self.b_norm
 
     def _maps(self, x: list[list[complex]], source: bool) -> list[list[complex]]:
         """The first 12 map rows of the columns x; source counts the source
