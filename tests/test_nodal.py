@@ -220,6 +220,18 @@ def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
         assert abs(up.intermediates["v_load_a"] - v_load_a) <= 1e-12 * v_scale
 
 
+def test_residual_check_covers_the_network_and_each_model(monkeypatch):
+    # the healthy network is checked when transfers factors it, and each
+    # model's own solution when its transfer is consumed
+    pending = [nodal.transfers([m]) for m in (lg_model(3.68), ll_model(0.0))]
+    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 0.0)
+    for transfers in pending:
+        with pytest.raises(SingularSystemError, match="residual"):
+            next(transfers)
+    with pytest.raises(SingularSystemError, match="residual"):
+        nodal.transfers([lg_model(math.inf)])
+
+
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
 def test_nan_cable_resistance_raises_singular_system(segment):
     # a nan in either segment spreads through the healthy network's factors
