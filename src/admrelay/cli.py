@@ -180,10 +180,16 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
     fault_time = s.si("dcb", "fault_time") * 1e3  # ms
     if script_kind == "network":
         script = dcb.couple_from_network(m, fault_time=fault_time)
-    else:  # relay B looks forward on an internal fault, reverse on one beyond it
-        internal = script_kind == "internal"
-        script = {dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
-                  dcb.RELAY_B: [dcb.PickupChange(fault_time, internal, not internal)]}
+    elif script_kind == "internal":
+        script = {
+            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
+            dcb.RELAY_B: [dcb.PickupChange(fault_time, True, False)],
+        }
+    else:  # external: fault beyond relay B
+        script = {
+            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
+            dcb.RELAY_B: [dcb.PickupChange(fault_time, False, True)],
+        }
     settings = dcb.RelaySettings(coordination_time=s.si("dcb", "coordination_time") * 1e3)
     channel = dcb.ChannelModel(
         latency=s.si("dcb", "latency") * 1e3,

@@ -378,11 +378,8 @@ def _source_from(s: Scenario) -> SourceModel:
     )
 
 
-def build_model(s: Scenario, *, rf: float | None = None) -> MicrogridModel:
-    """Materialize the microgrid model a scenario describes.
-
-    rf overrides the fault resistance (sweeps).
-    """
+def build_model(s: Scenario) -> MicrogridModel:
+    """Materialize the microgrid model a scenario describes."""
     f = s.si("system", "frequency")
     z_cable = cable_impedance(
         s.si("system", "cable_resistance"), s.si("system", "cable_inductance"), f
@@ -397,7 +394,7 @@ def build_model(s: Scenario, *, rf: float | None = None) -> MicrogridModel:
         s.si("system", "line_line_voltage"),
     )
     kind = FaultKind(str(s.get("fault", "kind")))
-    fault = FaultSpec(kind=kind, rf=s.si("fault", "rf") if rf is None else rf)
+    fault = FaultSpec(kind=kind, rf=s.si("fault", "rf"))
     return MicrogridModel(
         source=_source_from(s),
         line_1m=cable.scaled(pos),

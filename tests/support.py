@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from admrelay.network import MicrogridModel
+from admrelay.network import FaultSpec, MicrogridModel
 from admrelay.scenario import build_model, parse_scenario
 
 RF_GRID_20 = [3.68 * (1000.0 / 3.68) ** (i / 19.0) for i in range(20)]
@@ -21,7 +21,8 @@ def scenario_model(kind: str, rf: float, **system: object) -> MicrogridModel:
     the given [system] fields, each written as in a scenario file (units
     included, for example ``load_grounding_resistance="0 ohm"``)."""
     fields = "".join(f"{key} = {value}\n" for key, value in system.items())
-    return build_model(parse_scenario(f"[system]\n{fields}[fault]\nkind = {kind}\n"), rf=rf)
+    m = build_model(parse_scenario(f"[system]\n{fields}[fault]\nkind = {kind}\n"))
+    return m.with_fault(FaultSpec(m.fault.kind, rf))
 
 
 def lg_model(
