@@ -1,8 +1,8 @@
 """Quasi-static R-X trajectory simulation with inverter current limiting.
 
 The network has two topologies, fault branch open before the fault instant
-and closed after; each is factored once and every time step superposes the
-applied source voltages through it.  When any source phase current
+and closed after; both share one factorization of the healthy network, and
+every time step superposes the applied source voltages through one of them.  When any source phase current
 exceeds the inverter's RMS cap the limiter engages: the internal source is
 rescaled so the worst phase lands on the cap, and negative-/zero-sequence
 content appears at the inverter's configured fractions of the rescaled
