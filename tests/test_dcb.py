@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from admrelay.network import RelayLocation
 from admrelay.phasors import SequenceTriple, phase_to_sequence
 from admrelay.relaying import DirectionalDecision, directional_neg_seq
 
+from dcb_reference import simulate_every_scan
 from support import inverter, lg_model
 
 
@@ -141,6 +143,64 @@ def test_trace_format():
 def test_full_loss_behaves_like_dead_channel():
     events = dcb.simulate(scripted(EXTERNAL, loss=1.0))
     assert dcb.trip_summary(events)["A"]["tripped"]
+
+
+def _random_scenario(rng):
+    """A seeded DCB scenario across the regimes where skipping scans could
+    go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,
+    c +- one step), losses, a dead channel, off-grid and flapping scripts,
+    and steps that do not divide the window or the event times."""
+    c = rng.uniform(10.0, 25.0)
+    step = rng.choice((0.05, 0.1, 0.25, 1 / 30))
+    latency = rng.choice([rng.uniform(0.0, c - 1.0), rng.uniform(c + 1.0, 2.0 * c), 0.0, c,
+                          c - 0.05, c - 0.15, c - step, c + step])
+    loss = rng.choice([0.0, 0.0, 1.0, rng.uniform(0.2, 0.8)])
+
+    def script():
+        changes, t = [], rng.uniform(0.0, 40.0)
+        for _ in range(rng.randrange(5)):
+            on_grid = rng.random() < 0.5
+            changes.append(dcb.PickupChange(round(t / step) * step if on_grid else t,
+                                            rng.random() < 0.6, rng.random() < 0.4))
+            t += rng.choice([step, 2 * step, rng.uniform(0.0, 5.0), rng.uniform(5.0, 60.0)])
+        return changes
+
+    return dcb.DcbScenario(
+        relay_a=dcb.RelaySettings(c),
+        relay_b=dcb.RelaySettings(rng.choice([c, rng.uniform(10.0, 25.0)])),
+        channel=dcb.ChannelModel(latency=latency, operational=rng.random() >= 0.2,
+                                 loss_probability=loss, seed=rng.randrange(2**31)),
+        fault_script={"A": script(), "B": script()},
+        duration=rng.uniform(70.0, 210.0),
+        step=step,
+    )
+
+
+def test_simulate_matches_the_scan_by_scan_reference():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(80):
+        s = _random_scenario(rng)
+        got, want = dcb.simulate(s), simulate_every_scan(s)
+        assert got == want, s
+        assert dcb.format_trace(got) == dcb.format_trace(want)
+        outcomes.add(dcb.format_trace(want).count("Trip"))
+    assert outcomes == {0, 1, 2}  # the draws reach no trip, one end and both ends
+
+
+@pytest.mark.parametrize("scans", [101, 167, 250, 399])
+def test_timer_landing_exactly_on_the_threshold_matches_the_reference(scans):
+    # a coordination time whose trip threshold equals the timer after `scans`
+    # additions of the step: the trip scan then hangs on the timer's exact
+    # float value, which skipping scans must reproduce addition by addition
+    timer = 0.0
+    for _ in range(scans):
+        timer += 0.1
+    c = timer / (1.0 - 1e-9)
+    while c * (1.0 - 1e-9) != timer:
+        c = math.nextafter(c, math.inf if c * (1.0 - 1e-9) < timer else -math.inf)
+    s = scripted(INTERNAL, coordination=c)
+    assert dcb.simulate(s) == simulate_every_scan(s)
 
 
 def test_couple_from_network_internal_fault():
