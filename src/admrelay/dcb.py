@@ -11,14 +11,15 @@ applied before the relays are evaluated, so a block landing exactly at timer
 expiry still suppresses the trip; carrier transitions computed during a scan
 become visible on the channel at the end of that scan.  Net effect on the
 classic race: a blocking signal wins if and only if its channel latency plus
-one scan step is at or below the coordination time.
+one scan step is at or below the coordination time.  Only the scans where an
+event can happen are evaluated, so the cost follows the events, not the window.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -161,15 +162,18 @@ class _Delivery:
     due: float
     target: str
     value: bool
-    lost: bool
 
 
 def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     """Run the two-relay scheme on a fixed scan grid; fully deterministic.
 
-    Channel loss is drawn once per carrier transition from the seeded stream;
-    an inoperative channel delivers nothing.  The returned trace is ordered by
-    (time, relay, kind name).
+    Only scans where something can change are evaluated: a delivery coming
+    due, a script change or an untripped relay's timer expiring.  A skipped
+    scan would repeat its inputs and emit nothing, and a running timer gains
+    the step once per skipped scan in the same float additions, so the trace
+    is exactly the scan-by-scan one.  Channel loss is drawn once per carrier
+    transition from the seeded stream; an inoperative channel delivers
+    nothing.  The trace is ordered by (time, relay, kind name).
     """
     rng = random.Random(scenario.channel.seed)
     relays = (RELAY_A, RELAY_B)
@@ -185,21 +189,50 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     pending: list[_Delivery] = []
     events: list[DcbEvent] = []
 
-    n_steps = int(round(scenario.duration / scenario.step))
-    eps = scenario.step * 1e-9
-    for i in range(n_steps + 1):
-        t = i * scenario.step
+    step = scenario.step
+    n_steps = int(round(scenario.duration / step))
+    eps = step * 1e-9
+
+    def scan_of(x: float, lo: int) -> int:
+        """First scan from lo whose instant reaches x by the loop's test, else n_steps + 1."""
+        if not x <= n_steps * step + eps:
+            return n_steps + 1
+        j = lo if x <= lo * step + eps else math.ceil((x - eps) / step) - 1
+        while not x <= j * step + eps:
+            j += 1
+        return j
+
+    def advance(i: int) -> int:
+        """First scan after i where anything can change; running timers catch up to it."""
+        nxt = min([n_steps + 1] + [scan_of(d.due, i + 1) for d in pending]
+                  + [scan_of(script[r][cursor[r]].time, i + 1)
+                     for r in relays if cursor[r] < len(script[r])])
+        # Untripped relays with a running timer; a tripped relay's is never read.
+        running = [r for r in relays
+                   if pickups[r][0] and not block_rx[r] and not states[r].tripped]
+        for r in running:  # stop at the scan where this timer expires, if sooner
+            timer, j = states[r].coordination_timer, i + 1
+            while timer < settings[r].coordination_time * (1.0 - 1e-9) and j < nxt:
+                timer, j = timer + step, j + 1
+            nxt = j
+        for r in running:
+            timer = states[r].coordination_timer
+            for _ in range(nxt - i - 1):
+                timer += step
+            states[r] = replace(states[r], coordination_timer=timer)
+        return nxt
+
+    i = advance(-1)
+    while i <= n_steps:
+        t = i * step
 
         # Deliveries first: a block arriving at this instant beats the timer.
         due = [d for d in pending if d.due <= t + eps]
         pending = [d for d in pending if d.due > t + eps]
         for d in sorted(due, key=lambda d: (d.due, d.target)):
-            if not scenario.channel.operational or d.lost:
-                continue
-            rising = d.value and not block_rx[d.target]
-            block_rx[d.target] = d.value
-            if rising:
+            if d.value and not block_rx[d.target]:
                 events.append(DcbEvent(time=t, relay=d.target, kind=EventKind.BLOCK_RECEIVED))
+            block_rx[d.target] = d.value
 
         for r in relays:
             seq = script[r]
@@ -208,26 +241,18 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                 cursor[r] += 1
 
         for r in relays:
-            fwd, rev = pickups[r]
             prev_carrier = states[r].carrier_tx
-            states[r], kinds = relay_step(
-                states[r],
-                RelayInputs(fwd=fwd, rev=rev, block_rx=block_rx[r]),
-                scenario.step,
-                settings[r].coordination_time,
-            )
-            for kind in kinds:
-                events.append(DcbEvent(time=t, relay=r, kind=kind))
+            states[r], kinds = relay_step(states[r], RelayInputs(*pickups[r], block_rx[r]), step,
+                                          settings[r].coordination_time)
+            events.extend(DcbEvent(t, r, kind) for kind in kinds)
             if states[r].carrier_tx != prev_carrier:
-                # Transition leaves at end of scan, lands `latency` later.
-                pending.append(
-                    _Delivery(
-                        due=t + scenario.step + scenario.channel.latency,
-                        target=other[r],
-                        value=states[r].carrier_tx,
-                        lost=rng.random() < scenario.channel.loss_probability,
-                    )
-                )
+                # Transition leaves at end of scan, lands `latency` later
+                # unless the channel is dead or loses it.
+                lost = rng.random() < scenario.channel.loss_probability
+                if scenario.channel.operational and not lost:
+                    pending.append(_Delivery(t + step + scenario.channel.latency, other[r],
+                                             states[r].carrier_tx))
+        i = advance(i)
 
     events.sort(key=lambda e: (e.time, e.relay, e.kind.value))
     return events

@@ -145,6 +145,17 @@ def test_full_loss_behaves_like_dead_channel():
     assert dcb.trip_summary(events)["A"]["tripped"]
 
 
+def test_simulate_evaluates_only_event_scans(monkeypatch):
+    # 1,001 scans; relay_step runs at scan 0, the pickup at 10 ms and the
+    # trips at 26.7 ms, not on every scan in between
+    calls = []
+    step = dcb.relay_step
+    monkeypatch.setattr(dcb, "relay_step", lambda *a: calls.append(a) or step(*a))
+    events = dcb.simulate(scripted(INTERNAL))
+    assert trip_times(events, "A") == trip_times(events, "B") == [pytest.approx(26.7)]
+    assert len(calls) <= 20
+
+
 def _random_scenario(rng):
     """A seeded DCB scenario across the regimes where skipping scans could
     go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,
