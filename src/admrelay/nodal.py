@@ -222,7 +222,7 @@ class _Network:
         self.b_norm = _norm(v for col in self.b for v in col) or 1.0
         self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
         residual = _checked(self._residual(self.x0, [0] * len(self.a0), (0, 0, 0)))
-        self.healthy = tuple(map(tuple, self._maps(self.x0, True) + [[0j] * 3])), residual
+        self.healthy = tuple([tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]), residual
         self.faults = {kind: self._bolted(kind) for kind in FaultKind}
 
     def _residual(self, x: list[list[complex]], u: list, i_f) -> float:
@@ -273,9 +273,9 @@ class _Network:
             self._residual(x, u, i_f),
             _norm(sum(map(mul, u, xj)) - rf * fj for xj, fj in zip(x, i_f)) / ux0_norm,
         ))
-        maps = tuple((b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
-                     for (b0, b1, b2), lk in zip(bolted, lw))
-        return Transfer(m, maps + (tuple(i_f),), residual)
+        maps = [(b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
+                for (b0, b1, b2), lk in zip(bolted, lw)]
+        return Transfer(m, tuple(maps + [tuple(i_f)]), residual)
 
 
 def transfers(models: Sequence[MicrogridModel]) -> Iterator[Transfer]:
