@@ -17,7 +17,10 @@ only copy of the nameplate in the package.
 
 from __future__ import annotations
 
-import hashlib
+try:  # CPython's builtin SHA-256: hashlib also loads OpenSSL, 2-4 MB of resident memory
+    from _sha256 import sha256
+except ImportError:  # Python 3.12+ or a build without it
+    from hashlib import sha256
 import math
 from dataclasses import dataclass, field
 
@@ -353,7 +356,7 @@ def scenario_to_text(s: Scenario) -> str:
 
 
 def scenario_digest(s: Scenario) -> str:
-    return hashlib.sha256(scenario_to_text(s).encode()).hexdigest()
+    return sha256(scenario_to_text(s).encode()).hexdigest()
 
 
 def default_scenario() -> Scenario:
