@@ -2,7 +2,8 @@
 
 Each solver reduces the per-sequence networks around the fault node and
 returns the relay-point quantities plus every intermediate of the reduction
-chain under short snake_case keys (z_d, z_1d, i_11, ...).
+chain under short snake_case keys (z_d, z_1d, i_11, ...).  Every solver needs
+a fault: an infinite rf (fault branch open) raises ModelError.
 
 Conventions shared by all six cases:
 
@@ -73,7 +74,8 @@ def _require(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
-def _finite_grounding(m: MicrogridModel) -> None:
+def _finite_inputs(m: MicrogridModel) -> None:
+    _require(math.isfinite(m.fault.rf), "closed-form solvers require a finite fault resistance")
     z_g = complex(m.load.z_ground)
     if not (math.isfinite(z_g.real) and math.isfinite(z_g.imag)):
         raise ModelError("closed-form solvers require a finite grounding impedance")
@@ -107,7 +109,7 @@ def _zll_ratio(v: PhaseTriple, i: PhaseTriple, scale: complex) -> complex:
 def _lg_upstream(m: MicrogridModel, v_src: SequenceTriple) -> FaultSolution:
     """Shared line-ground upstream chain; v_src carries the source's sequence
     voltages, so a balanced source is the degenerate (zero neg/zero) case."""
-    _finite_grounding(m)
+    _finite_inputs(m)
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)
@@ -212,7 +214,7 @@ def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
     resistance.
     """
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    _finite_grounding(m)
+    _finite_inputs(m)
     v_src = m.source.sequence_voltages()
     z_d1, z_d0 = downstream_path(m)
     z1_up = m.line_1m.z1
@@ -276,7 +278,7 @@ def _ll_node_voltages(
     through rf; the zero-sequence network stays isolated from the fault and
     only carries the source's own zero-sequence circulation.
     """
-    _finite_grounding(m)
+    _finite_inputs(m)
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)

@@ -49,6 +49,21 @@ def test_wrong_model_preconditions():
         solve_ll_downstream(ll_model(0.0, ideal()))
 
 
+@pytest.mark.parametrize("solver, model", [
+    (solve_lg_upstream_ideal, lg_model(math.inf, ideal())),
+    (solve_lg_upstream_inverter, lg_model(math.inf, inverter())),
+    (solve_lg_downstream, lg_model(math.inf, inverter())),
+    (solve_ll_upstream_ideal, ll_model(math.inf, ideal())),
+    (solve_ll_upstream_inverter, ll_model(math.inf, inverter())),
+    (solve_ll_downstream, ll_model(math.inf, inverter())),
+], ids=lambda v: getattr(v, "__name__", "rf-inf"))
+def test_closed_forms_reject_an_open_fault(solver, model):
+    # rf = inf is the healthy network: the nodal oracle solves it, the
+    # closed forms have no fault to reduce around (their chains give nan)
+    with pytest.raises(ModelError, match="finite fault resistance"):
+        solver(model)
+
+
 def test_lg_ideal_open_fault_limit_reads_load_path():
     m = lg_model(1e12, ideal())
     sol = solve_lg_upstream_ideal(m)
