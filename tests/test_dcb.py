@@ -146,8 +146,8 @@ def test_full_loss_behaves_like_dead_channel():
 
 
 def test_simulate_evaluates_only_event_scans(monkeypatch):
-    # 1,001 scans; relay_step runs at scan 0, the pickup at 10 ms and the
-    # trips at 26.7 ms, not on every scan in between
+    # 1,001 scans, but both relays are evaluated only at the pickup (10 ms)
+    # and at the trips (26.7 ms): four calls where the scan loop made 2,002
     calls = []
     step = dcb.relay_step
     monkeypatch.setattr(dcb, "relay_step", lambda *a: calls.append(a) or step(*a))
