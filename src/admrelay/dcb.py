@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
 from .network import MicrogridModel, RelayLocation
 from .phasors import SequenceTriple, phase_to_sequence
+from .records import Record
 from .relaying import DirectionalDecision, directional_neg_seq
 from . import nodal
 
@@ -42,80 +42,79 @@ class EventKind(Enum):
     TRIP = "Trip"
 
 
-@dataclass(frozen=True)
-class DcbEvent:
-    time: float  # ms
-    relay: str
-    kind: EventKind
+class DcbEvent(Record):
+    __slots__ = ("time", "relay", "kind")
+
+    def __init__(self, time: float, relay: str, kind: EventKind) -> None:
+        self.time, self.relay, self.kind = time, relay, kind  # time in ms
 
 
-@dataclass(frozen=True)
-class RelayState:
-    forward_pickup: bool = False
-    reverse_pickup: bool = False
-    carrier_tx: bool = False
-    coordination_timer: float = 0.0  # ms of continuous unblocked forward pickup
-    tripped: bool = False
+class RelayState(Record):
+    __slots__ = ("forward_pickup", "reverse_pickup", "carrier_tx", "coordination_timer",
+                 "tripped")
+
+    def __init__(self, forward_pickup: bool = False, reverse_pickup: bool = False,
+                 carrier_tx: bool = False, coordination_timer: float = 0.0,
+                 tripped: bool = False) -> None:
+        self.forward_pickup, self.reverse_pickup = forward_pickup, reverse_pickup
+        self.carrier_tx, self.tripped = carrier_tx, tripped
+        self.coordination_timer = coordination_timer  # ms of continuous unblocked forward pickup
 
 
-@dataclass(frozen=True)
-class RelayInputs:
-    fwd: bool
-    rev: bool
-    block_rx: bool
+class RelayInputs(Record):
+    __slots__ = ("fwd", "rev", "block_rx")
+
+    def __init__(self, fwd: bool, rev: bool, block_rx: bool) -> None:
+        self.fwd, self.rev, self.block_rx = fwd, rev, block_rx
 
 
-@dataclass(frozen=True)
-class RelaySettings:
-    coordination_time: float  # ms
+class RelaySettings(Record):
+    __slots__ = ("coordination_time",)
 
-    def __post_init__(self) -> None:
-        if not self.coordination_time > 0:
+    def __init__(self, coordination_time: float) -> None:
+        if not coordination_time > 0:
             raise ModelError("coordination time must be positive")
+        self.coordination_time = coordination_time  # ms
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(Record):
     """Blocking channel: fixed latency [ms], per-transition loss, seeded."""
 
-    latency: float
-    operational: bool
-    loss_probability: float
-    seed: int
+    __slots__ = ("latency", "operational", "loss_probability", "seed")
 
-    def __post_init__(self) -> None:
-        if self.latency < 0:
+    def __init__(self, latency: float, operational: bool, loss_probability: float,
+                 seed: int) -> None:
+        if latency < 0:
             raise ModelError("channel latency must be >= 0")
-        if not 0.0 <= self.loss_probability <= 1.0:
+        if not 0.0 <= loss_probability <= 1.0:
             raise ModelError("loss probability must lie in [0, 1]")
+        self.latency, self.operational = latency, operational
+        self.loss_probability, self.seed = loss_probability, seed
 
 
-@dataclass(frozen=True)
-class PickupChange:
+class PickupChange(Record):
     """Scripted directional pickup state taking effect at `time` [ms]."""
 
-    time: float
-    fwd: bool
-    rev: bool
+    __slots__ = ("time", "fwd", "rev")
+
+    def __init__(self, time: float, fwd: bool, rev: bool) -> None:
+        self.time, self.fwd, self.rev = time, fwd, rev
 
 
 FaultScript = Mapping[str, Sequence[PickupChange]]
 
 
-@dataclass(frozen=True)
-class DcbScenario:
-    relay_a: RelaySettings
-    relay_b: RelaySettings
-    channel: ChannelModel
-    fault_script: FaultScript
-    duration: float  # ms
-    step: float  # ms
+class DcbScenario(Record):
+    __slots__ = ("relay_a", "relay_b", "channel", "fault_script", "duration", "step")
 
-    def __post_init__(self) -> None:
-        if not self.step > 0:
+    def __init__(self, relay_a: RelaySettings, relay_b: RelaySettings, channel: ChannelModel,
+                 fault_script: FaultScript, duration: float, step: float) -> None:
+        if not step > 0:
             raise ModelError("simulation step must be positive")
-        if self.duration < self.step:
+        if duration < step:
             raise ModelError("duration must cover at least one step")
+        self.relay_a, self.relay_b, self.channel = relay_a, relay_b, channel
+        self.fault_script, self.duration, self.step = fault_script, duration, step  # ms
 
 
 def relay_step(
@@ -157,11 +156,11 @@ def relay_step(
     return new_state, events
 
 
-@dataclass(frozen=True)
-class _Delivery:
-    due: float
-    target: str
-    value: bool
+class _Delivery(Record):
+    __slots__ = ("due", "target", "value")
+
+    def __init__(self, due: float, target: str, value: bool) -> None:
+        self.due, self.target, self.value = due, target, value
 
 
 def simulate(scenario: DcbScenario) -> list[DcbEvent]:
@@ -219,7 +218,7 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
             timer = states[r].coordination_timer
             for _ in range(nxt - i - 1):
                 timer += step
-            states[r] = replace(states[r], coordination_timer=timer)
+            states[r] = states[r]._replace(coordination_timer=timer)
         return nxt
 
     i = advance(-1)

@@ -37,7 +37,6 @@ Conventions kept deliberately:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import MeasurementError, ModelError, SingularSystemError
 from .network import (
@@ -49,10 +48,10 @@ from .network import (
     thevenin_line_ground,
 )
 from .phasors import PhaseTriple, SequenceTriple, parallel, sequence_to_phase
+from .records import Record
 
 
-@dataclass
-class FaultSolution:
+class FaultSolution(Record):
     """Relay-point quantities of one solved case.
 
     relay_v and relay_i are phase triples at the relay; relay_seq_i is the
@@ -62,11 +61,14 @@ class FaultSolution:
     step of the reduction.
     """
 
-    relay_v: PhaseTriple
-    relay_i: PhaseTriple
-    relay_seq_i: SequenceTriple
-    z_measured: complex
-    intermediates: dict[str, complex] = field(default_factory=dict)
+    __slots__ = ("relay_v", "relay_i", "relay_seq_i", "z_measured", "intermediates")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, relay_v: PhaseTriple, relay_i: PhaseTriple, relay_seq_i: SequenceTriple,
+                 z_measured: complex, intermediates: dict[str, complex] | None = None) -> None:
+        self.relay_v, self.relay_i, self.relay_seq_i = relay_v, relay_i, relay_seq_i
+        self.z_measured = z_measured
+        self.intermediates = {} if intermediates is None else intermediates
 
 
 def _require(condition: bool, message: str) -> None:

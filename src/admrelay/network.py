@@ -15,41 +15,41 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ModelError
 from .phasors import SequenceTriple, parallel
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SequenceImpedancePair:
+class SequenceImpedancePair(Record):
     """Series impedances of one element: z1 [ohm] for positive and negative
     sequence alike (exact for static elements), z0 [ohm] for zero sequence."""
 
-    z1: complex
-    z0: complex
+    __slots__ = ("z1", "z0")
 
-    def __post_init__(self) -> None:
-        if self.z1.real < 0 or self.z0.real < 0:
+    def __init__(self, z1: complex, z0: complex) -> None:
+        if z1.real < 0 or z0.real < 0:
             raise ModelError("series element must be passive: Re(z) >= 0")
+        self.z1, self.z0 = z1, z0
 
     def scaled(self, factor: float) -> "SequenceImpedancePair":
         return SequenceImpedancePair(self.z1 * factor, self.z0 * factor)
 
 
-@dataclass(frozen=True)
-class IdealSource:
+class IdealSource(Record):
     """Balanced stiff voltage source; v1 is the line-neutral phasor [V]."""
 
-    v1: complex
+    __slots__ = ("v1",)
+
+    def __init__(self, v1: complex) -> None:
+        self.v1 = v1
 
     def sequence_voltages(self) -> SequenceTriple:
         return SequenceTriple(0j, self.v1, 0j)
 
 
-@dataclass(frozen=True)
-class CurrentLimitedInverter:
+class CurrentLimitedInverter(Record):
     """Inverter abstracted as an unbalanced voltage source with an RMS cap.
 
     While its limiter is active the inverter holds negative- and zero-sequence
@@ -57,18 +57,16 @@ class CurrentLimitedInverter:
     rotated by its angle [rad].  i_max_rms is the per-phase output current cap.
     """
 
-    v1: complex
-    v2_fraction: float
-    v0_fraction: float
-    v2_angle: float
-    v0_angle: float
-    i_max_rms: float
+    __slots__ = ("v1", "v2_fraction", "v0_fraction", "v2_angle", "v0_angle", "i_max_rms")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.v2_fraction <= 1.0 or not 0.0 <= self.v0_fraction <= 1.0:
+    def __init__(self, v1: complex, v2_fraction: float, v0_fraction: float, v2_angle: float,
+                 v0_angle: float, i_max_rms: float) -> None:
+        if not 0.0 <= v2_fraction <= 1.0 or not 0.0 <= v0_fraction <= 1.0:
             raise ModelError("sequence-voltage fractions must lie in [0, 1]")
-        if not self.i_max_rms > 0:
+        if not i_max_rms > 0:
             raise ModelError("i_max_rms must be positive")
+        self.v1, self.v2_fraction, self.v0_fraction = v1, v2_fraction, v0_fraction
+        self.v2_angle, self.v0_angle, self.i_max_rms = v2_angle, v0_angle, i_max_rms
 
     def sequence_voltages(self) -> SequenceTriple:
         return SequenceTriple(
@@ -81,16 +79,15 @@ class CurrentLimitedInverter:
 SourceModel = IdealSource | CurrentLimitedInverter
 
 
-@dataclass(frozen=True)
-class LoadModel:
+class LoadModel(Record):
     """Wye load: z_load [ohm] per phase, z_ground [ohm] neutral to ground."""
 
-    z_load: complex
-    z_ground: complex = 0j
+    __slots__ = ("z_load", "z_ground")
 
-    def __post_init__(self) -> None:
-        if not self.z_load.real > 0:
+    def __init__(self, z_load: complex, z_ground: complex = 0j) -> None:
+        if not z_load.real > 0:
             raise ModelError("load must dissipate power: Re(z_load) > 0")
+        self.z_load, self.z_ground = z_load, z_ground
 
 
 class FaultKind(Enum):
@@ -103,48 +100,44 @@ class RelayLocation(Enum):
     DOWNSTREAM_OF_FAULT = "downstream"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """Shunt fault at the interior line node; rf [ohm] is purely resistive.
 
     rf = inf denotes the healthy network (fault branch open).
     """
 
-    kind: FaultKind
-    rf: float
+    __slots__ = ("kind", "rf")
 
-    def __post_init__(self) -> None:
-        if self.rf < 0 or math.isnan(self.rf):
+    def __init__(self, kind: FaultKind, rf: float) -> None:
+        if rf < 0 or math.isnan(rf):
             raise ModelError("fault resistance must be >= 0")
+        self.kind, self.rf = kind, rf
 
 
-@dataclass(frozen=True)
-class MicrogridModel:
+class MicrogridModel(Record):
     """Complete two-bus study case: source, line segments, load and fault."""
 
-    source: SourceModel
-    line_1m: SequenceImpedancePair
-    line_m2: SequenceImpedancePair
-    load: LoadModel
-    fault: FaultSpec
-    frequency: float
+    __slots__ = ("source", "line_1m", "line_m2", "load", "fault", "frequency")
 
-    def __post_init__(self) -> None:
-        if not self.frequency > 0:
+    def __init__(self, source: SourceModel, line_1m: SequenceImpedancePair,
+                 line_m2: SequenceImpedancePair, load: LoadModel, fault: FaultSpec,
+                 frequency: float) -> None:
+        if not frequency > 0:
             raise ModelError("frequency must be positive")
+        self.source, self.line_1m, self.line_m2 = source, line_1m, line_m2
+        self.load, self.fault, self.frequency = load, fault, frequency
 
     def with_fault(self, fault: FaultSpec) -> "MicrogridModel":
-        return replace(self, fault=fault)
+        return self._replace(fault=fault)
 
 
-@dataclass(frozen=True)
-class TheveninSet:
+class TheveninSet(Record):
     """Per-sequence reduction of the healthy network seen from the fault node."""
 
-    z_eq1: complex
-    z_eq2: complex
-    z_eq0: complex
-    v_eq1: complex
+    __slots__ = ("z_eq1", "z_eq2", "z_eq0", "v_eq1")
+
+    def __init__(self, z_eq1: complex, z_eq2: complex, z_eq0: complex, v_eq1: complex) -> None:
+        self.z_eq1, self.z_eq2, self.z_eq0, self.v_eq1 = z_eq1, z_eq2, z_eq0, v_eq1
 
 
 def load_impedance_from_power(p: float, q: float, v_ll: float) -> complex:

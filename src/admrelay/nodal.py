@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +29,7 @@ from .errors import SingularSystemError
 from .faults import FaultSolution
 from .network import FaultKind, MicrogridModel, RelayLocation, SequenceImpedancePair
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
+from .records import Record
 
 RESIDUAL_LIMIT = 1e-9
 
@@ -66,8 +66,7 @@ def _phase_admittance(z: SequenceImpedancePair) -> Block:
     return _balanced_block((y0 + 2.0 * y1) / 3.0, (y0 - y1) / 3.0)
 
 
-@dataclass
-class NodalSystem:
+class NodalSystem(Record):
     """Assembled healthy three-phase nodal problem.
 
     node_names lists every non-ground node; ground is the implicit reference.
@@ -77,11 +76,12 @@ class NodalSystem:
     line segments stamped into it.
     """
 
-    node_names: list[str]
-    index: dict[str, int]
-    y: Matrix
-    y_1m: Block
-    y_m2: Block
+    __slots__ = ("node_names", "index", "y", "y_1m", "y_m2")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, node_names: list[str], index: dict[str, int], y: Matrix, y_1m: Block,
+                 y_m2: Block) -> None:
+        self.node_names, self.index, self.y, self.y_1m, self.y_m2 = node_names, index, y, y_1m, y_m2
 
 
 def build_system(m: MicrogridModel) -> NodalSystem:
@@ -166,8 +166,7 @@ def _checked(residual: float) -> float:
     return residual
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(Record):
     """One model's network, linear in the source phase voltages.
 
     maps holds 13 rows over the source phases (a, b, c): the fault-node
@@ -178,9 +177,11 @@ class Transfer:
     residual of the model's own solution.
     """
 
-    model: MicrogridModel
-    maps: tuple[tuple[complex, complex, complex], ...]
-    residual: float
+    __slots__ = ("model", "maps", "residual")
+
+    def __init__(self, model: MicrogridModel, maps: tuple[tuple[complex, complex, complex], ...],
+                 residual: float) -> None:
+        self.model, self.maps, self.residual = model, maps, residual
 
     def solve(
         self, relay_location: RelayLocation, source_seq: SequenceTriple | None = None

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MeasurementError, ModelError
+from .records import Record
 from .scenario import default_scenario
 
 # Nominal phase voltage and current of the reference system's nameplate.
@@ -34,18 +34,16 @@ class DirectionalDecision(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class GroundDistanceSettings:
+class GroundDistanceSettings(Record):
     """Configuration of one ground distance element: residual compensation
     factor k, mho reach [ohm] and the rotation of the mho diameter [rad]."""
 
-    k: complex
-    reach: complex
-    mho_diameter_angle: float = 0.0
+    __slots__ = ("k", "reach", "mho_diameter_angle")
 
-    def __post_init__(self) -> None:
-        if not abs(self.reach) > 0:
+    def __init__(self, k: complex, reach: complex, mho_diameter_angle: float = 0.0) -> None:
+        if not abs(reach) > 0:
             raise ModelError("mho reach must be nonzero")
+        self.k, self.reach, self.mho_diameter_angle = k, reach, mho_diameter_angle
 
 
 def k_factor(z0: complex, z1: complex) -> complex:

@@ -22,7 +22,6 @@ try:  # CPython's builtin SHA-256: hashlib also loads OpenSSL, 2-4 MB of residen
 except ImportError:  # Python 3.12+ or a build without it
     from hashlib import sha256
 import math
-from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .network import (
@@ -39,6 +38,7 @@ from .network import (
     load_impedance_from_power,
 )
 from .phasors import phasor
+from .records import Record
 
 # SI scale of every unit a quantity may carry; angles go to radians.
 _UNIT_SCALE = {
@@ -48,13 +48,14 @@ _UNIT_SCALE = {
 }
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str  # quantity | number | integer | boolean | choice | kpolicy
-    units: tuple[str, ...] = ()
-    choices: tuple[str, ...] = ()
-    default: object = None
-    allow_inf: bool = False  # +inf has a model meaning (no fault, no cap, ...)
+class FieldSpec(Record):
+    __slots__ = ("kind", "units", "choices", "default", "allow_inf")
+
+    def __init__(self, kind: str, units: tuple[str, ...] = (), choices: tuple[str, ...] = (),
+                 default: object = None, allow_inf: bool = False) -> None:
+        self.kind = kind  # quantity | number | integer | boolean | choice | kpolicy
+        self.units, self.choices, self.default = units, choices, default
+        self.allow_inf = allow_inf  # +inf has a model meaning (no fault, no cap, ...)
 
 
 def _q(value: float, unit: str) -> tuple[float, str]:
@@ -150,15 +151,18 @@ MAX_TRANSIENT_STEPS = 100_000
 MAX_DCB_SCANS = 1_000_000
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     """Parsed scenario: section -> key -> typed value.
 
     Quantities are (value, unit) pairs in the unit the file used; numbers,
     integers, booleans and choice strings are stored as such.
     """
 
-    sections: dict[str, dict[str, object]] = field(default_factory=dict)
+    __slots__ = ("sections",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, sections: dict[str, dict[str, object]] | None = None) -> None:
+        self.sections = {} if sections is None else sections
 
     def has(self, section: str) -> bool:
         return section in self.sections

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ConvergenceError, ModelError
@@ -32,6 +31,7 @@ from .network import (
     downstream_path,
 )
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence
+from .records import Record
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import default_scenario
 from . import nodal
@@ -50,14 +50,14 @@ class LimiterKind(Enum):
     LATCHING = "latching"
 
 
-@dataclass
-class TrajectoryPoint:
-    t: float
-    relay_v: PhaseTriple
-    relay_i: PhaseTriple
-    z_lg: complex
-    z_ll: complex
-    limited: bool
+class TrajectoryPoint(Record):
+    __slots__ = ("t", "relay_v", "relay_i", "z_lg", "z_ll", "limited")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, t: float, relay_v: PhaseTriple, relay_i: PhaseTriple, z_lg: complex,
+                 z_ll: complex, limited: bool) -> None:
+        self.t, self.relay_v, self.relay_i = t, relay_v, relay_i
+        self.z_lg, self.z_ll, self.limited = z_lg, z_ll, limited
 
 
 def _source_currents(tf: nodal.Transfer, seq: SequenceTriple) -> PhaseTriple:
@@ -122,7 +122,7 @@ def simulate_trajectory(
             k_lg = 0j
 
     # (healthy, faulted), indexed by whether the fault is on
-    topologies = list(nodal.transfers([m.with_fault(replace(m.fault, rf=math.inf)), m]))
+    topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
     targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / tau_lim)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,7 +238,7 @@ def test_nan_cable_resistance_raises_singular_system(segment):
     m = lg_model(3.68)
     bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
     with pytest.raises(SingularSystemError):
-        nodal.solve_network(replace(m, **{segment: bad}), UP)
+        nodal.solve_network(m._replace(**{segment: bad}), UP)
 
 
 def _mixed_models():
@@ -325,6 +324,6 @@ def test_singular_member_of_a_stack_raises_singular_system(segment):
     # inside a stacked solve
     models = [lg_model(rf) for rf in (1.0, 3.68, 10.0)]
     bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(models[1], segment).z0)
-    models[1] = replace(models[1], **{segment: bad})
+    models[1] = models[1]._replace(**{segment: bad})
     with pytest.raises(SingularSystemError):
         nodal.transfers(models)

@@ -149,3 +149,23 @@ def test_with_fault_replaces_only_the_fault():
     assert faulted.fault == FaultSpec(FaultKind.LINE_LINE_BC, 1.0)
     assert (faulted.source, faulted.line_1m, faulted.load) == (m.source, m.line_1m, m.load)
     assert m.fault == FaultSpec(LG, 3.68)
+
+
+def test_replace_rebuilds_through_the_validating_constructor():
+    m = build_model(default_scenario())
+    assert m._replace(frequency=50.0) == _model(frequency=50.0)
+    assert m.frequency == 60.0
+    assert RelayState()._replace(tripped=True) == RelayState(tripped=True)
+    with pytest.raises(ModelError, match="frequency must be positive"):
+        m._replace(frequency=-1.0)
+    with pytest.raises(ModelError, match="fault resistance must be >= 0"):
+        FaultSpec(LG, 1.0)._replace(rf=-1.0)
+    with pytest.raises(ModelError, match="duration must cover at least one step"):
+        _dcb()._replace(step=200.0)
+
+
+def test_replace_rejects_an_unknown_field():
+    with pytest.raises(TypeError):
+        FaultSpec(LG, 1.0)._replace(resistance=2.0)
+    with pytest.raises(TypeError):
+        RelayState()._replace(timer=1.0)
