@@ -18,9 +18,12 @@ only copy of the nameplate in the package.
 from __future__ import annotations
 
 try:  # CPython's builtin SHA-256: hashlib also loads OpenSSL, 2-4 MB of resident memory
-    from _sha256 import sha256
-except ImportError:  # Python 3.12+ or a build without it
-    from hashlib import sha256
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the builtin module
+        from hashlib import sha256
 import math
 
 from .errors import ScenarioError
