@@ -209,15 +209,17 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         # Untripped relays with a running timer; a tripped relay's is never read.
         running = [r for r in relays
                    if pickups[r][0] and not block_rx[r] and not states[r].tripped]
-        for r in running:  # stop at the scan where this timer expires, if sooner
+        reached = {}
+        for r in running:  # gain the step per skipped scan; stop where this timer expires
             timer, j = states[r].coordination_timer, i + 1
             while timer < settings[r].coordination_time * (1.0 - 1e-9) and j < nxt:
                 timer, j = timer + step, j + 1
-            nxt = j
-        for r in running:
-            timer = states[r].coordination_timer
-            for _ in range(nxt - i - 1):
-                timer += step
+            reached[r], nxt = (timer, j), j
+        for r, (timer, j) in reached.items():
+            if j > nxt:  # the other timer expires sooner: count this one again, up to nxt
+                timer = states[r].coordination_timer
+                for _ in range(nxt - i - 1):
+                    timer += step
             states[r] = states[r]._replace(coordination_timer=timer)
         return nxt
 
