@@ -524,9 +524,9 @@ def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
     assert calls == [40]
 
 
-def test_no_subcommand_imports_numpy():
-    # the child blocks numpy, so any import of it fails; every golden
-    # document must still come out byte for byte
+def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
+    # the child blocks numpy, dataclasses and hashlib, so any import of them
+    # fails; every golden document must still come out byte for byte
     from test_golden import DOCUMENTS, GOLDEN, SCENARIO, VARIANT_DOCUMENTS
 
     runs = {name: (str(SCENARIO), argv) for name, argv in DOCUMENTS.items()}
@@ -534,7 +534,7 @@ def test_no_subcommand_imports_numpy():
                  for name, (variant, argv) in VARIANT_DOCUMENTS.items()})
     code = (
         "import contextlib, io, json, sys\n"
-        "sys.modules['numpy'] = None\n"
+        "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['hashlib'] = None\n"
         "import admrelay.cli, admrelay.dcb, admrelay.nodal, admrelay.trajectory\n"
         f"runs = {runs!r}\n"
         "out = {}\n"
