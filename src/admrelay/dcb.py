@@ -50,8 +50,7 @@ class DcbEvent(Record):
 
 
 class RelayState(Record):
-    __slots__ = ("forward_pickup", "reverse_pickup", "carrier_tx", "coordination_timer",
-                 "tripped")
+    __slots__ = ("forward_pickup", "reverse_pickup", "carrier_tx", "coordination_timer", "tripped")
 
     def __init__(self, forward_pickup: bool = False, reverse_pickup: bool = False,
                  carrier_tx: bool = False, coordination_timer: float = 0.0,
@@ -206,15 +205,13 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         nxt = min([n_steps + 1] + [scan_of(d.due, i + 1) for d in pending]
                   + [scan_of(script[r][cursor[r]].time, i + 1)
                      for r in relays if cursor[r] < len(script[r])])
-        # Untripped relays with a running timer; a tripped relay's is never read.
-        running = [r for r in relays
-                   if pickups[r][0] and not block_rx[r] and not states[r].tripped]
-        reached = {}
-        for r in running:  # gain the step per skipped scan; stop where this timer expires
-            timer, j = states[r].coordination_timer, i + 1
-            while timer < settings[r].coordination_time * (1.0 - 1e-9) and j < nxt:
-                timer, j = timer + step, j + 1
-            reached[r], nxt = (timer, j), j
+        reached = {}  # running timers of untripped relays; a tripped relay's is never read
+        for r in relays:
+            if pickups[r][0] and not block_rx[r] and not states[r].tripped:
+                timer, j = states[r].coordination_timer, i + 1  # gains the step per skipped scan
+                while timer < settings[r].coordination_time * (1.0 - 1e-9) and j < nxt:
+                    timer, j = timer + step, j + 1
+                reached[r], nxt = (timer, j), j  # stop where this timer expires, if sooner
         for r, (timer, j) in reached.items():
             if j > nxt:  # the other timer expires sooner: count this one again, up to nxt
                 timer = states[r].coordination_timer

@@ -62,7 +62,6 @@ class FaultSolution(Record):
     """
 
     __slots__ = ("relay_v", "relay_i", "relay_seq_i", "z_measured", "intermediates")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, relay_v: PhaseTriple, relay_i: PhaseTriple, relay_seq_i: SequenceTriple,
                  z_measured: complex, intermediates: dict[str, complex] | None = None) -> None:

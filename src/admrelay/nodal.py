@@ -77,11 +77,11 @@ class NodalSystem(Record):
     """
 
     __slots__ = ("node_names", "index", "y", "y_1m", "y_m2")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, node_names: list[str], index: dict[str, int], y: Matrix, y_1m: Block,
                  y_m2: Block) -> None:
-        self.node_names, self.index, self.y, self.y_1m, self.y_m2 = node_names, index, y, y_1m, y_m2
+        self.node_names, self.index, self.y = node_names, index, y
+        self.y_1m, self.y_m2 = y_1m, y_m2
 
 
 def build_system(m: MicrogridModel) -> NodalSystem:

@@ -162,7 +162,6 @@ class Scenario(Record):
     """
 
     __slots__ = ("sections",)
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, sections: dict[str, dict[str, object]] | None = None) -> None:
         self.sections = {} if sections is None else sections

@@ -52,7 +52,6 @@ class LimiterKind(Enum):
 
 class TrajectoryPoint(Record):
     __slots__ = ("t", "relay_v", "relay_i", "z_lg", "z_ll", "limited")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, t: float, relay_v: PhaseTriple, relay_i: PhaseTriple, z_lg: complex,
                  z_ll: complex, limited: bool) -> None:
