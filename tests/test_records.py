@@ -66,7 +66,7 @@ def test_repr_names_every_field_in_order(record, text):
      build_model(default_scenario()).with_fault(FaultSpec(LG, 1.0))),
     (lambda: RelayState(True, coordination_timer=0.3), RelayState(True)),
 ])
-def test_frozen_records_compare_and_hash_by_value(make, other):
+def test_records_compare_and_hash_by_value(make, other):
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
