@@ -301,12 +301,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _check_consistency(s: Scenario) -> None:
-    if s.si("system", "frequency") <= 0:
-        raise ScenarioError("[system] frequency: must be positive")
-    if s.si("system", "line_line_voltage") <= 0:
-        raise ScenarioError("[system] line_line_voltage: must be positive")
-    if s.si("system", "i_max") <= 0:
-        raise ScenarioError("[system] i_max: must be positive")
+    for key in ("frequency", "line_line_voltage", "i_max", "load_real_power"):
+        if s.si("system", key) <= 0:
+            raise ScenarioError(f"[system] {key}: must be positive")
     pos = float(s.get("system", "fault_position"))  # type: ignore[arg-type]
     if not 0.0 < pos < 1.0:
         raise ScenarioError("[system] fault_position: must lie strictly inside (0, 1)")
@@ -314,10 +311,16 @@ def _check_consistency(s: Scenario) -> None:
         v = float(s.get("system", key))  # type: ignore[arg-type]
         if not 0.0 <= v <= 1.0:
             raise ScenarioError(f"[system] {key}: must lie in [0, 1]")
-    if s.si("system", "load_real_power") <= 0:
-        raise ScenarioError("[system] load_real_power: must be positive")
-    if s.si("fault", "rf") < 0 or s.si("fault", "rf_min") < 0:
-        raise ScenarioError("[fault] rf: must be >= 0")
+    for section, key in (("system", "cable_resistance"), ("system", "cable_inductance"),
+                         ("fault", "rf"), ("fault", "rf_min")):
+        if s.si(section, key) < 0:
+            raise ScenarioError(f"[{section}] {key}: must be >= 0")
+    # a cable without impedance, or without a passive zero-sequence one, leaves
+    # the healthy network singular or non-passive
+    if s.si("system", "cable_resistance") == s.si("system", "cable_inductance") == 0:
+        raise ScenarioError("[system] cable_resistance: must be positive if cable_inductance is 0")
+    if not float(s.get("system", "cable_zero_seq_scale")) > 0:  # type: ignore[arg-type]
+        raise ScenarioError("[system] cable_zero_seq_scale: must be positive")
     if s.si("fault", "rf_min") > s.si("fault", "rf_max"):
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
     rf_points = int(s.get("fault", "rf_points"))  # type: ignore[arg-type]
@@ -329,8 +332,11 @@ def _check_consistency(s: Scenario) -> None:
         loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
         if not 0.0 <= loss <= 1.0:
             raise ScenarioError("[dcb] loss: must lie in [0, 1]")
-        if s.si("dcb", "step") <= 0:
-            raise ScenarioError("[dcb] step: must be positive")
+        if s.si("dcb", "latency") < 0:
+            raise ScenarioError("[dcb] latency: must be >= 0")
+        for key in ("coordination_time", "step"):
+            if s.si("dcb", key) <= 0:
+                raise ScenarioError(f"[dcb] {key}: must be positive")
         if s.si("dcb", "duration") < s.si("dcb", "step"):
             raise ScenarioError("[dcb] duration: must cover at least one step")
         if s.si("dcb", "duration") / s.si("dcb", "step") >= MAX_DCB_SCANS + 0.5:

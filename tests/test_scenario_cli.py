@@ -266,16 +266,6 @@ def test_cli_bad_scenario_fails(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 1
 
 
-def test_cli_singular_model_exits_with_numerical_status(tmp_path, capsys):
-    path = tmp_path / "singular.scn"
-    path.write_text(
-        "[system]\ncable_resistance = 0 mohm\ncable_inductance = 0 uH\n",
-        encoding="utf-8",
-    )
-    assert cli.main(["case", str(path), "--case", "2"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
-
-
 def test_cli_sweep_is_reproducible_and_monotone(tmp_path):
     path = _write_default(tmp_path)
     out1 = tmp_path / "a.csv"
@@ -381,9 +371,9 @@ def test_cli_results_carry_version_and_digest(tmp_path, capsys):
         assert "0.1.0" in out
 
 
-def _set_field(section, key, value):
-    """Default scenario text with one field's value replaced."""
-    lines = default_text().splitlines()
+def _set_field(section, key, value, text=None):
+    """Scenario text, the default unless given, with one field's value replaced."""
+    lines = (text or default_text()).splitlines()
     current = None
     for i, line in enumerate(lines):
         if line.startswith("["):
@@ -439,6 +429,42 @@ def test_cli_infinite_cable_zero_sequence_scale_is_a_validation_error(tmp_path, 
         out, err = capsys.readouterr()
         assert out == ""
         assert "[system] cable_zero_seq_scale" in err
+
+
+@pytest.mark.parametrize("fields", [
+    [("cable_zero_seq_scale", "0")],
+    [("cable_zero_seq_scale", "-2")],
+    [("cable_resistance", "-1 mohm")],
+    [("cable_inductance", "-1 uH")],
+    [("cable_resistance", "0 ohm"), ("cable_inductance", "0 H")],
+], ids=["zero-z0-scale", "negative-z0-scale", "negative-resistance", "negative-inductance",
+        "zero-impedance"])
+def test_cli_cable_that_leaves_the_network_singular_or_active_is_a_validation_error(
+    tmp_path, capsys, fields
+):
+    # every subcommand relies on a nonsingular, passive healthy network
+    text = None
+    for key, value in fields:
+        text = _set_field("system", key, value, text)
+    for argv in (["validate"], ["case", "--case", "2"], ["sweep"], ["dcb"], ["trajectory"]):
+        assert _run(tmp_path, text, *argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"[system] {fields[0][0]}: must be" in err
+
+
+@pytest.mark.parametrize("section, key, value, message, command", [
+    ("dcb", "latency", "-1 ms", "must be >= 0", "dcb"),
+    ("dcb", "coordination_time", "0 ms", "must be positive", "dcb"),
+    ("dcb", "coordination_time", "-16.7 ms", "must be positive", "dcb"),
+    ("fault", "rf_min", "-1 ohm", "must be >= 0", "sweep"),
+], ids=["negative-latency", "zero-coordination", "negative-coordination", "negative-rf_min"])
+def test_validation_names_the_field(tmp_path, capsys, section, key, value, message, command):
+    for argv in (["validate"], [command]):
+        assert _run(tmp_path, _set_field(section, key, value), *argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"[{section}] {key}: {message}" in err
 
 
 @pytest.mark.parametrize("case, kind, source", [
