@@ -15,7 +15,9 @@ source phases and w = A0^-1 u, z_kk = u^T w and i_f = u^T x0 / (rf + z_kk)
 (the Z-bus fault formula and compensation method; Grainger & Stevenson,
 *Power System Analysis*, ch. 10-12; Tinney, IEEE Trans. PAS-91, 1972).  The
 solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
-exactly, plus w rf i_f / z_kk; rf = inf leaves x0.
+exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
+A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each model's come
+from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ class Transfer(Record):
 
 class _Network:
     """A factorized healthy network, its solution x0 for the source phases
-    and, per fault kind, the bolted solution; columns span the unknown nodes."""
+    and, per fault kind on first use, the bolted solution; columns span the unknown nodes."""
 
     def __init__(self, sysm: NodalSystem) -> None:
         self.y_1m, self.y_m2 = sysm.y_1m, sysm.y_m2
@@ -222,15 +224,14 @@ class _Network:
         self.b = [[-row[j] for row in sysm.y[3:]] for j in range(3)]
         self.b_norm = _norm(v for col in self.b for v in col) or 1.0
         self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
-        residual = _checked(self._residual(self.x0, [0] * len(self.a0), (0, 0, 0)))
+        residual = _checked(_norm(v for col in self._residual(self.x0) for v in col) / self.b_norm)
         self.healthy = tuple([tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]), residual
-        self.faults = {kind: self._bolted(kind) for kind in FaultKind}
+        self.faults: dict[FaultKind, tuple] = {}
 
-    def _residual(self, x: list[list[complex]], u: list, i_f) -> float:
-        """Relative residual of A0 x + u i_f = b over the three columns."""
-        r = [sum(map(mul, row, xj)) + ui * fj - bi for xj, bj, fj in zip(x, self.b, i_f)
-             for row, ui, bi in zip(self.a0, u, bj)]
-        return math.hypot(*map(abs, r)) / self.b_norm
+    def _residual(self, x: list[list[complex]]) -> list[list[complex]]:
+        """A0 x - b, column by column."""
+        return [[sum(map(mul, row, xj)) - bi for row, bi in zip(self.a0, bj)]
+                for xj, bj in zip(x, self.b)]
 
     def _maps(self, x: list[list[complex]], source: bool) -> list[list[complex]]:
         """The first 12 map rows of the columns x; source counts the source
@@ -243,8 +244,7 @@ class _Network:
         return v_m + _times(self.y_1m, d_up) + _times(self.y_m2, d_dn) + v_2
 
     def _bolted(self, kind: FaultKind) -> tuple:
-        """u, w, z_kk, u^T x0 and its norm, the bolted solution p, its map
-        and the map of w, for one fault kind."""
+        """u, z_kk, u^T x0 and its norm, the maps of p and w, and A0 w, A0 p - b, u^T p."""
         lg = kind is FaultKind.LINE_GROUND_A
         u = ([1, 0, 0] if lg else [0, 1, -1]) + [0] * (len(self.a0) - 3)
         w = _lu_solve(self.lu, self.order, u)
@@ -257,22 +257,27 @@ class _Network:
         for col in p:  # u^T p = 0 exactly
             col[0 if lg else 2] = 0j if lg else col[1]
         lw = [row[0] for row in self._maps([w], False)]
-        return u, w, z_kk, ux0, _norm(ux0) or 1.0, p, self._maps(p, True), lw
+        aw = [sum(map(mul, row, w)) for row in self.a0]
+        up = [sum(map(mul, u, col)) for col in p]
+        return u, z_kk, ux0, _norm(ux0) or 1.0, self._maps(p, True), lw, aw, self._residual(p), up
 
     def transfer(self, m: MicrogridModel) -> Transfer:
         rf = m.fault.rf
         if rf == math.inf:
             return Transfer(m, *self.healthy)
-        u, w, z_kk, ux0, ux0_norm, p, bolted, lw = self.faults[m.fault.kind]
+        if m.fault.kind not in self.faults:
+            self.faults[m.fault.kind] = self._bolted(m.fault.kind)
+        u, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = self.faults[m.fault.kind]
         d = rf + z_kk
         if not (d != 0 and cmath.isfinite(d)):
             raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
         i_f = [v / d for v in ux0]
         c = [rf * f / z_kk for f in i_f]
-        x = [[pk + wk * cj for pk, wk in zip(col, w)] for col, cj in zip(p, c)]
+        # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c
         residual = _checked(max(
-            self._residual(x, u, i_f),
-            _norm(sum(map(mul, u, xj)) - rf * fj for xj, fj in zip(x, i_f)) / ux0_norm,
+            _norm(qk + ak * cj + uk * fj for qj, cj, fj in zip(q, c, i_f)
+                  for qk, ak, uk in zip(qj, aw, u)) / self.b_norm,
+            _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
         ))
         maps = [(b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
                 for (b0, b1, b2), lk in zip(bolted, lw)]

@@ -231,6 +231,52 @@ def test_residual_check_covers_the_network_and_each_model(monkeypatch):
         nodal.transfers([lg_model(math.inf)])
 
 
+@pytest.mark.parametrize("product", ["A0 w", "A0 p - b"])
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_model_residual_check_sees_an_error_in_a_cached_product(make, product):
+    # each model's residual is evaluated from per-kind products cached with
+    # the bolted solution; a wrong product must fail the next transfer
+    m = make(3.68)
+    nw = nodal._Network(nodal.build_system(m))
+    assert nw.transfer(m).residual < 1e-13
+    *head, aw, q, up = nw.faults[m.fault.kind]
+    if product == "A0 w":
+        aw = [v * (1 + 1e-6) for v in aw]
+    else:
+        j = max(range(3), key=lambda j: max(map(abs, q[j])))  # the faulted phase's column
+        q = [[v * (1 + 1e-6) for v in col] if i == j else col for i, col in enumerate(q)]
+    nw.faults[m.fault.kind] = (*head, aw, q, up)
+    with pytest.raises(SingularSystemError, match="residual"):
+        nw.transfer(m)
+
+
+def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
+    calls = []
+    bolted = nodal._Network._bolted
+    monkeypatch.setattr(nodal._Network, "_bolted",
+                        lambda nw, kind: calls.append((nw, kind)) or bolted(nw, kind))
+    s = default_scenario()
+    run_sweep(s)
+    assert len(sweep_points(s)) == 40
+    assert [kind for _, kind in calls] == [FaultKind.LINE_GROUND_A]
+
+    calls.clear()
+    list(nodal.transfers(_mixed_models()))
+    assert len(calls) == len(set(calls)) == 4  # two networks, two kinds each
+
+    calls.clear()
+    nodal.transfer(lg_model(math.inf))
+    assert calls == []
+
+
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
+@pytest.mark.parametrize("kind", ["lg", "ll"])
+def test_model_residuals_stay_at_round_off(kind, grounded):
+    rng = np.random.default_rng(20240611)
+    models = [_random_model(rng, kind, grounded) for _ in range(40)]
+    assert max(tf.residual for tf in nodal.transfers(models)) < 1e-13
+
+
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
 def test_nan_cable_resistance_raises_singular_system(segment):
     # a nan in either segment spreads through the healthy network's factors
@@ -320,8 +366,8 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
 
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
 def test_singular_member_of_a_stack_raises_singular_system(segment):
-    # the bad member shares its topology with healthy ones, so it sits
-    # inside a stacked solve
+    # the bad member's network differs from its neighbours' only in one
+    # segment, so it is factored on its own and fails that network's checks
     models = [lg_model(rf) for rf in (1.0, 3.68, 10.0)]
     bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(models[1], segment).z0)
     models[1] = models[1]._replace(**{segment: bad})
