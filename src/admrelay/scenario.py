@@ -148,7 +148,7 @@ OPTIONAL_SECTIONS = ("dcb", "transient")
 # Upper bounds on the work one scenario can request, far above the defaults
 # (40 rf points, 200 trajectory steps, 1,000 DCB scans).  Step and scan
 # counts are duration/step rounded, as the simulators count them.  A sweep
-# streams its points, so a 10,000-point one peaks near 26 MB (Python 3.11).
+# streams its points, so a 10,000-point one peaks near 19 MB (Python 3.11).
 MAX_RF_POINTS = 10_000
 MAX_TRANSIENT_STEPS = 100_000
 MAX_DCB_SCANS = 1_000_000
