@@ -273,36 +273,30 @@ def trip_summary(events: Iterable[DcbEvent]) -> dict[str, dict[str, bool]]:
     return out
 
 
-def couple_from_network(
-    m: MicrogridModel,
-    fault_time: float,
-    placements: tuple[RelayLocation, RelayLocation] = (
-        RelayLocation.UPSTREAM_OF_FAULT,
-        RelayLocation.DOWNSTREAM_OF_FAULT,
-    ),
-    line_angle: float | None = None,
-) -> dict[str, list[PickupChange]]:
+def couple_from_network(m: MicrogridModel, fault_time: float) -> dict[str, list[PickupChange]]:
     """Derive the pickup script from a steady-state fault study.
 
-    Both relays measure their own segment current in the source->load
-    direction, matching the directional element's source-side-injector
-    polarity.  Directional decisions at fault inception become pickups
-    scripted at fault_time [ms]; an undecided element contributes no pickup
-    at all.  On a radial feed with the injecting source at one end, a fault
-    beyond the far relay still reads FORWARD at both ends (no remote infeed
-    to reverse it), so genuine external-fault studies are scripted by hand.
+    Relay A sits upstream of the fault and relay B downstream.  Both
+    measure their own segment current in the source->load direction,
+    matching the directional element's source-side-injector polarity, and
+    take the line angle from the source-side segment's z1.  Directional
+    decisions at fault inception become pickups scripted at fault_time
+    [ms]; an undecided element contributes no pickup at all.  On a radial
+    feed with the injecting source at one end, a fault beyond the far relay
+    still reads FORWARD at both ends (no remote infeed to reverse it), so
+    genuine external-fault studies are scripted by hand.
 
     A model without a fault branch (infinite rf) is solved with the source
     balanced: the inverter only holds unbalanced voltage while its limiter
     is engaged on a fault, so the healthy study produces no pickups.
     """
-    if line_angle is None:
-        line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
+    line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
     healthy = not math.isfinite(m.fault.rf)
     source_seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else None
     tf = nodal.transfer(m)
     script: dict[str, list[PickupChange]] = {}
-    for relay_id, location in zip((RELAY_A, RELAY_B), placements):
+    for relay_id, location in ((RELAY_A, RelayLocation.UPSTREAM_OF_FAULT),
+                                (RELAY_B, RelayLocation.DOWNSTREAM_OF_FAULT)):
         sol = tf.solve(location, source_seq)
         v2 = phase_to_sequence(sol.relay_v).neg
         i2 = sol.relay_seq_i.neg

@@ -89,28 +89,28 @@ def _finite_inputs(m: MicrogridModel) -> None:
 def _assemble(
     v_seq: SequenceTriple, i_seq: SequenceTriple, z_measured: complex, inter: dict[str, complex]
 ) -> FaultSolution:
-    return FaultSolution(
-        relay_v=sequence_to_phase(v_seq),
-        relay_i=sequence_to_phase(i_seq),
-        relay_seq_i=i_seq,
-        z_measured=z_measured,
-        intermediates=inter,
-    )
+    v, i = sequence_to_phase(v_seq), sequence_to_phase(i_seq)
+    return FaultSolution(v, i, i_seq, z_measured, inter)
 
 
-def _zll_ratio(v: PhaseTriple, i: PhaseTriple, scale: complex) -> complex:
-    """Phase-distance ratio (v_b - v_c) / (i_b - i_c) with a guard against a
-    vanishing current difference (scale sets the comparison level)."""
+def _assemble_ll(
+    v_seq: SequenceTriple, i_seq: SequenceTriple, inter: dict[str, complex]
+) -> FaultSolution:
+    """Line-line solution: z_measured is the phase-distance ratio
+    (v_b - v_c) / (i_b - i_c), guarded against a vanishing current
+    difference at the positive-sequence current's scale."""
+    v, i = sequence_to_phase(v_seq), sequence_to_phase(i_seq)
     di = i.b - i.c
-    if abs(di) < 1e-12 * abs(scale):
+    if abs(di) < 1e-12 * abs(i_seq.pos):
         raise MeasurementError("line-line element: phase current difference is zero")
-    return (v.b - v.c) / di
+    return FaultSolution(v, i, i_seq, (v.b - v.c) / di, inter)
 
 
-def _lg_upstream(m: MicrogridModel, v_src: SequenceTriple) -> FaultSolution:
-    """Shared line-ground upstream chain; v_src carries the source's sequence
+def _lg_upstream(m: MicrogridModel) -> FaultSolution:
+    """Shared line-ground upstream chain; it carries the source's sequence
     voltages, so a balanced source is the degenerate (zero neg/zero) case."""
     _finite_inputs(m)
+    v_src = m.source.sequence_voltages()
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)
@@ -193,7 +193,7 @@ def solve_lg_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-ground fault, balanced stiff source, relay on the source side."""
     _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _lg_upstream(m, m.source.sequence_voltages())
+    return _lg_upstream(m)
 
 
 def solve_lg_upstream_inverter(m: MicrogridModel) -> FaultSolution:
@@ -203,7 +203,7 @@ def solve_lg_upstream_inverter(m: MicrogridModel) -> FaultSolution:
         "solver expects a CurrentLimitedInverter model",
     )
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _lg_upstream(m, m.source.sequence_voltages())
+    return _lg_upstream(m)
 
 
 def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
@@ -330,31 +330,22 @@ def _ll_node_voltages(
     return SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2), inter
 
 
-def _ll_upstream(m: MicrogridModel, v_src: SequenceTriple) -> FaultSolution:
+def _ll_upstream(m: MicrogridModel) -> FaultSolution:
+    v_src = m.source.sequence_voltages()
     v_m, inter = _ll_node_voltages(m, v_src)
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
     i_1 = (v_src.pos - v_m.pos) / z1_up
     i_2 = (v_src.neg - v_m.neg) / z1_up
     i_0 = (v_src.zero - v_m.zero) / z0_up if v_src.zero != 0 else 0j
-    i_seq = SequenceTriple(zero=i_0, pos=i_1, neg=i_2)
-    relay_i = sequence_to_phase(i_seq)
-    relay_v = sequence_to_phase(v_m)
-    z_measured = _zll_ratio(relay_v, relay_i, i_1)
-    return FaultSolution(
-        relay_v=relay_v,
-        relay_i=relay_i,
-        relay_seq_i=i_seq,
-        z_measured=z_measured,
-        intermediates=inter,
-    )
+    return _assemble_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), inter)
 
 
 def solve_ll_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-line (b-c) fault, balanced stiff source, source-side relay."""
     _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
     _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _ll_upstream(m, m.source.sequence_voltages())
+    return _ll_upstream(m)
 
 
 def solve_ll_upstream_inverter(m: MicrogridModel) -> FaultSolution:
@@ -364,7 +355,7 @@ def solve_ll_upstream_inverter(m: MicrogridModel) -> FaultSolution:
         "solver expects a CurrentLimitedInverter model",
     )
     _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _ll_upstream(m, m.source.sequence_voltages())
+    return _ll_upstream(m)
 
 
 def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
@@ -379,22 +370,10 @@ def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
         m.fault.rf > 0,
         "downstream line-line identity needs rf > 0 (bolted fault shorts the b-c loop)",
     )
-    v_src = m.source.sequence_voltages()
-    v_m, inter = _ll_node_voltages(m, v_src)
+    v_m, inter = _ll_node_voltages(m, m.source.sequence_voltages())
     z_d1, z_d0 = downstream_path(m)
     i_1 = v_m.pos / z_d1
     i_2 = v_m.neg / z_d1
     i_0 = v_m.zero / z_d0 if v_m.zero != 0 else 0j
-    i_seq = SequenceTriple(zero=i_0, pos=i_1, neg=i_2)
-    relay_i = sequence_to_phase(i_seq)
-    relay_v = sequence_to_phase(v_m)
-    z_measured = _zll_ratio(relay_v, relay_i, i_1)
-    inter = dict(inter)
     inter["z_d1"] = z_d1
-    return FaultSolution(
-        relay_v=relay_v,
-        relay_i=relay_i,
-        relay_seq_i=i_seq,
-        z_measured=z_measured,
-        intermediates=inter,
-    )
+    return _assemble_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), inter)

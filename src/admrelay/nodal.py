@@ -190,8 +190,8 @@ class Transfer(Record):
     ) -> FaultSolution:
         """Relay quantities for one source; see :func:`solve_network`."""
         m = self.model
-        v_1 = sequence_to_phase(m.source.sequence_voltages() if source_seq is None else source_seq)
-        va, vb, vc = v_1
+        seq = m.source.sequence_voltages() if source_seq is None else source_seq
+        va, vb, vc = sequence_to_phase(seq)
         out = [r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in self.maps]
         v_m = PhaseTriple(*out[0:3])
         if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
@@ -208,8 +208,7 @@ class Transfer(Record):
         else:
             i_fault = {"i_f_a": 0j, "i_f_b": i_f, "i_f_c": -i_f}
             z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
-        inter = dict(i_fault, residual=complex(self.residual, 0.0), v_src_a=v_1.a,
-                     v_load_a=out[9])
+        inter = dict(i_fault, residual=complex(self.residual, 0.0), v_load_a=out[9])
         return FaultSolution(v_m, relay_i, phase_to_sequence(relay_i), z_measured, inter)
 
 

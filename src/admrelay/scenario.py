@@ -61,37 +61,33 @@ class FieldSpec(Record):
         self.allow_inf = allow_inf  # +inf has a model meaning (no fault, no cap, ...)
 
 
-def _q(value: float, unit: str) -> tuple[float, str]:
-    return (value, unit)
-
-
 # Declared order doubles as canonical emission order.
 FIELDS: dict[str, dict[str, FieldSpec]] = {
     "system": {
-        "frequency": FieldSpec("quantity", ("Hz",), default=_q(60, "Hz")),
-        "line_line_voltage": FieldSpec("quantity", ("V",), default=_q(480, "V")),
+        "frequency": FieldSpec("quantity", ("Hz",), default=(60, "Hz")),
+        "line_line_voltage": FieldSpec("quantity", ("V",), default=(480, "V")),
         "source": FieldSpec("choice", choices=("ideal", "inverter"), default="inverter"),
-        "rated_power": FieldSpec("quantity", ("W", "kW"), default=_q(50, "kW")),
-        "dc_bus_voltage": FieldSpec("quantity", ("V",), default=_q(1800, "V")),
-        "filter_inductance": FieldSpec("quantity", ("uF", "uH"), default=_q(18, "uF")),
-        "filter_capacitance": FieldSpec("quantity", ("F", "nF", "uF"), default=_q(250, "nF")),
-        "i_max": FieldSpec("quantity", ("A",), default=_q(70, "A"), allow_inf=True),
-        "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=_q(39, "mohm")),
-        "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=_q(70.8, "uH")),
+        "rated_power": FieldSpec("quantity", ("W", "kW"), default=(50, "kW")),
+        "dc_bus_voltage": FieldSpec("quantity", ("V",), default=(1800, "V")),
+        "filter_inductance": FieldSpec("quantity", ("uF", "uH"), default=(18, "uF")),
+        "filter_capacitance": FieldSpec("quantity", ("F", "nF", "uF"), default=(250, "nF")),
+        "i_max": FieldSpec("quantity", ("A",), default=(70, "A"), allow_inf=True),
+        "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=(39, "mohm")),
+        "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=(70.8, "uH")),
         # The cable's zero-sequence impedance and the load neutral grounding
         # have no nameplate values: the usual assumptions for a run with
         # ground return and a resistance-grounded wye load are the defaults.
         "cable_zero_seq_scale": FieldSpec("number", default=3.0),
         "fault_position": FieldSpec("number", default=0.5),
-        "load_real_power": FieldSpec("quantity", ("W", "kW"), default=_q(25, "kW")),
-        "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=_q(12.5, "kvar")),
+        "load_real_power": FieldSpec("quantity", ("W", "kW"), default=(25, "kW")),
+        "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=(12.5, "kvar")),
         "load_grounding_resistance": FieldSpec(
-            "quantity", ("ohm", "mohm"), default=_q(1, "ohm"), allow_inf=True
+            "quantity", ("ohm", "mohm"), default=(1, "ohm"), allow_inf=True
         ),
         "v2_fraction": FieldSpec("number", default=0.6),
         "v0_fraction": FieldSpec("number", default=0.6),
-        "v2_angle": FieldSpec("quantity", ("deg", "rad"), default=_q(0, "deg")),
-        "v0_angle": FieldSpec("quantity", ("deg", "rad"), default=_q(0, "deg")),
+        "v2_angle": FieldSpec("quantity", ("deg", "rad"), default=(0, "deg")),
+        "v0_angle": FieldSpec("quantity", ("deg", "rad"), default=(0, "deg")),
     },
     "controller": {
         "kpv": FieldSpec("number", default=0.35),
@@ -107,9 +103,9 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
     },
     "fault": {
         "kind": FieldSpec("choice", choices=("lg", "ll"), default="lg"),
-        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=_q(3.68, "ohm"), allow_inf=True),
-        "rf_min": FieldSpec("quantity", ("ohm", "mohm"), default=_q(3.68, "ohm")),
-        "rf_max": FieldSpec("quantity", ("ohm", "mohm"), default=_q(1000, "ohm")),
+        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm"), allow_inf=True),
+        "rf_min": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm")),
+        "rf_max": FieldSpec("quantity", ("ohm", "mohm"), default=(1000, "ohm")),
         "rf_points": FieldSpec("integer", default=40),
         "rf_spacing": FieldSpec("choice", choices=("log", "linear"), default="log"),
     },
@@ -120,23 +116,23 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         "k_policy": FieldSpec("kpolicy", default="auto"),
     },
     "dcb": {
-        "latency": FieldSpec("quantity", ("ms", "s"), default=_q(2, "ms")),
+        "latency": FieldSpec("quantity", ("ms", "s"), default=(2, "ms")),
         "loss": FieldSpec("number", default=0),
         "seed": FieldSpec("integer", default=1),
         # one fundamental cycle
-        "coordination_time": FieldSpec("quantity", ("ms", "s"), default=_q(16.7, "ms")),
+        "coordination_time": FieldSpec("quantity", ("ms", "s"), default=(16.7, "ms")),
         "operational": FieldSpec("boolean", default=True),
         "script": FieldSpec(
             "choice", choices=("network", "internal", "external"), default="network"
         ),
-        "duration": FieldSpec("quantity", ("ms", "s"), default=_q(100, "ms")),
-        "step": FieldSpec("quantity", ("ms", "s"), default=_q(0.1, "ms")),
-        "fault_time": FieldSpec("quantity", ("ms", "s"), default=_q(10, "ms")),
+        "duration": FieldSpec("quantity", ("ms", "s"), default=(100, "ms")),
+        "step": FieldSpec("quantity", ("ms", "s"), default=(0.1, "ms")),
+        "fault_time": FieldSpec("quantity", ("ms", "s"), default=(10, "ms")),
     },
     "transient": {
-        "dt": FieldSpec("quantity", ("ms", "s"), default=_q(1, "ms")),
-        "duration": FieldSpec("quantity", ("ms", "s"), default=_q(200, "ms")),
-        "fault_time": FieldSpec("quantity", ("ms", "s"), default=_q(50, "ms")),
+        "dt": FieldSpec("quantity", ("ms", "s"), default=(1, "ms")),
+        "duration": FieldSpec("quantity", ("ms", "s"), default=(200, "ms")),
+        "fault_time": FieldSpec("quantity", ("ms", "s"), default=(50, "ms")),
         "limiter": FieldSpec(
             "choice", choices=("instantaneous", "latching", "none"), default="instantaneous"
         ),
@@ -321,13 +317,18 @@ def _check_consistency(s: Scenario) -> None:
         raise ScenarioError("[system] cable_resistance: must be positive if cable_inductance is 0")
     if not float(s.get("system", "cable_zero_seq_scale")) > 0:  # type: ignore[arg-type]
         raise ScenarioError("[system] cable_zero_seq_scale: must be positive")
-    if s.si("fault", "rf_min") > s.si("fault", "rf_max"):
+    rf_min, rf_max = s.si("fault", "rf_min"), s.si("fault", "rf_max")
+    if rf_min > rf_max:
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
     rf_points = int(s.get("fault", "rf_points"))  # type: ignore[arg-type]
     if rf_points < 1:
         raise ScenarioError("[fault] rf_points: must be >= 1")
     if rf_points > MAX_RF_POINTS:
         raise ScenarioError(f"[fault] rf_points: must not exceed {MAX_RF_POINTS}")
+    # sweep_points spaces a log grid from rf_min unless the grid is one point
+    if (s.get("fault", "rf_spacing") == "log" and rf_points > 1 and rf_min != rf_max
+            and rf_min <= 0):
+        raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
     if s.has("dcb"):
         loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
         if not 0.0 <= loss <= 1.0:
@@ -435,8 +436,6 @@ def sweep_points(s: Scenario) -> list[float]:
     if n == 1 or lo == hi:
         return [lo]
     if str(s.get("fault", "rf_spacing")) == "log":
-        if lo <= 0:
-            raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
         ratio = (hi / lo) ** (1.0 / (n - 1))
         return [lo * ratio**i for i in range(n)]
     step = (hi - lo) / (n - 1)

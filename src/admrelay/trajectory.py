@@ -95,16 +95,13 @@ def simulate_trajectory(
     dt: float = DT_DEFAULT_S,
     limiter: LimiterKind | None = LimiterKind.INSTANTANEOUS_SATURATION,
     relay_location: RelayLocation = RelayLocation.UPSTREAM_OF_FAULT,
-    *,
-    tau_lim: float = TAU_LIM_DEFAULT_S,
-    k_lg: complex | None = None,
 ) -> list[TrajectoryPoint]:
     """Step the model through a fault episode and log the measured impedances.
 
     limiter=None disables current limiting (the source stays balanced at its
-    nominal voltage).  k_lg overrides the ground-element compensation; by
-    default an upstream relay uses the plain loop ratio and a downstream
-    relay the compensation of its load path.
+    nominal voltage).  Engagement is smoothed with the 5 ms time constant
+    TAU_LIM_DEFAULT_S.  An upstream relay's ground element reads the plain
+    loop ratio, a downstream relay's is compensated for its load path.
     """
     if not dt > 0:
         raise ModelError("trajectory step must be positive")
@@ -113,18 +110,17 @@ def simulate_trajectory(
     src = m.source
     limit_active = limiter is not None and isinstance(src, CurrentLimitedInverter)
 
-    if k_lg is None:
-        if relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
-            z_d1, z_d0 = downstream_path(m)
-            k_lg = path_compensation(z_d0, z_d1)
-        else:
-            k_lg = 0j
+    if relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
+        z_d1, z_d0 = downstream_path(m)
+        k_lg = path_compensation(z_d0, z_d1)
+    else:
+        k_lg = 0j
 
     # (healthy, faulted), indexed by whether the fault is on
     topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
     targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
-    smoothing = 1.0 - math.exp(-dt / tau_lim)
+    smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
 
     engaged = False
     level = 0.0

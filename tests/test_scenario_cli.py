@@ -458,7 +458,9 @@ def test_cli_cable_that_leaves_the_network_singular_or_active_is_a_validation_er
     ("dcb", "coordination_time", "0 ms", "must be positive", "dcb"),
     ("dcb", "coordination_time", "-16.7 ms", "must be positive", "dcb"),
     ("fault", "rf_min", "-1 ohm", "must be >= 0", "sweep"),
-], ids=["negative-latency", "zero-coordination", "negative-coordination", "negative-rf_min"])
+    ("fault", "rf_min", "0 ohm", "log spacing needs rf_min > 0", "sweep"),
+], ids=["negative-latency", "zero-coordination", "negative-coordination", "negative-rf_min",
+        "zero-rf_min-log"])
 def test_validation_names_the_field(tmp_path, capsys, section, key, value, message, command):
     for argv in (["validate"], [command]):
         assert _run(tmp_path, _set_field(section, key, value), *argv) == 1, argv
