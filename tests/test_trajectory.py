@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -23,6 +25,7 @@ from admrelay.trajectory import (
 )
 
 from support import close, ideal, inverter, lg_model, ll_model, rel_err
+from trajectory_reference import simulate_every_step
 
 UP = RelayLocation.UPSTREAM_OF_FAULT
 DOWN = RelayLocation.DOWNSTREAM_OF_FAULT
@@ -193,3 +196,59 @@ def test_serialization_format():
     assert len(sample) == 7
     assert sample[-1] in ("0", "1")
     float(sample[0]), float(sample[1])  # parses as numbers
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _bits(points):
+    """Every field of every point, floats as float.hex."""
+    return [(p.t.hex(), *map(_hex, p.relay_v), *map(_hex, p.relay_i), _hex(p.z_lg),
+             _hex(p.z_ll), type(p.limited), p.limited) for p in points]
+
+
+LIMITERS = {"none": None, "instantaneous": LimiterKind.INSTANTANEOUS_SATURATION,
+            "latching": LimiterKind.LATCHING}
+_rng = random.Random(11)
+REFERENCE_GRID = [
+    (limiter, location, kind, source, dt,
+     math.exp(_rng.uniform(math.log(0.5), math.log(300.0))),  # rf [ohm]
+     _rng.choice(("20 A", "70 A", "120 A")),  # i_max
+     _rng.uniform(0.0, 0.06))  # fault_time [s]
+    for limiter, location, kind, source, dt in itertools.product(
+        LIMITERS, ("up", "down"), ("lg", "ll"), ("ideal", "inverter"), (1e-3, 5e-4, 2.5e-4))
+]
+
+
+def _assert_matches_reference(kind, rf, source, limiter, location, **kw):
+    make = lg_model if kind == "lg" else ll_model
+    m = make(rf, ideal() if source == "ideal" else inverter(i_max=source))
+    kw.update(limiter=LIMITERS[limiter], relay_location=UP if location == "up" else DOWN)
+    assert _bits(simulate_trajectory(m, **kw)) == _bits(simulate_every_step(m, **kw))
+
+
+@pytest.mark.parametrize("limiter,location,kind,source,dt,rf,i_max,fault_time", REFERENCE_GRID)
+def test_trajectory_is_bit_identical_to_the_step_by_step_reference(
+    limiter, location, kind, source, dt, rf, i_max, fault_time
+):
+    _assert_matches_reference(kind, rf, i_max if source == "inverter" else "ideal", limiter,
+                              location, dt=dt, fault_time=fault_time, duration=0.12)
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("location", ["up", "down"])
+@pytest.mark.parametrize("kind,rf,i_max,fault_time", [
+    ("lg", 3.68, "70 A", 0.0),
+    ("ll", 2.0, "20 A", 0.0),
+    ("lg", math.inf, "70 A", 0.05),
+    ("ll", math.inf, "20 A", 0.05),
+    ("lg", 0.0, "70 A", 0.05),
+    ("ll", 0.0, "70 A", 0.05),
+    ("lg", 3.68, "inf A", 0.05),
+    ("ll", 1.0, "inf A", 0.0),
+])
+def test_trajectory_edge_cases_are_bit_identical_to_the_reference(
+    limiter, location, kind, rf, i_max, fault_time
+):
+    _assert_matches_reference(kind, rf, i_max, limiter, location, fault_time=fault_time)
