@@ -1,10 +1,12 @@
 """Quasi-static R-X trajectory simulation with inverter current limiting.
 
 The network has two topologies, fault branch open before the fault instant
-and closed after; both share one factorization of the healthy network, and
-every time step superposes the applied source voltages through one of them.  When any source phase current
-exceeds the inverter's RMS cap the limiter engages: the internal source is
-rescaled so the worst phase lands on the cap, and negative-/zero-sequence
+and closed after; both share one factorization of the healthy network.  A
+step superposes the applied source voltages through one of them, reading only
+the relay rows, and only when its topology or applied source changed since the
+previous step, whose readings it otherwise reuses.  When any source phase
+current exceeds the inverter's RMS cap the limiter engages: the internal source
+is rescaled so the worst phase lands on the cap, and negative-/zero-sequence
 content appears at the inverter's configured fractions of the rescaled
 positive-sequence voltage.  Engagement is first-order smoothed so the applied
 source walks into the limited operating point instead of jumping.
@@ -30,7 +32,7 @@ from .network import (
     RelayLocation,
     downstream_path,
 )
-from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence
+from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
 from .records import Record
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import default_scenario
@@ -59,8 +61,11 @@ class TrajectoryPoint(Record):
         self.z_lg, self.z_ll, self.limited = z_lg, z_ll, limited
 
 
-def _source_currents(tf: nodal.Transfer, seq: SequenceTriple) -> PhaseTriple:
-    return tf.solve(RelayLocation.UPSTREAM_OF_FAULT, seq).relay_i
+def _rows(tf: nodal.Transfer, first: int, v: PhaseTriple) -> PhaseTriple:
+    """Three transfer rows (see :class:`nodal.Transfer`) for source phases v,
+    each as :meth:`nodal.Transfer.solve` evaluates it."""
+    va, vb, vc = v
+    return PhaseTriple(*[r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in tf.maps[first:first + 3]])
 
 
 def _worst_phase(i: PhaseTriple) -> float:
@@ -84,7 +89,7 @@ def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter) -> float:
     worst phase exactly on the cap.  The network and the fully engaged source
     are both linear in the scale, so it is i_max over the worst phase at unit
     scale; a source already within the cap at unit scale keeps scale 1."""
-    worst = _worst_phase(_source_currents(tf, _limited_seq(src, 1.0, 1.0)))
+    worst = _worst_phase(_rows(tf, 3, sequence_to_phase(_limited_seq(src, 1.0, 1.0))))
     return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
@@ -112,9 +117,9 @@ def simulate_trajectory(
 
     if relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
         z_d1, z_d0 = downstream_path(m)
-        k_lg = path_compensation(z_d0, z_d1)
+        k_lg, current_row = path_compensation(z_d0, z_d1), 6
     else:
-        k_lg = 0j
+        k_lg, current_row = 0j, 3
 
     # (healthy, faulted), indexed by whether the fault is on
     topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
@@ -125,24 +130,24 @@ def simulate_trajectory(
     engaged = False
     level = 0.0
     target = 1.0
+    inputs = None
     points: list[TrajectoryPoint] = []
     n_steps = int(round(duration / dt))
     for i in range(n_steps + 1):
         t = i * dt
         faulted = t >= fault_time
-        tf = topologies[faulted]
-        seq = _limited_seq(src, target, level) if engaged else balanced
-
-        sol = tf.solve(relay_location, seq)
-        seq_i = sol.relay_seq_i
-        z_lg = measure_zlg(sol.relay_v.a, sol.relay_i.a, seq_i.zero, k_lg)
-        z_ll = measure_zll(sol.relay_v.b, sol.relay_v.c, sol.relay_i.b, sol.relay_i.c)
-        points.append(
-            TrajectoryPoint(
-                t=t, relay_v=sol.relay_v, relay_i=sol.relay_i,
-                z_lg=z_lg, z_ll=z_ll, limited=engaged,
-            )
-        )
+        # engaged is keyed: the first engaged source can equal balanced but
+        # carry -0.0 parts
+        if inputs != (faulted, engaged, target, level):
+            inputs = (faulted, engaged, target, level)
+            tf = topologies[faulted]
+            v_src = sequence_to_phase(_limited_seq(src, target, level) if engaged else balanced)
+            v, cur = _rows(tf, 0, v_src), _rows(tf, current_row, v_src)
+            # i0 as phase_to_sequence computes it
+            z_lg = measure_zlg(v.a, cur.a, (cur.a + cur.b + cur.c) / 3.0, k_lg)
+            z_ll = measure_zll(v.b, v.c, cur.b, cur.c)
+            i_src = None
+        points.append(TrajectoryPoint(t, v, cur, z_lg, z_ll, engaged))
 
         if not limit_active:
             continue
@@ -152,10 +157,8 @@ def simulate_trajectory(
                 target = targets[faulted]
             level += smoothing * (1.0 - level)
             continue
-        if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-            i_src = sol.relay_i
-        else:
-            i_src = _source_currents(tf, seq)
+        if i_src is None:
+            i_src = cur if current_row == 3 else _rows(tf, 3, v_src)
         if _worst_phase(i_src) > src.i_max_rms * (1.0 + _CAP_SLACK):
             engaged = True
             target = targets[faulted]
@@ -186,10 +189,13 @@ TRAJECTORY_HEADER = "t_s,Re_Zlg_ohm,Im_Zlg_ohm,Re_Zll_ohm,Im_Zll_ohm,I_a_rms_A,l
 def format_trajectory(points: list[TrajectoryPoint]) -> str:
     """Delimiter-separated trajectory, one row per step, LF line endings."""
     lines = [TRAJECTORY_HEADER]
+    q = None
     for p in points:
-        lines.append(
-            f"{p.t:.6g},{p.z_lg.real:.10g},{p.z_lg.imag:.10g},"
-            f"{p.z_ll.real:.10g},{p.z_ll.imag:.10g},"
-            f"{abs(p.relay_i.a):.10g},{1 if p.limited else 0}"
-        )
+        # a reused step's readings are the last row's objects (0.0 == -0.0)
+        if not (q and p.z_lg is q.z_lg and p.z_ll is q.z_ll and p.relay_i is q.relay_i
+                and p.limited is q.limited):
+            q, rest = p, (f"{p.z_lg.real:.10g},{p.z_lg.imag:.10g},"
+                          f"{p.z_ll.real:.10g},{p.z_ll.imag:.10g},"
+                          f"{abs(p.relay_i.a):.10g},{1 if p.limited else 0}")
+        lines.append(f"{p.t:.6g},{rest}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,9 @@ from admrelay.network import (
     cable_impedance,
     load_impedance_from_power,
 )
-from admrelay.phasors import phasor
+from admrelay.phasors import PhaseTriple, phasor
 from admrelay.relaying import directional_neg_seq
-from admrelay.trajectory import simulate_trajectory
+from admrelay.trajectory import TrajectoryPoint, simulate_trajectory
 from admrelay.scenario import (
     FIELDS,
     build_model,
@@ -500,6 +500,26 @@ def test_cli_trajectory_with_undefined_ground_reading_is_a_numerical_failure(tmp
     out, err = capsys.readouterr()
     assert out == ""
     assert "numerical failure: z_lg is not finite" in err
+
+
+@pytest.mark.parametrize("z_lg, z_ll, i_a, name", [
+    (complex("nan"), complex("nan"), complex("inf"), "z_lg"),
+    (1 + 1j, complex("nan"), complex("inf"), "z_ll"),
+    (1 + 1j, 1 + 1j, complex("inf"), "i_a"),
+])
+def test_cli_trajectory_reports_the_first_non_finite_reading(
+    tmp_path, capsys, monkeypatch, z_lg, z_ll, i_a, name
+):
+    # two steps share their readings as a reused step does; the third is new
+    first = TrajectoryPoint(0.0, PhaseTriple(1j, 1j, 1j), PhaseTriple(1j, 1j, 1j), 1 + 1j,
+                            1 + 1j, False)
+    bad = TrajectoryPoint(2e-3, first.relay_v, PhaseTriple(i_a, 1j, 1j), z_lg, z_ll, True)
+    points = [first, first._replace(t=1e-3), bad, bad._replace(t=3e-3)]
+    monkeypatch.setattr(cli.trajectory, "simulate_trajectory", lambda *args, **kw: points)
+    assert _run(tmp_path, default_text(), "trajectory") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"numerical failure: {name} is not finite: {getattr(bad, name, i_a)}\n"
 
 
 def test_cli_bolted_fault_oracle_reading_is_a_numerical_failure(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from admrelay import nodal
+from admrelay import nodal, trajectory
 from admrelay.errors import ModelError
 from admrelay.faults import solve_lg_upstream_ideal, solve_lg_upstream_inverter
 from admrelay.network import (
@@ -13,10 +13,12 @@ from admrelay.network import (
     RelayLocation,
     downstream_path,
 )
-from admrelay.phasors import phase_to_sequence
+from admrelay.phasors import PhaseTriple, phase_to_sequence
+from admrelay.relaying import measure_zlg
 from admrelay.trajectory import (
     LimiterKind,
     TRAJECTORY_HEADER,
+    TrajectoryPoint,
     _limited_seq,
     _target_scale,
     calibrate_unbalance,
@@ -145,6 +147,14 @@ def test_disabled_limiter_matches_static_solutions():
     assert rel_err(pts[-1].z_lg, analytic.z_measured) < 0.02
 
 
+def test_a_run_without_limiter_measures_once_per_topology(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trajectory, "measure_zlg", lambda *a: calls.append(a) or measure_zlg(*a))
+    pts = simulate_trajectory(lg_model(3.68), limiter=None)
+    assert len(pts) == 201
+    assert len(calls) == 2  # healthy before the fault instant, faulted after
+
+
 def test_unlimited_inverter_keeps_balanced_source():
     m = lg_model(3.68, inverter(i_max="inf A"))
     pts = simulate_trajectory(m)
@@ -196,6 +206,15 @@ def test_serialization_format():
     assert len(sample) == 7
     assert sample[-1] in ("0", "1")
     float(sample[0]), float(sample[1])  # parses as numbers
+
+
+def test_format_repeats_a_row_only_for_the_very_same_readings():
+    i, z, z_neg = PhaseTriple(2j, 0j, 0j), complex(0.0, 1.0), complex(-0.0, 1.0)
+    assert z == z_neg
+    pts = [TrajectoryPoint(0.0, i, i, z, z, False), TrajectoryPoint(1e-3, i, i, z, z, True),
+           TrajectoryPoint(2e-3, i, i, z_neg, z, True)]
+    assert format_trajectory(pts).splitlines()[1:] == [
+        "0,0,1,0,1,2,0", "0.001,0,1,0,1,2,1", "0.002,-0,1,0,1,2,1"]
 
 
 def _hex(z):
