@@ -1,9 +1,9 @@
 """Command-line front end: scenario-driven case runs, sweeps, pilot-scheme
 and trajectory simulations, all emitting flat greppable text.
 
-Exit status: 0 on success, 1 on validation problems (bad scenario, case and
-scenario disagreeing), 2 on numerical failure (singular system, undefined
-measurement, non-finite result).
+Exit status: 0 on success, 1 on usage and validation problems (bad arguments,
+bad scenario, case and scenario disagreeing, unwritable output), 2 on
+numerical failure (singular system, undefined measurement, non-finite result).
 """
 
 from __future__ import annotations
@@ -278,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h and --version exit 0, usage errors 2
+        return 1 if exc.code else 0
     try:
         with open(args.scenario, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
@@ -292,6 +295,11 @@ def main(argv: list[str] | None = None) -> int:
             out = run_trajectory(scenario)
         else:
             out = run_validate(scenario)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -301,12 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
     return 0
 
 

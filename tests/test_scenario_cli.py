@@ -260,6 +260,37 @@ def test_cli_missing_file_fails(tmp_path, capsys):
     assert cli.main(["case", str(tmp_path / "nope.scn"), "--case", "2"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["case", "{path}"],
+    ["case", "{path}", "--case", "x"],
+    ["dcb", "{path}", "--seed", "x"],
+    ["bogus", "{path}"],
+    [],
+], ids=["case-without-case", "case-not-a-number", "seed-not-a-number", "unknown-command",
+        "no-command"])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
+    path = _write_default(tmp_path)
+    assert cli.main([arg.format(path=path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_cli_help_and_version_exit_0(capsys, flag):
+    assert cli.main([flag]) == 0
+    assert "admrelay" in capsys.readouterr().out
+
+
+def test_cli_out_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert cli.main(["validate", _write_default(tmp_path), "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_cli_bad_scenario_fails(tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text("[system]\nfrequency = 60 kHz\n", encoding="utf-8")
