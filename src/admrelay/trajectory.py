@@ -118,8 +118,10 @@ def simulate_trajectory(
     if relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
         z_d1, z_d0 = downstream_path(m)
         k_lg, current_row = path_compensation(z_d0, z_d1), 6
-    else:
+    elif relay_location is RelayLocation.UPSTREAM_OF_FAULT:
         k_lg, current_row = 0j, 3
+    else:
+        raise ValueError(f"unknown relay location {relay_location!r}")
 
     # (healthy, faulted), indexed by whether the fault is on
     topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))

@@ -194,6 +194,8 @@ def test_parameter_validation():
         simulate_trajectory(m, dt=0.0)
     with pytest.raises(ModelError):
         simulate_trajectory(m, fault_time=1.0, duration=0.5)
+    with pytest.raises(ValueError, match="unknown relay location"):
+        simulate_trajectory(m, relay_location="upstream")
 
 
 def test_serialization_format():
