@@ -265,9 +265,11 @@ def test_cli_missing_file_fails(tmp_path, capsys):
     ["case", "{path}", "--case", "x"],
     ["dcb", "{path}", "--seed", "x"],
     ["bogus", "{path}"],
+    ["validate", "{path}", "--bogus"],
+    ["validate"],
     [],
 ], ids=["case-without-case", "case-not-a-number", "seed-not-a-number", "unknown-command",
-        "no-command"])
+        "unknown-option", "no-scenario", "no-command"])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
     path = _write_default(tmp_path)
     assert cli.main([arg.format(path=path) for arg in argv]) == 1
