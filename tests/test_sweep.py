@@ -1,0 +1,86 @@
+import itertools
+import math
+import random
+import re
+
+import pytest
+
+from admrelay.cli import run_sweep
+from admrelay.errors import MeasurementError, ModelError
+from admrelay.scenario import parse_scenario
+
+from sweep_reference import sweep_every_point
+
+COMBOS = list(itertools.product(("lg", "ll"), ("upstream", "downstream"), ("ideal", "inverter"),
+                                ("log", "linear")))
+DRAWS = 16  # per combination: 256 scenarios
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _random_scenario(rng, kind, location, source, spacing):
+    """A sweep on a randomized nameplate; a linear grid starts at 0 in one
+    draw of four."""
+    grounding = 0.0 if rng.random() < 0.2 else _log_uniform(rng, 1e-3, 1e3)
+    rf_min = 0.0 if spacing == "linear" and rng.random() < 0.25 else _log_uniform(rng, 1e-3, 20.0)
+    rf_max = rf_min + _log_uniform(rng, 1e-2, 1e4)
+    system = {
+        "source": source,
+        "fault_position": rng.uniform(0.02, 0.98),
+        "cable_zero_seq_scale": _log_uniform(rng, 0.2, 20.0),
+        "cable_resistance": f"{_log_uniform(rng, 5.0, 200.0)!r} mohm",
+        "cable_inductance": f"{_log_uniform(rng, 10.0, 500.0)!r} uH",
+        "load_real_power": f"{rng.uniform(5.0, 50.0)!r} kW",
+        "load_reactive_power": f"{rng.uniform(0.0, 30.0)!r} kvar",
+        "load_grounding_resistance": f"{grounding!r} ohm",
+        "v2_fraction": rng.uniform(0.0, 1.0),
+        "v0_fraction": rng.uniform(0.0, 1.0),
+        "v2_angle": f"{rng.uniform(-180.0, 180.0)!r} deg",
+        "v0_angle": f"{rng.uniform(-180.0, 180.0)!r} deg",
+    }
+    fault = {"kind": kind, "rf_min": f"{rf_min!r} ohm", "rf_max": f"{rf_max!r} ohm",
+             "rf_points": rng.randint(1, 24), "rf_spacing": spacing}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                   for name, fields in (("system", system), ("fault", fault),
+                                        ("relay", {"location": location})))
+    return parse_scenario(text)
+
+
+def _outcome(run, s):
+    """The document, or the class and message of what the run raised."""
+    try:
+        return run(s)
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return type(exc), str(exc)
+
+
+_rng = random.Random(12)
+SCENARIOS = [(combo, _random_scenario(_rng, *combo)) for combo in COMBOS for _ in range(DRAWS)]
+
+
+@pytest.mark.parametrize("combo", COMBOS, ids="-".join)
+def test_sweep_is_byte_identical_to_the_point_by_point_reference(combo):
+    scenarios = [s for c, s in SCENARIOS if c == combo]
+    documents = 0
+    for s in scenarios:
+        got = _outcome(run_sweep, s)
+        assert got == _outcome(sweep_every_point, s)
+        documents += isinstance(got, str)
+    assert documents >= DRAWS // 2
+
+
+@pytest.mark.parametrize("kind,location,error,message", [
+    ("lg", "upstream", MeasurementError, "z_oracle = 0 (bolted fault)"),
+    ("lg", "downstream", MeasurementError, "z_oracle = 0 (bolted fault)"),
+    ("ll", "upstream", MeasurementError, "z_oracle = 0 (bolted fault)"),
+    ("ll", "downstream", ModelError, "downstream line-line identity needs rf > 0"),
+])
+def test_a_bolted_sweep_point_raises_as_the_reference_does(kind, location, error, message):
+    s = parse_scenario(f"[fault]\nkind = {kind}\nrf_min = 0 ohm\nrf_max = 10 ohm\n"
+                       f"rf_spacing = linear\n[relay]\nlocation = {location}\n")
+    for run in (run_sweep, sweep_every_point):
+        with pytest.raises(error, match=re.escape(message)):
+            run(s)
+    assert _outcome(run_sweep, s) == _outcome(sweep_every_point, s)
