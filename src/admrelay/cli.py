@@ -24,7 +24,8 @@ from .faults import (
     solve_ll_upstream_ideal,
     solve_ll_upstream_inverter,
 )
-from .network import FaultSpec, MicrogridModel, RelayLocation, downstream_path
+from .network import FaultKind, FaultSpec, MicrogridModel, RelayLocation, downstream_path
+from .phasors import PhaseTriple, sequence_to_phase
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import (
     Scenario,
@@ -59,20 +60,24 @@ def _require_finite(**values: complex) -> None:
 
 
 def _oracle_error(
-    sol: FaultSolution, oracle: FaultSolution, m: MicrogridModel, location: RelayLocation
-) -> float:
-    """Relative error of a closed-form reading against the nodal oracle's,
-    both read the same way: a downstream ground element compensated for its
+    sol: FaultSolution, v: PhaseTriple, i: PhaseTriple, m: MicrogridModel, location: RelayLocation
+) -> tuple[complex, float]:
+    """The nodal oracle's reading from its relay voltages v and currents i, as
+    Transfer.solve reads it, and a closed-form reading's relative error against
+    it, both read the same way: a downstream ground element compensated for its
     load path (as solve_lg_downstream reads it), any other the plain ratio."""
-    _require_finite(z_measured=sol.z_measured, z_oracle=oracle.z_measured)
-    if oracle.z_measured == 0:
+    lg = m.fault.kind is FaultKind.LINE_GROUND_A
+    z_oracle = v.a / i.a if lg else (v.b - v.c) / (i.b - i.c)
+    _require_finite(z_measured=sol.z_measured, z_oracle=z_oracle)
+    if z_oracle == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
-    z_ref = oracle.z_measured
-    if location is RelayLocation.DOWNSTREAM_OF_FAULT and m.fault.kind.value == "lg":
+    z_ref = z_oracle
+    if location is RelayLocation.DOWNSTREAM_OF_FAULT and lg:
         z_d1, z_d0 = downstream_path(m)
-        z_ref = _compensated(oracle, m, path_compensation(z_d0, z_d1))
+        # i0 as phase_to_sequence computes it
+        z_ref = measure_zlg(v.a, i.a, (i.a + i.b + i.c) / 3.0, path_compensation(z_d0, z_d1))
         _require_finite(z_oracle_compensated=z_ref)
-    return abs(sol.z_measured - z_ref) / abs(z_ref)
+    return z_oracle, abs(sol.z_measured - z_ref) / abs(z_ref)
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
@@ -113,7 +118,7 @@ def run_case(s: Scenario, case: int) -> str:
     m = build_model(s)
     sol: FaultSolution = solver(m)
     oracle = nodal.solve_network(m, location)
-    rel_err = _oracle_error(sol, oracle, m, location)
+    _, rel_err = _oracle_error(sol, oracle.relay_v, oracle.relay_i, m, location)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
@@ -158,14 +163,17 @@ def run_sweep(s: Scenario) -> str:
     grid = sweep_points(s)
     base = build_model(s)
     models = [base.with_fault(FaultSpec(base.fault.kind, rf)) for rf in grid]
+    # every point has the base's source; each reads only its relay rows
+    v = sequence_to_phase(base.source.sequence_voltages())
+    first = 3 if location is RelayLocation.UPSTREAM_OF_FAULT else 6
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     for rf, m, tf in zip(grid, models, nodal.transfers(models)):
-        sol, oracle = solver(m), tf.solve(location)
-        rel_err = _oracle_error(sol, oracle, m, location)
+        sol = solver(m)
+        z_oracle, rel_err = _oracle_error(sol, tf.rows(0, v), tf.rows(first, v), m, location)
         z = sol.z_measured
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
-            f"{abs(oracle.z_measured):.10g},{rel_err:.6e}"
+            f"{abs(z_oracle):.10g},{rel_err:.6e}"
         )
     rows.append(f"# version = {__version__}")
     rows.append(f"# scenario_digest = {scenario_digest(s)}")

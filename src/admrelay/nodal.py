@@ -185,31 +185,39 @@ class Transfer(Record):
                  residual: float) -> None:
         self.model, self.maps, self.residual = model, maps, residual
 
+    def rows(self, first: int, v: PhaseTriple) -> PhaseTriple:
+        """Map rows first..first+2 for the source phases v."""
+        return PhaseTriple(*_superpose(self.maps[first:first + 3], v))
+
     def solve(
         self, relay_location: RelayLocation, source_seq: SequenceTriple | None = None
     ) -> FaultSolution:
         """Relay quantities for one source; see :func:`solve_network`."""
         m = self.model
         seq = m.source.sequence_voltages() if source_seq is None else source_seq
-        va, vb, vc = sequence_to_phase(seq)
-        out = [r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in self.maps]
-        v_m = PhaseTriple(*out[0:3])
         if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-            relay_i = PhaseTriple(*out[3:6])
+            first = 3
         elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
-            relay_i = PhaseTriple(*out[6:9])
+            first = 6
         else:
             raise ValueError(f"unknown relay location {relay_location!r}")
-
-        i_f = out[12]
+        v = sequence_to_phase(seq)
+        v_m, relay_i = self.rows(0, v), self.rows(first, v)
+        v_load_a, i_f = _superpose((self.maps[9], self.maps[12]), v)
         if m.fault.kind is FaultKind.LINE_GROUND_A:
             i_fault = {"i_f_a": i_f, "i_f_b": 0j, "i_f_c": 0j}
             z_measured = v_m.a / relay_i.a
         else:
             i_fault = {"i_f_a": 0j, "i_f_b": i_f, "i_f_c": -i_f}
             z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
-        inter = dict(i_fault, residual=complex(self.residual, 0.0), v_load_a=out[9])
+        inter = dict(i_fault, residual=complex(self.residual, 0.0), v_load_a=v_load_a)
         return FaultSolution(v_m, relay_i, phase_to_sequence(relay_i), z_measured, inter)
+
+
+def _superpose(rows: Iterable[tuple[complex, complex, complex]], v: PhaseTriple) -> list[complex]:
+    """The given map rows for the source phases v."""
+    va, vb, vc = v
+    return [r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in rows]
 
 
 class _Network:
@@ -243,7 +251,8 @@ class _Network:
         return v_m + _times(self.y_1m, d_up) + _times(self.y_m2, d_dn) + v_2
 
     def _bolted(self, kind: FaultKind) -> tuple:
-        """u, z_kk, u^T x0 and its norm, the maps of p and w, and A0 w, A0 p - b, u^T p."""
+        """u's nonzero (row, entry) pairs, z_kk, u^T x0 and its norm, the maps
+        of p and w, and A0 w, A0 p - b, u^T p."""
         lg = kind is FaultKind.LINE_GROUND_A
         u = ([1, 0, 0] if lg else [0, 1, -1]) + [0] * (len(self.a0) - 3)
         w = _lu_solve(self.lu, self.order, u)
@@ -258,24 +267,33 @@ class _Network:
         lw = [row[0] for row in self._maps([w], False)]
         aw = [sum(map(mul, row, w)) for row in self.a0]
         up = [sum(map(mul, u, col)) for col in p]
-        return u, z_kk, ux0, _norm(ux0) or 1.0, self._maps(p, True), lw, aw, self._residual(p), up
+        nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
+        return (nonzero, z_kk, ux0, _norm(ux0) or 1.0, self._maps(p, True), lw, aw,
+                self._residual(p), up)
 
     def transfer(self, m: MicrogridModel) -> Transfer:
         rf = m.fault.rf
         if rf == math.inf:
             return Transfer(m, *self.healthy)
-        if m.fault.kind not in self.faults:
-            self.faults[m.fault.kind] = self._bolted(m.fault.kind)
-        u, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = self.faults[m.fault.kind]
+        kind = m.fault.kind
+        fault = self.faults.get(kind)
+        if fault is None:
+            fault = self.faults[kind] = self._bolted(kind)
+        u_nonzero, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = fault
         d = rf + z_kk
         if not (d != 0 and cmath.isfinite(d)):
             raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
         i_f = [v / d for v in ux0]
         c = [rf * f / z_kk for f in i_f]
-        # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c
+        # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c;
+        # u i_f is added only where u is nonzero, at the fault-node rows
+        n = len(aw)
+        r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
+        for j, fj in enumerate(i_f):
+            for k, uk in u_nonzero:
+                r[j * n + k] += uk * fj
         residual = _checked(max(
-            _norm(qk + ak * cj + uk * fj for qj, cj, fj in zip(q, c, i_f)
-                  for qk, ak, uk in zip(qj, aw, u)) / self.b_norm,
+            _norm(r) / self.b_norm,
             _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
         ))
         maps = [(b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
@@ -292,11 +310,13 @@ def transfers(models: Sequence[MicrogridModel]) -> Iterator[Transfer]:
     current is undefined or a model's relative residual is not below
     RESIDUAL_LIMIT."""
     networks: dict[tuple, _Network] = {}
+    per_model = []
     for m in models:
-        key = (m.line_1m, m.line_m2, m.load)
-        if key not in networks:
-            networks[key] = _Network(build_system(m))
-    return (networks[m.line_1m, m.line_m2, m.load].transfer(m) for m in models)
+        nw = networks.get(key := (m.line_1m, m.line_m2, m.load))
+        if nw is None:
+            nw = networks[key] = _Network(build_system(m))
+        per_model.append(nw)
+    return (nw.transfer(m) for nw, m in zip(per_model, models))
 
 
 def transfer(m: MicrogridModel) -> Transfer:

@@ -61,13 +61,6 @@ class TrajectoryPoint(Record):
         self.z_lg, self.z_ll, self.limited = z_lg, z_ll, limited
 
 
-def _rows(tf: nodal.Transfer, first: int, v: PhaseTriple) -> PhaseTriple:
-    """Three transfer rows (see :class:`nodal.Transfer`) for source phases v,
-    each as :meth:`nodal.Transfer.solve` evaluates it."""
-    va, vb, vc = v
-    return PhaseTriple(*[r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in tf.maps[first:first + 3]])
-
-
 def _worst_phase(i: PhaseTriple) -> float:
     return max(abs(i.a), abs(i.b), abs(i.c))
 
@@ -89,7 +82,7 @@ def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter) -> float:
     worst phase exactly on the cap.  The network and the fully engaged source
     are both linear in the scale, so it is i_max over the worst phase at unit
     scale; a source already within the cap at unit scale keeps scale 1."""
-    worst = _worst_phase(_rows(tf, 3, sequence_to_phase(_limited_seq(src, 1.0, 1.0))))
+    worst = _worst_phase(tf.rows(3, sequence_to_phase(_limited_seq(src, 1.0, 1.0))))
     return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
@@ -144,7 +137,7 @@ def simulate_trajectory(
             inputs = (faulted, engaged, target, level)
             tf = topologies[faulted]
             v_src = sequence_to_phase(_limited_seq(src, target, level) if engaged else balanced)
-            v, cur = _rows(tf, 0, v_src), _rows(tf, current_row, v_src)
+            v, cur = tf.rows(0, v_src), tf.rows(current_row, v_src)
             # i0 as phase_to_sequence computes it
             z_lg = measure_zlg(v.a, cur.a, (cur.a + cur.b + cur.c) / 3.0, k_lg)
             z_ll = measure_zll(v.b, v.c, cur.b, cur.c)
@@ -160,7 +153,7 @@ def simulate_trajectory(
             level += smoothing * (1.0 - level)
             continue
         if i_src is None:
-            i_src = cur if current_row == 3 else _rows(tf, 3, v_src)
+            i_src = cur if current_row == 3 else tf.rows(3, v_src)
         if _worst_phase(i_src) > src.i_max_rms * (1.0 + _CAP_SLACK):
             engaged = True
             target = targets[faulted]

@@ -277,6 +277,36 @@ def test_model_residuals_stay_at_round_off(kind, grounded):
     assert max(tf.residual for tf in nodal.transfers(models)) < 1e-13
 
 
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
+@pytest.mark.parametrize("kind", ["lg", "ll"])
+def test_sparse_model_residual_equals_the_dense_expression(kind, grounded, monkeypatch):
+    # the nodal residual adds u i_f only at the fault-node rows; the sum over
+    # every row of u must give the very same float, and so the same residual
+    rng = np.random.default_rng(20240612)
+    norm, norms = nodal._norm, []
+    models = 0
+    while models < 250:
+        m = _random_model(rng, kind, grounded)
+        if m.fault.rf == math.inf:
+            continue
+        models += 1
+        nw = nodal._Network(nodal.build_system(m))
+        nw.transfer(m)  # builds the kind's bolted solution and products
+        monkeypatch.setattr(nodal, "_norm", lambda values: norms.append(norm(values)) or norms[-1])
+        residual = nw.transfer(m).residual
+        monkeypatch.setattr(nodal, "_norm", norm)
+        _, z_kk, ux0, ux0_norm, _, _, aw, q, up = nw.faults[m.fault.kind]
+        u = ([1, 0, 0] if kind == "lg" else [0, 1, -1]) + [0] * (len(aw) - 3)
+        rf = m.fault.rf
+        i_f = [v / (rf + z_kk) for v in ux0]
+        c = [rf * f / z_kk for f in i_f]
+        dense = norm(qk + ak * cj + uk * fj for qj, cj, fj in zip(q, c, i_f)
+                     for qk, ak, uk in zip(qj, aw, u))
+        branch = norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f))
+        assert [x.hex() for x in norms[-2:]] == [dense.hex(), branch.hex()]
+        assert residual.hex() == max(dense / nw.b_norm, branch / ux0_norm).hex()
+
+
 @pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
 def test_nan_cable_resistance_raises_singular_system(segment):
     # a nan in either segment spreads through the healthy network's factors
