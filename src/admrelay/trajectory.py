@@ -65,24 +65,33 @@ def _worst_phase(i: PhaseTriple) -> float:
     return max(abs(i.a), abs(i.b), abs(i.c))
 
 
-def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float) -> SequenceTriple:
+def _rotations(src: CurrentLimitedInverter) -> tuple[complex, complex]:
+    """The unit rotations of the source's zero- and negative-sequence voltages."""
+    return cmath.exp(1j * src.v0_angle), cmath.exp(1j * src.v2_angle)
+
+
+def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float,
+                 rotations: tuple[complex, complex] | None = None) -> SequenceTriple:
     """Applied source at engagement level `level`: the positive-sequence
     magnitude blends from nominal to scale*nominal while the unbalance
-    fractions ramp in with the same level."""
+    fractions ramp in with the same level.  rotations are the source's
+    :func:`_rotations`, computed here unless given."""
+    rot0, rot2 = rotations or _rotations(src)
     v1_eff = src.v1 * (1.0 - level * (1.0 - scale))
     return SequenceTriple(
-        zero=v1_eff * (level * src.v0_fraction) * cmath.exp(1j * src.v0_angle),
+        zero=v1_eff * (level * src.v0_fraction) * rot0,
         pos=v1_eff,
-        neg=v1_eff * (level * src.v2_fraction) * cmath.exp(1j * src.v2_angle),
+        neg=v1_eff * (level * src.v2_fraction) * rot2,
     )
 
 
-def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter) -> float:
+def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter,
+                  rotations: tuple[complex, complex] | None = None) -> float:
     """Source scale whose fully engaged, unbalance-injecting solution puts the
     worst phase exactly on the cap.  The network and the fully engaged source
     are both linear in the scale, so it is i_max over the worst phase at unit
     scale; a source already within the cap at unit scale keeps scale 1."""
-    worst = _worst_phase(tf.rows(3, sequence_to_phase(_limited_seq(src, 1.0, 1.0))))
+    worst = _worst_phase(tf.rows(3, sequence_to_phase(_limited_seq(src, 1.0, 1.0, rotations))))
     return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
@@ -118,7 +127,8 @@ def simulate_trajectory(
 
     # (healthy, faulted), indexed by whether the fault is on
     topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
-    targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
+    rotations = _rotations(src) if limit_active else None  # once per run
+    targets = [_target_scale(tf, src, rotations) for tf in topologies] if rotations else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
 
@@ -136,7 +146,8 @@ def simulate_trajectory(
         if inputs != (faulted, engaged, target, level):
             inputs = (faulted, engaged, target, level)
             tf = topologies[faulted]
-            v_src = sequence_to_phase(_limited_seq(src, target, level) if engaged else balanced)
+            seq = _limited_seq(src, target, level, rotations) if engaged else balanced
+            v_src = sequence_to_phase(seq)
             v, cur = tf.rows(0, v_src), tf.rows(current_row, v_src)
             # i0 as phase_to_sequence computes it
             z_lg = measure_zlg(v.a, cur.a, (cur.a + cur.b + cur.c) / 3.0, k_lg)
