@@ -127,7 +127,7 @@ def simulate_trajectory(
 
     # (healthy, faulted), indexed by whether the fault is on
     topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
-    rotations = _rotations(src) if limit_active else None  # once per run
+    rotations = _rotations(src) if limit_active else None
     targets = [_target_scale(tf, src, rotations) for tf in topologies] if rotations else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
