@@ -268,8 +268,12 @@ def test_cli_missing_file_fails(tmp_path, capsys):
     ["validate", "{path}", "--bogus"],
     ["validate"],
     [],
+    ["case", "{path}", "{path}", "--case", "2"],
+    ["validate", "{path}", "--out"],
+    ["case", "{path}", "--case", "2", "--seed", "3"],
 ], ids=["case-without-case", "case-not-a-number", "seed-not-a-number", "unknown-command",
-        "unknown-option", "no-scenario", "no-command"])
+        "unknown-option", "no-scenario", "no-command", "two-scenarios", "out-without-value",
+        "seed-on-case"])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
     path = _write_default(tmp_path)
     assert cli.main([arg.format(path=path) for arg in argv]) == 1
@@ -282,6 +286,36 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
 def test_cli_help_and_version_exit_0(capsys, flag):
     assert cli.main([flag]) == 0
     assert "admrelay" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["case", "validate"])
+def test_cli_subcommand_help_prints_its_usage(capsys, command):
+    assert cli.main([command, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: admrelay {command} ")
+    assert err == ""
+
+
+CASE_2 = ["case", "{path}", "--case", "2"]
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["case", "{path}", "--case=2"], CASE_2),
+    (["case", "{path}", "--ca", "2"], CASE_2),
+    (["case", "--case", "2", "{path}"], CASE_2),
+    (["case", "--out", "{out}", "{path}", "--case", "2"], CASE_2),
+    (["dcb", "{path}", "--seed", "-5"], ["dcb", "{path}", "--seed=-5"]),
+], ids=["joined-value", "abbreviated", "option-first", "out-first", "negative-seed"])
+def test_cli_option_forms_give_the_same_document(tmp_path, capsys, argv, canonical):
+    path, out = _write_default(tmp_path), tmp_path / "out.txt"
+    assert cli.main([arg.format(path=path) for arg in canonical]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([arg.format(path=path, out=out) for arg in argv]) == 0
+    document = capsys.readouterr().out
+    if "--out" in argv:
+        assert document == ""
+        document = out.read_text(encoding="utf-8")
+    assert document == expected != ""
 
 
 def test_cli_out_into_a_missing_directory_is_an_error(tmp_path, capsys):
