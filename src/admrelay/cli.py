@@ -8,7 +8,6 @@ numerical failure (singular system, undefined measurement, non-finite result).
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import math
 import sys
@@ -261,55 +260,140 @@ def run_validate(s: Scenario) -> str:
     return scenario_to_text(s)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="admrelay",
-        description="Admittance-relaying study tool for a two-bus microgrid",
-    )
-    parser.add_argument("--version", action="version", version=f"admrelay {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("case", "run one analytic fault case with its oracle cross-check"),
-        ("sweep", "sweep fault resistance and tabulate measured impedance"),
-        ("dcb", "simulate the directional comparison blocking scheme"),
-        ("trajectory", "run the quasi-static R-X trajectory simulation"),
-        ("validate", "validate a scenario file and print its canonical form"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("scenario", help="scenario file path")
-        p.add_argument("--out", help="write output here instead of stdout")
-        if name == "case":
-            p.add_argument("--case", type=int, required=True, help="case number 1..6")
-        if name == "dcb":
-            p.add_argument("--seed", type=int, help="override the channel seed")
-    return parser
+COMMANDS = {
+    "case": "run one analytic fault case with its oracle cross-check",
+    "sweep": "sweep fault resistance and tabulate measured impedance",
+    "dcb": "simulate the directional comparison blocking scheme",
+    "trajectory": "run the quasi-static R-X trajectory simulation",
+    "validate": "validate a scenario file and print its canonical form",
+}
+# option -> (value type, None for a flag; the subcommands that take it, "" being
+# the top level; help text). --case is required.
+OPTIONS: dict[str, tuple[type | None, tuple[str, ...], str]] = {
+    "--help": (None, ("", *COMMANDS), "show this help and exit"),
+    "--version": (None, ("",), "show the version and exit"),
+    "--out": (str, tuple(COMMANDS), "write output here instead of stdout"),
+    "--case": (int, ("case",), "case number 1..6"),
+    "--seed": (int, ("dcb",), "override the channel seed"),
+}
+
+
+def _is_option(arg: str) -> bool:
+    """argparse's test: a leading "-", unless the argument is "-" or a negative number."""
+    head, dot, tail = arg[1:].partition(".")
+    number = (head.isdecimal() or (dot and not head)) and (not dot or tail.isdecimal())
+    return arg[:1] == "-" and arg != "-" and not number
+
+
+def _help(command: str) -> str:
+    """The usage line, the description and a line for each argument."""
+    usage = [f"admrelay {command}".rstrip()]
+    rows = [("scenario", "scenario file path")] if command else list(COMMANDS.items())
+    for name, (kind, commands, text) in OPTIONS.items():
+        if command in commands:
+            word = "-h" if name == "--help" else f"{name} {name[2:].upper()}" if kind else name
+            usage.append(word if name == "--case" else f"[{word}]")
+            rows.append(("-h, --help" if name == "--help" else word, text))
+    usage.append("scenario" if command else "{" + ",".join(COMMANDS) + "} ...")
+    about = COMMANDS.get(command, "Admittance-relaying study tool for a two-bus microgrid")
+    return (f"usage: {' '.join(usage)}\n\n{about}\n\narguments:\n"
+            + "".join(f"  {word:<13}{text}\n" for word, text in rows))
+
+
+def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
+    """Split ``admrelay`` arguments into (command, scenario path, options by long name).
+
+    As with argparse, options may come before or after the scenario, as
+    ``--opt value``, ``--opt=value`` or a unique prefix of ``--opt``, and the
+    first ``--`` ends them. -h/--help and --version end the parse. A usage
+    error raises ModelError with a usage line and an ``error:`` line.
+    """
+    command, scenario, opts, unknown, options_end = "", None, {}, [], False
+
+    def fail(message: str) -> None:
+        usage = _help(command).split("\n", 1)[0]
+        raise ModelError(f"{usage}\n{f'admrelay {command}'.rstrip()}: error: {message}")
+
+    args = iter(argv)
+    for step, arg in enumerate(args):
+        if arg == "--" and command and not options_end:
+            options_end = True
+            if scenario is not None and step != scenario_step + 1:  # argparse keeps it then
+                unknown.append(arg)
+        elif not options_end and arg != "--" and _is_option(arg):
+            name, eq, value = arg.partition("=")
+            name = "--help" if name == "-h" else name
+            found = [o for o, (_, commands, _) in OPTIONS.items() if command in commands
+                     and (o == name or (len(name) > 2 and o.startswith(name)))]
+            if len(found) != 1:  # reported after the parse, as argparse does
+                unknown.append(arg)
+                continue
+            name, (kind, _, _) = found[0], OPTIONS[found[0]]
+            if kind is None and eq:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            elif kind is None:
+                opts[name] = True
+                if name in ("--help", "--version"):
+                    return command, scenario, opts
+                continue
+            elif not eq:
+                value = next(args, "--")
+                if value == "--" or _is_option(value):
+                    fail(f"argument {name}: expected one argument")
+            try:
+                opts[name] = kind(value)
+            except ValueError:
+                fail(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+        elif not command:
+            if arg not in COMMANDS:
+                fail(f"argument command: invalid choice: {arg!r} "
+                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command = arg
+        elif scenario is None:
+            scenario, scenario_step = arg, step
+        else:
+            unknown.append(arg)
+    missing = [] if scenario is not None else ["scenario"]
+    missing += ["--case"] if command == "case" and "--case" not in opts else []
+    if not command or missing:
+        fail(f"the following arguments are required: {', '.join(missing) if command else 'command'}")
+    if unknown:
+        fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, scenario, opts
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # -h and --version exit 0, usage errors 2
-        return 1 if exc.code else 0
+        command, path, opts = parse_args(sys.argv[1:] if argv is None else argv)
+    except ModelError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    if "--help" in opts or "--version" in opts:
+        sys.stdout.write(_help(command) if "--help" in opts else f"admrelay {__version__}\n")
+        return 0
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
-        if args.command == "case":
-            out = run_case(scenario, args.case)
-        elif args.command == "sweep":
+        if command == "case":
+            out = run_case(scenario, opts["--case"])
+        elif command == "sweep":
             out = run_sweep(scenario)
-        elif args.command == "dcb":
-            out = run_dcb(scenario, seed=args.seed)
-        elif args.command == "trajectory":
+        elif command == "dcb":
+            out = run_dcb(scenario, seed=opts.get("--seed"))
+        elif command == "trajectory":
             out = run_trajectory(scenario)
         else:
             out = run_validate(scenario)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        if opts.get("--out"):
+            with open(opts["--out"], "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(out)
         else:
             sys.stdout.write(out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc})", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

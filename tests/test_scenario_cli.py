@@ -327,6 +327,16 @@ def test_cli_out_into_a_missing_directory_is_an_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_cli_non_utf8_scenario_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(b"\xff\xfe[\x00s\x00")
+    assert cli.main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_cli_bad_scenario_fails(tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text("[system]\nfrequency = 60 kHz\n", encoding="utf-8")
@@ -640,8 +650,10 @@ def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
 
 
 def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
-    # the child blocks numpy, dataclasses and hashlib, so any import of them
-    # fails; every golden document must still come out byte for byte
+    # the child blocks numpy, dataclasses, hashlib and argparse (with the
+    # gettext and locale it loads), so any import of them fails; every golden
+    # document must still come out byte for byte, and -h, --version and a
+    # usage error must still exit as they do
     from test_golden import DOCUMENTS, GOLDEN, SCENARIO, VARIANT_DOCUMENTS
 
     runs = {name: (str(SCENARIO), argv) for name, argv in DOCUMENTS.items()}
@@ -649,7 +661,8 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
                  for name, (variant, argv) in VARIANT_DOCUMENTS.items()})
     code = (
         "import contextlib, io, json, sys\n"
-        "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['hashlib'] = None\n"
+        "for name in ('numpy', 'dataclasses', 'hashlib', 'argparse', 'gettext', 'locale'):\n"
+        "    sys.modules[name] = None\n"
         "import admrelay.cli, admrelay.dcb, admrelay.nodal, admrelay.trajectory\n"
         f"runs = {runs!r}\n"
         "out = {}\n"
@@ -658,6 +671,11 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
         "    with contextlib.redirect_stdout(buf):\n"
         "        code = admrelay.cli.main([command, path, *extra])\n"
         "    out[name] = (code, buf.getvalue())\n"
+        "for argv in (['-h'], ['--version'], ['case', runs['case2'][0]]):\n"
+        "    buf, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):\n"
+        "        code = admrelay.cli.main(argv)\n"
+        "    out[' '.join(argv[:1])] = (code, buf.getvalue(), err.getvalue())\n"
         "print(json.dumps(out))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -665,6 +683,11 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
+    code, out, _ = results.pop("-h")
+    assert code == 0 and out.startswith("usage: admrelay [-h]")
+    assert results.pop("--version")[:2] == [0, "admrelay 0.1.0\n"]
+    code, out, err = results.pop("case")
+    assert code == 1 and out == "" and "error: the following arguments are required: --case" in err
     assert sorted(results) == sorted(runs)
     for name, (code, out) in results.items():
         assert code == 0, name
