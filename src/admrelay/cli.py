@@ -316,9 +316,9 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
 
     args = iter(argv)
     for step, arg in enumerate(args):
-        if arg == "--" and command and not options_end:
+        if arg == "--" and command and not options_end:  # before it, "--" is a bad subcommand
             options_end = True
-            if scenario is not None and step != scenario_step + 1:  # argparse keeps it then
+            if scenario is not None and step != scenario_step + 1:  # argparse drops it only here
                 unknown.append(arg)
         elif not options_end and arg != "--" and _is_option(arg):
             name, eq, value = arg.partition("=")

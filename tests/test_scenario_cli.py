@@ -675,7 +675,7 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
         "    buf, err = io.StringIO(), io.StringIO()\n"
         "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):\n"
         "        code = admrelay.cli.main(argv)\n"
-        "    out[' '.join(argv[:1])] = (code, buf.getvalue(), err.getvalue())\n"
+        "    out[argv[0]] = (code, buf.getvalue(), err.getvalue())\n"
         "print(json.dumps(out))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
