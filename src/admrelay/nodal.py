@@ -168,26 +168,44 @@ def _checked(residual: float) -> float:
     return residual
 
 
-class Transfer(Record):
+class Transfer:
     """One model's network, linear in the source phase voltages.
 
-    maps holds 13 rows over the source phases (a, b, c): the fault-node
+    Its 13 map rows over the source phases (a, b, c) are: the fault-node
     (relay-point) voltage (rows 0-2), the source-side segment current, source
     bus -> fault node (3-5), the load-side one, fault node -> load bus (6-8),
     the load-bus voltage (9-11) and the fault-branch current, a to ground or
-    b to c (12; zero with the fault open).  residual is the relative
+    b to c (12; zero with the fault open).  A faulted model's rows are its
+    kind's bolted rows plus lw c, made three at a time on first read, so a
+    reader pays only for the rows it reads.  residual is the relative
     residual of the model's own solution.
     """
 
-    __slots__ = ("model", "maps", "residual")
+    __slots__ = ("model", "residual", "_blocks", "_injection")
 
-    def __init__(self, model: MicrogridModel, maps: tuple[tuple[complex, complex, complex], ...],
-                 residual: float) -> None:
-        self.model, self.maps, self.residual = model, maps, residual
+    def __init__(self, model: MicrogridModel, residual: float,
+                 blocks: dict[int, list[tuple[complex, complex, complex]]],
+                 injection: tuple | None) -> None:
+        self.model, self.residual = model, residual
+        self._blocks, self._injection = blocks, injection
+
+    def _rows(self, first: int) -> list[tuple[complex, complex, complex]]:
+        """Map rows first..first+2 (first 0, 3, 6 or 9), or row 12."""
+        rows = self._blocks.get(first)
+        if rows is None:
+            bolted, lw, (c0, c1, c2) = self._injection
+            rows = self._blocks[first] = [(b0 + lk * c0, b1 + lk * c1, b2 + lk * c2) for
+                                          (b0, b1, b2), lk in zip(bolted[first:first + 3],
+                                                                  lw[first:first + 3])]
+        return rows
+
+    @property
+    def maps(self) -> tuple[tuple[complex, complex, complex], ...]:
+        return tuple(row for first in (0, 3, 6, 9, 12) for row in self._rows(first))
 
     def rows(self, first: int, v: PhaseTriple) -> PhaseTriple:
-        """Map rows first..first+2 for the source phases v."""
-        return PhaseTriple(*_superpose(self.maps[first:first + 3], v))
+        """Map rows first..first+2 (first 0, 3, 6 or 9) for the source phases v."""
+        return PhaseTriple._make(_superpose(self._rows(first), v))
 
     def solve(
         self, relay_location: RelayLocation, source_seq: SequenceTriple | None = None
@@ -203,7 +221,7 @@ class Transfer(Record):
             raise ValueError(f"unknown relay location {relay_location!r}")
         v = sequence_to_phase(seq)
         v_m, relay_i = self.rows(0, v), self.rows(first, v)
-        v_load_a, i_f = _superpose((self.maps[9], self.maps[12]), v)
+        v_load_a, i_f = _superpose((self._rows(9)[0], self._rows(12)[0]), v)
         if m.fault.kind is FaultKind.LINE_GROUND_A:
             i_fault = {"i_f_a": i_f, "i_f_b": 0j, "i_f_c": 0j}
             z_measured = v_m.a / relay_i.a
@@ -232,7 +250,8 @@ class _Network:
         self.b_norm = _norm(v for col in self.b for v in col) or 1.0
         self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
         residual = _checked(_norm(v for col in self._residual(self.x0) for v in col) / self.b_norm)
-        self.healthy = tuple([tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]), residual
+        rows = [tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]
+        self.healthy = residual, {first: rows[first:first + 3] for first in (0, 3, 6, 9, 12)}
         self.faults: dict[FaultKind, tuple] = {}
 
     def _residual(self, x: list[list[complex]]) -> list[list[complex]]:
@@ -273,8 +292,8 @@ class _Network:
 
     def transfer(self, m: MicrogridModel) -> Transfer:
         rf = m.fault.rf
-        if rf == math.inf:
-            return Transfer(m, *self.healthy)
+        if rf == math.inf:  # every row made: the blocks are only read
+            return Transfer(m, *self.healthy, None)
         kind = m.fault.kind
         fault = self.faults.get(kind)
         if fault is None:
@@ -296,9 +315,7 @@ class _Network:
             _norm(r) / self.b_norm,
             _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
         ))
-        maps = [(b0 + lk * c[0], b1 + lk * c[1], b2 + lk * c[2])
-                for (b0, b1, b2), lk in zip(bolted, lw)]
-        return Transfer(m, tuple(maps + [tuple(i_f)]), residual)
+        return Transfer(m, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
 
 
 def transfers(models: Sequence[MicrogridModel]) -> Iterator[Transfer]:
