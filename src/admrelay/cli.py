@@ -12,7 +12,7 @@ import cmath
 import math
 import sys
 
-from . import __version__, dcb, nodal, trajectory
+from . import __version__, dcb, faults, nodal, trajectory
 from .errors import MeasurementError, ModelError, NumericalError
 from .faults import (
     FaultSolution,
@@ -59,7 +59,8 @@ def _require_finite(**values: complex) -> None:
 
 
 def _oracle_error(
-    sol: FaultSolution, v: PhaseTriple, i: PhaseTriple, m: MicrogridModel, location: RelayLocation
+    z_measured: complex, v: PhaseTriple, i: PhaseTriple, m: MicrogridModel,
+    location: RelayLocation
 ) -> tuple[complex, float]:
     """The nodal oracle's reading from its relay voltages v and currents i, as
     Transfer.solve reads it, and a closed-form reading's relative error against
@@ -67,7 +68,7 @@ def _oracle_error(
     load path (as solve_lg_downstream reads it), any other the plain ratio."""
     lg = m.fault.kind is FaultKind.LINE_GROUND_A
     z_oracle = v.a / i.a if lg else (v.b - v.c) / (i.b - i.c)
-    _require_finite(z_measured=sol.z_measured, z_oracle=z_oracle)
+    _require_finite(z_measured=z_measured, z_oracle=z_oracle)
     if z_oracle == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
     z_ref = z_oracle
@@ -76,7 +77,7 @@ def _oracle_error(
         # i0 as phase_to_sequence computes it
         z_ref = measure_zlg(v.a, i.a, (i.a + i.b + i.c) / 3.0, path_compensation(z_d0, z_d1))
         _require_finite(z_oracle_compensated=z_ref)
-    return z_oracle, abs(sol.z_measured - z_ref) / abs(z_ref)
+    return z_oracle, abs(z_measured - z_ref) / abs(z_ref)
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
@@ -117,7 +118,7 @@ def run_case(s: Scenario, case: int) -> str:
     m = build_model(s)
     sol: FaultSolution = solver(m)
     oracle = nodal.solve_network(m, location)
-    _, rel_err = _oracle_error(sol, oracle.relay_v, oracle.relay_i, m, location)
+    _, rel_err = _oracle_error(sol.z_measured, oracle.relay_v, oracle.relay_i, m, location)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
@@ -158,7 +159,7 @@ def _sweep_case(s: Scenario) -> tuple[RelayLocation, object]:
 
 
 def run_sweep(s: Scenario) -> str:
-    location, solver = _sweep_case(s)
+    location, _ = _sweep_case(s)
     grid = sweep_points(s)
     base = build_model(s)
     models = [base.with_fault(FaultSpec(base.fault.kind, rf)) for rf in grid]
@@ -166,10 +167,12 @@ def run_sweep(s: Scenario) -> str:
     v = sequence_to_phase(base.source.sequence_voltages())
     first = 3 if location is RelayLocation.UPSTREAM_OF_FAULT else 6
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
+    closed_form = None
     for rf, m, tf in zip(grid, models, nodal.transfers(models)):
-        sol = solver(m)
-        z_oracle, rel_err = _oracle_error(sol, tf.rows(0, v), tf.rows(first, v), m, location)
-        z = sol.z_measured
+        # reduced once, at the first point's model, where its solve would check it
+        closed_form = closed_form or faults.reduce(m, location)
+        z, _ = closed_form(rf)
+        z_oracle, rel_err = _oracle_error(z, tf.rows(0, v), tf.rows(first, v), m, location)
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
             f"{abs(z_oracle):.10g},{rel_err:.6e}"

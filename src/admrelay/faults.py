@@ -5,6 +5,14 @@ returns the relay-point quantities plus every intermediate of the reduction
 chain under short snake_case keys (z_d, z_1d, i_11, ...).  Every solver needs
 a fault: an infinite rf (fault branch open) raises ModelError.
 
+Each chain is split in two.  Its reduction does the rf-free terms of a
+model's network and source once and returns its evaluation, which does only
+the terms that depend on rf: it returns z_measured and the function that
+assembles the whole solution.  A solver reduces its model, evaluates it at the
+model's rf and assembles the solution; an rf sweep reduces once per network
+(:func:`reduce`) and reads z_measured at every grid point.  Both run the same
+expressions, so a sweep point reads bit for bit what its model's solve does.
+
 Conventions shared by all six cases:
 
 * the relay voltage is the fault-node voltage;
@@ -37,6 +45,7 @@ Conventions kept deliberately:
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .errors import MeasurementError, ModelError, SingularSystemError
 from .network import (
@@ -44,11 +53,15 @@ from .network import (
     FaultKind,
     IdealSource,
     MicrogridModel,
+    RelayLocation,
     downstream_path,
     thevenin_line_ground,
 )
 from .phasors import PhaseTriple, SequenceTriple, parallel, sequence_to_phase
 from .records import Record
+
+# what an evaluation returns: z_measured and the function that assembles the solution
+Measured = tuple[complex, Callable[[], "FaultSolution"]]
 
 
 class FaultSolution(Record):
@@ -75,8 +88,19 @@ def _require(condition: bool, message: str) -> None:
         raise ModelError(message)
 
 
+def _finite_rf(rf: float) -> None:
+    _require(math.isfinite(rf), "closed-form solvers require a finite fault resistance")
+
+
+def _positive_rf(rf: float) -> None:
+    _require(rf > 0,
+             "downstream line-line identity needs rf > 0 (bolted fault shorts the b-c loop)")
+
+
 def _finite_inputs(m: MicrogridModel) -> None:
-    _require(math.isfinite(m.fault.rf), "closed-form solvers require a finite fault resistance")
+    """The model's own rf first, so that a reduction fails on it before its
+    network, as a solve does; each evaluation checks its rf again."""
+    _finite_rf(m.fault.rf)
     z_g = complex(m.load.z_ground)
     if not (math.isfinite(z_g.real) and math.isfinite(z_g.imag)):
         raise ModelError("closed-form solvers require a finite grounding impedance")
@@ -86,6 +110,12 @@ def _finite_inputs(m: MicrogridModel) -> None:
         )
 
 
+def _solve(reduction: Callable[[MicrogridModel], Callable[[float], Measured]],
+           m: MicrogridModel) -> FaultSolution:
+    """m's whole solution: its chain reduced, evaluated at m's rf and assembled."""
+    return reduction(m)(m.fault.rf)[1]()
+
+
 def _assemble(
     v_seq: SequenceTriple, i_seq: SequenceTriple, z_measured: complex, inter: dict[str, complex]
 ) -> FaultSolution:
@@ -93,20 +123,21 @@ def _assemble(
     return FaultSolution(v, i, i_seq, z_measured, inter)
 
 
-def _assemble_ll(
-    v_seq: SequenceTriple, i_seq: SequenceTriple, inter: dict[str, complex]
-) -> FaultSolution:
-    """Line-line solution: z_measured is the phase-distance ratio
-    (v_b - v_c) / (i_b - i_c), guarded against a vanishing current
-    difference at the positive-sequence current's scale."""
+def _measure_ll(
+    v_seq: SequenceTriple, i_seq: SequenceTriple, inter: Callable[[], dict[str, complex]]
+) -> Measured:
+    """Line-line z_measured, the phase-distance ratio (v_b - v_c) / (i_b - i_c),
+    guarded against a vanishing current difference at the positive-sequence
+    current's scale."""
     v, i = sequence_to_phase(v_seq), sequence_to_phase(i_seq)
     di = i.b - i.c
     if abs(di) < 1e-12 * abs(i_seq.pos):
         raise MeasurementError("line-line element: phase current difference is zero")
-    return FaultSolution(v, i, i_seq, (v.b - v.c) / di, inter)
+    z_measured = (v.b - v.c) / di
+    return z_measured, lambda: FaultSolution(v, i, i_seq, z_measured, inter())
 
 
-def _lg_upstream(m: MicrogridModel) -> FaultSolution:
+def _lg_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
     """Shared line-ground upstream chain; it carries the source's sequence
     voltages, so a balanced source is the degenerate (zero neg/zero) case."""
     _finite_inputs(m)
@@ -115,7 +146,6 @@ def _lg_upstream(m: MicrogridModel) -> FaultSolution:
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)
     th = thevenin_line_ground(m)
-    rf = m.fault.rf
 
     # Thevenin voltages of the negative- and zero-sequence networks at the
     # fault node: the healthy voltage dividers applied to the source content.
@@ -126,74 +156,62 @@ def _lg_upstream(m: MicrogridModel) -> FaultSolution:
     # and three times the fault resistance.
     v_1 = v_src.pos
     v_2 = v_eq2 + v_eq0
-    z_2 = th.z_eq2 + th.z_eq0 + 3.0 * rf
+    z_eq20 = th.z_eq2 + th.z_eq0
     z_1d = parallel(z1_up, z_d)
-    z_2d = parallel(z_2, z_d)
     i_1n = v_1 / z1_up
-    i_2n = v_2 / z_2
-
-    # Superposition: each source drives the relay branch and the fault chain.
-    i_11 = v_1 / (z1_up + z_2d)
-    i_12 = i_2n * z_2d / (z1_up + z_2d)
-    i_21 = i_1n * z_1d / (z_2 + z_1d)
-    i_22 = v_2 / (z_2 + z_1d)
     # The source's own unbalance also circulates through the load path; the
     # compact chain has no such term, but without it an unbalanced source
     # disagrees with the phase-domain solve once the fault current is small.
     i_circ2 = v_src.neg / (z1_up + z_d)
     i_circ0 = v_src.zero / (z0_up + z_d0)
-    i_r1 = i_11 + i_12
-    i_r2 = i_21 + i_22 + i_circ2
-    i_r0 = i_21 + i_22 + i_circ0
 
-    # Relay-node sequence voltages; the negative/zero drops enter with the
-    # positive sign kept by this module's convention (see docstring).
-    v_r1 = v_src.pos - z1_up * i_r1
-    v_r2 = v_src.neg + z1_up * i_r2
-    v_r0 = v_src.zero + z0_up * i_r0
+    def at(rf: float) -> Measured:
+        _finite_rf(rf)
+        z_2 = z_eq20 + 3.0 * rf
+        z_2d = parallel(z_2, z_d)
+        i_2n = v_2 / z_2
 
-    i_seq = SequenceTriple(zero=i_r0, pos=i_r1, neg=i_r2)
-    v_seq = SequenceTriple(zero=v_r0, pos=v_r1, neg=v_r2)
-    i_a = i_r0 + i_r1 + i_r2
-    if abs(i_a) == 0:
-        raise MeasurementError("line-ground element: no phase-a relay current")
-    z_measured = (v_r0 + v_r1 + v_r2) / i_a
+        # Superposition: each source drives the relay branch and the fault chain.
+        i_11 = v_1 / (z1_up + z_2d)
+        i_12 = i_2n * z_2d / (z1_up + z_2d)
+        i_21 = i_1n * z_1d / (z_2 + z_1d)
+        i_22 = v_2 / (z_2 + z_1d)
+        i_r1 = i_11 + i_12
+        i_r2 = i_21 + i_22 + i_circ2
+        i_r0 = i_21 + i_22 + i_circ0
 
-    inter = {
-        "z_d": z_d,
-        "z_d0": z_d0,
-        "z_20": z_2,
-        "z_20d": z_2d,
-        "z_1": z1_up,
-        "z_2": z_2,
-        "z_1d": z_1d,
-        "z_2d": z_2d,
-        "i_sn": i_1n,
-        "i_1n": i_1n,
-        "i_2n": i_2n,
-        "i_11": i_11,
-        "i_21": i_21,
-        "i_12": i_12,
-        "i_22": i_22,
-        "i_circ2": i_circ2,
-        "i_circ0": i_circ0,
-        "v_1": v_1,
-        "v_2": v_2,
-        "v_eq1": th.v_eq1,
-        "v_eq2": v_eq2,
-        "v_eq0": v_eq0,
-        "z_eq1": th.z_eq1,
-        "z_eq2": th.z_eq2,
-        "z_eq0": th.z_eq0,
-    }
-    return _assemble(v_seq, i_seq, z_measured, inter)
+        # Relay-node sequence voltages; the negative/zero drops enter with the
+        # positive sign kept by this module's convention (see docstring).
+        v_r1 = v_src.pos - z1_up * i_r1
+        v_r2 = v_src.neg + z1_up * i_r2
+        v_r0 = v_src.zero + z0_up * i_r0
+
+        i_a = i_r0 + i_r1 + i_r2
+        if abs(i_a) == 0:
+            raise MeasurementError("line-ground element: no phase-a relay current")
+        z_measured = (v_r0 + v_r1 + v_r2) / i_a
+
+        def solution() -> FaultSolution:
+            return _assemble(SequenceTriple(zero=v_r0, pos=v_r1, neg=v_r2),
+                             SequenceTriple(zero=i_r0, pos=i_r1, neg=i_r2), z_measured, {
+                "z_d": z_d, "z_d0": z_d0, "z_20": z_2, "z_20d": z_2d, "z_1": z1_up,
+                "z_2": z_2, "z_1d": z_1d, "z_2d": z_2d, "i_sn": i_1n, "i_1n": i_1n,
+                "i_2n": i_2n, "i_11": i_11, "i_21": i_21, "i_12": i_12, "i_22": i_22,
+                "i_circ2": i_circ2, "i_circ0": i_circ0, "v_1": v_1, "v_2": v_2,
+                "v_eq1": th.v_eq1, "v_eq2": v_eq2, "v_eq0": v_eq0,
+                "z_eq1": th.z_eq1, "z_eq2": th.z_eq2, "z_eq0": th.z_eq0,
+            })
+
+        return z_measured, solution
+
+    return at
 
 
 def solve_lg_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-ground fault, balanced stiff source, relay on the source side."""
     _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _lg_upstream(m)
+    return _solve(_lg_upstream, m)
 
 
 def solve_lg_upstream_inverter(m: MicrogridModel) -> FaultSolution:
@@ -203,7 +221,7 @@ def solve_lg_upstream_inverter(m: MicrogridModel) -> FaultSolution:
         "solver expects a CurrentLimitedInverter model",
     )
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _lg_upstream(m)
+    return _solve(_lg_upstream, m)
 
 
 def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
@@ -215,6 +233,10 @@ def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
     resistance.
     """
     _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
+    return _solve(_lg_downstream, m)
+
+
+def _lg_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
     _finite_inputs(m)
     v_src = m.source.sequence_voltages()
     z_d1, z_d0 = downstream_path(m)
@@ -223,57 +245,52 @@ def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
     th = thevenin_line_ground(m)
     v_eq2 = v_src.neg * z_d1 / (z1_up + z_d1)
     v_eq0 = v_src.zero * z_d0 / (z0_up + z_d0)
-
-    # Series interconnection of the three sequence networks through 3*rf.
-    i_f = (th.v_eq1 + v_eq2 + v_eq0) / (th.z_eq1 + th.z_eq2 + th.z_eq0 + 3.0 * m.fault.rf)
-    v_m1 = th.v_eq1 - th.z_eq1 * i_f
-    v_m2 = v_eq2 - th.z_eq2 * i_f
-    v_m0 = v_eq0 - th.z_eq0 * i_f
-
-    i_1 = v_m1 / z_d1
-    i_2 = v_m2 / z_d1
-    i_0 = v_m0 / z_d0
+    v_eq = th.v_eq1 + v_eq2 + v_eq0
+    z_eq = th.z_eq1 + th.z_eq2 + th.z_eq0
     k = z_d0 / z_d1 - 1.0
-    i_a = i_0 + i_1 + i_2
-    denom = i_a + k * i_0
-    scale = max(abs(i_0), abs(i_1), abs(i_2))
-    if scale == 0:
-        raise MeasurementError("line-ground element: no current in the load path")
-    if abs(denom) <= 1e-9 * scale:
-        # Bolted fault at the relay point: numerator and compensated current
-        # both vanish; the ratio's limit is the load-path impedance itself.
-        z_measured = z_d1
-    else:
-        z_measured = (v_m0 + v_m1 + v_m2) / denom
 
-    inter = {
-        "z_d": z_d1,
-        "z_d1": z_d1,
-        "z_d0": z_d0,
-        "k": k,
-        "i_f": i_f,
-        "v_m0": v_m0,
-        "v_m1": v_m1,
-        "v_m2": v_m2,
-        "v_eq1": th.v_eq1,
-        "v_eq2": v_eq2,
-        "v_eq0": v_eq0,
-        "z_eq1": th.z_eq1,
-        "z_eq2": th.z_eq2,
-        "z_eq0": th.z_eq0,
-    }
-    return _assemble(
-        SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2),
-        SequenceTriple(zero=i_0, pos=i_1, neg=i_2),
-        z_measured,
-        inter,
-    )
+    def at(rf: float) -> Measured:
+        _finite_rf(rf)
+        # Series interconnection of the three sequence networks through 3*rf.
+        i_f = v_eq / (z_eq + 3.0 * rf)
+        v_m1 = th.v_eq1 - th.z_eq1 * i_f
+        v_m2 = v_eq2 - th.z_eq2 * i_f
+        v_m0 = v_eq0 - th.z_eq0 * i_f
+
+        i_1 = v_m1 / z_d1
+        i_2 = v_m2 / z_d1
+        i_0 = v_m0 / z_d0
+        i_a = i_0 + i_1 + i_2
+        denom = i_a + k * i_0
+        scale = max(abs(i_0), abs(i_1), abs(i_2))
+        if scale == 0:
+            raise MeasurementError("line-ground element: no current in the load path")
+        if abs(denom) <= 1e-9 * scale:
+            # Bolted fault at the relay point: numerator and compensated current
+            # both vanish; the ratio's limit is the load-path impedance itself.
+            z_measured = z_d1
+        else:
+            z_measured = (v_m0 + v_m1 + v_m2) / denom
+
+        def solution() -> FaultSolution:
+            return _assemble(SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2),
+                             SequenceTriple(zero=i_0, pos=i_1, neg=i_2), z_measured, {
+                "z_d": z_d1, "z_d1": z_d1, "z_d0": z_d0, "k": k, "i_f": i_f,
+                "v_m0": v_m0, "v_m1": v_m1, "v_m2": v_m2,
+                "v_eq1": th.v_eq1, "v_eq2": v_eq2, "v_eq0": v_eq0,
+                "z_eq1": th.z_eq1, "z_eq2": th.z_eq2, "z_eq0": th.z_eq0,
+            })
+
+        return z_measured, solution
+
+    return at
 
 
 def _ll_node_voltages(
     m: MicrogridModel, v_src: SequenceTriple
-) -> tuple[SequenceTriple, dict[str, complex]]:
-    """Fault-node sequence voltages for a b-c fault through rf.
+) -> Callable[[float], tuple[SequenceTriple, Callable[[], dict[str, complex]]]]:
+    """Fault-node sequence voltages for a b-c fault through rf, and the
+    function that makes the chain's intermediates.
 
     The positive- and negative-sequence networks exchange the fault current
     through rf; the zero-sequence network stays isolated from the fault and
@@ -283,16 +300,11 @@ def _ll_node_voltages(
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)
-    rf = m.fault.rf
 
     z_eq = parallel(z1_up, z_d)  # positive- and negative-sequence reduction alike
     v_eq1 = v_src.pos * z_d / (z1_up + z_d)
     v_eq2 = v_src.neg * z_d / (z1_up + z_d)
-
-    z_2 = z_eq + rf  # negative-sequence network entered through the fault
-    i_loop = (v_eq1 - v_eq2) / (z_eq + z_2)
-    v_m1 = v_eq1 - z_eq * i_loop
-    v_m2 = v_eq2 + z_eq * i_loop
+    dv = v_eq1 - v_eq2
 
     if v_src.zero == 0:
         i_0 = 0j
@@ -302,50 +314,54 @@ def _ll_node_voltages(
         v_m0 = v_src.zero - z0_up * i_0
 
     z_1d = z_eq
-    z_2d = parallel(z_2, z_d)
     i_1n = v_src.pos / z1_up
-    i_2n = v_eq2 / z_2 if z_2 != 0 else 0j
-    inter = {
-        "z_d": z_d,
-        "z_d0": z_d0,
-        "z_1": z1_up,
-        "z_2": z_2,
-        "z_1d": z_1d,
-        "z_2d": z_2d,
-        "i_1n": i_1n,
-        "i_2n": i_2n,
-        "i_11": v_src.pos / (z1_up + z_2d),
-        "i_21": i_1n * z_1d / (z_1d + z_2),
-        "i_22": v_eq2 / (z_2 + z_1d),
-        "i_12": i_2n,
-        "i_loop": i_loop,
-        "i_0": i_0,
-        "v_1": v_src.pos,
-        "v_2": v_eq2,
-        "v_eq1": v_eq1,
-        "v_eq2": v_eq2,
-        "z_eq1": z_eq,
-        "z_eq2": z_eq,
-    }
-    return SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2), inter
+
+    def at(rf: float) -> tuple[SequenceTriple, Callable[[], dict[str, complex]]]:
+        _finite_rf(rf)
+        z_2 = z_eq + rf  # negative-sequence network entered through the fault
+        i_loop = dv / (z_eq + z_2)
+        v_m1 = v_eq1 - z_eq * i_loop
+        v_m2 = v_eq2 + z_eq * i_loop
+        z_2d = parallel(z_2, z_d)
+
+        def intermediates() -> dict[str, complex]:
+            i_2n = v_eq2 / z_2 if z_2 != 0 else 0j
+            return {
+                "z_d": z_d, "z_d0": z_d0, "z_1": z1_up, "z_2": z_2, "z_1d": z_1d,
+                "z_2d": z_2d, "i_1n": i_1n, "i_2n": i_2n,
+                "i_11": v_src.pos / (z1_up + z_2d),
+                "i_21": i_1n * z_1d / (z_1d + z_2),
+                "i_22": v_eq2 / (z_2 + z_1d),
+                "i_12": i_2n, "i_loop": i_loop, "i_0": i_0, "v_1": v_src.pos, "v_2": v_eq2,
+                "v_eq1": v_eq1, "v_eq2": v_eq2, "z_eq1": z_eq, "z_eq2": z_eq,
+            }
+
+        return SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2), intermediates
+
+    return at
 
 
-def _ll_upstream(m: MicrogridModel) -> FaultSolution:
+def _ll_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
     v_src = m.source.sequence_voltages()
-    v_m, inter = _ll_node_voltages(m, v_src)
+    node_voltages = _ll_node_voltages(m, v_src)
     z1_up = m.line_1m.z1
     z0_up = m.line_1m.z0
-    i_1 = (v_src.pos - v_m.pos) / z1_up
-    i_2 = (v_src.neg - v_m.neg) / z1_up
-    i_0 = (v_src.zero - v_m.zero) / z0_up if v_src.zero != 0 else 0j
-    return _assemble_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), inter)
+
+    def at(rf: float) -> Measured:
+        v_m, intermediates = node_voltages(rf)
+        i_1 = (v_src.pos - v_m.pos) / z1_up
+        i_2 = (v_src.neg - v_m.neg) / z1_up
+        i_0 = (v_src.zero - v_m.zero) / z0_up if v_src.zero != 0 else 0j
+        return _measure_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), intermediates)
+
+    return at
 
 
 def solve_ll_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-line (b-c) fault, balanced stiff source, source-side relay."""
     _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
     _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _ll_upstream(m)
+    return _solve(_ll_upstream, m)
 
 
 def solve_ll_upstream_inverter(m: MicrogridModel) -> FaultSolution:
@@ -355,7 +371,7 @@ def solve_ll_upstream_inverter(m: MicrogridModel) -> FaultSolution:
         "solver expects a CurrentLimitedInverter model",
     )
     _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _ll_upstream(m)
+    return _solve(_ll_upstream, m)
 
 
 def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
@@ -366,14 +382,30 @@ def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
     fault actually draws current, which requires rf > 0.
     """
     _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    _require(
-        m.fault.rf > 0,
-        "downstream line-line identity needs rf > 0 (bolted fault shorts the b-c loop)",
-    )
-    v_m, inter = _ll_node_voltages(m, m.source.sequence_voltages())
+    return _solve(_ll_downstream, m)
+
+
+def _ll_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
+    _positive_rf(m.fault.rf)
+    node_voltages = _ll_node_voltages(m, m.source.sequence_voltages())
     z_d1, z_d0 = downstream_path(m)
-    i_1 = v_m.pos / z_d1
-    i_2 = v_m.neg / z_d1
-    i_0 = v_m.zero / z_d0 if v_m.zero != 0 else 0j
-    inter["z_d1"] = z_d1
-    return _assemble_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), inter)
+
+    def at(rf: float) -> Measured:
+        _positive_rf(rf)
+        v_m, intermediates = node_voltages(rf)
+        i_1 = v_m.pos / z_d1
+        i_2 = v_m.neg / z_d1
+        i_0 = v_m.zero / z_d0 if v_m.zero != 0 else 0j
+        return _measure_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2),
+                           lambda: dict(intermediates(), z_d1=z_d1))
+
+    return at
+
+
+def reduce(m: MicrogridModel, location: RelayLocation) -> Callable[[float], Measured]:
+    """The closed form of m's fault kind for a relay at location, reduced for m's
+    network and source, to evaluate at any rf as the matching solve_* does at m's."""
+    lg = m.fault.kind is FaultKind.LINE_GROUND_A
+    if location is RelayLocation.UPSTREAM_OF_FAULT:
+        return _lg_upstream(m) if lg else _ll_upstream(m)
+    return _lg_downstream(m) if lg else _ll_downstream(m)
