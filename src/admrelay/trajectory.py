@@ -71,12 +71,12 @@ def _rotations(src: CurrentLimitedInverter) -> tuple[complex, complex]:
 
 
 def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float,
-                 rotations: tuple[complex, complex] | None = None) -> SequenceTriple:
+                 rotations: tuple[complex, complex]) -> SequenceTriple:
     """Applied source at engagement level `level`: the positive-sequence
     magnitude blends from nominal to scale*nominal while the unbalance
     fractions ramp in with the same level.  rotations are the source's
-    :func:`_rotations`, computed here unless given."""
-    rot0, rot2 = rotations or _rotations(src)
+    :func:`_rotations`."""
+    rot0, rot2 = rotations
     v1_eff = src.v1 * (1.0 - level * (1.0 - scale))
     return SequenceTriple(
         zero=v1_eff * (level * src.v0_fraction) * rot0,
@@ -86,7 +86,7 @@ def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float,
 
 
 def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter,
-                  rotations: tuple[complex, complex] | None = None) -> float:
+                  rotations: tuple[complex, complex]) -> float:
     """Source scale whose fully engaged, unbalance-injecting solution puts the
     worst phase exactly on the cap.  The network and the fully engaged source
     are both linear in the scale, so it is i_max over the worst phase at unit

@@ -20,6 +20,7 @@ from admrelay.trajectory import (
     TRAJECTORY_HEADER,
     TrajectoryPoint,
     _limited_seq,
+    _rotations,
     _target_scale,
     calibrate_unbalance,
     format_trajectory,
@@ -106,9 +107,9 @@ def test_closed_form_target_puts_the_worst_phase_on_the_cap(make):
     m = make(1.0)
     src = m.source
     tf = nodal.transfer(m)
-    scale = _target_scale(tf, src)
+    scale = _target_scale(tf, src, _rotations(src))
     assert 0.0 < scale < 1.0
-    i_src = tf.solve(UP, _limited_seq(src, scale, 1.0)).relay_i
+    i_src = tf.solve(UP, _limited_seq(src, scale, 1.0, _rotations(src))).relay_i
     worst = max(abs(i_src.a), abs(i_src.b), abs(i_src.c))
     assert abs(worst - src.i_max_rms) <= 1e-9 * src.i_max_rms
 

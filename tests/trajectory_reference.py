@@ -24,6 +24,7 @@ from admrelay.trajectory import (
     LimiterKind,
     TrajectoryPoint,
     _limited_seq,
+    _rotations,
 )
 
 _CAP_SLACK = 1e-6
@@ -38,7 +39,7 @@ def _worst_phase(i: PhaseTriple) -> float:
 
 
 def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter) -> float:
-    worst = _worst_phase(_source_currents(tf, _limited_seq(src, 1.0, 1.0)))
+    worst = _worst_phase(_source_currents(tf, _limited_seq(src, 1.0, 1.0, _rotations(src))))
     return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
@@ -78,7 +79,7 @@ def simulate_every_step(
         t = i * dt
         faulted = t >= fault_time
         tf = topologies[faulted]
-        seq = _limited_seq(src, target, level) if engaged else balanced
+        seq = _limited_seq(src, target, level, _rotations(src)) if engaged else balanced
 
         sol = tf.solve(relay_location, seq)
         seq_i = sol.relay_seq_i
