@@ -12,7 +12,7 @@ import cmath
 import math
 import sys
 
-from . import __version__, dcb, faults, nodal, trajectory
+from . import __version__, faults, nodal
 from .errors import MeasurementError, ModelError, NumericalError
 from .faults import (
     FaultSolution,
@@ -183,6 +183,8 @@ def run_sweep(s: Scenario) -> str:
 
 
 def run_dcb(s: Scenario, seed: int | None = None) -> str:
+    from . import dcb  # imported here: validate, case and sweep runs never load it
+
     if not s.has("dcb"):
         raise ModelError("scenario has no [dcb] section")
     m = build_model(s)
@@ -227,6 +229,8 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
 
 
 def run_trajectory(s: Scenario) -> str:
+    from . import trajectory  # imported here, as dcb is in run_dcb
+
     if not s.has("transient"):
         raise ModelError("scenario has no [transient] section")
     m = build_model(s)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from admrelay import cli, nodal
+from admrelay import cli, nodal, trajectory
 from admrelay.errors import ScenarioError
 from admrelay.network import (
     CurrentLimitedInverter,
@@ -592,7 +592,7 @@ def test_cli_trajectory_reports_the_first_non_finite_reading(
                             1 + 1j, False)
     bad = TrajectoryPoint(2e-3, first.relay_v, PhaseTriple(i_a, 1j, 1j), z_lg, z_ll, True)
     points = [first, first._replace(t=1e-3), bad, bad._replace(t=3e-3)]
-    monkeypatch.setattr(cli.trajectory, "simulate_trajectory", lambda *args, **kw: points)
+    monkeypatch.setattr(trajectory, "simulate_trajectory", lambda *args, **kw: points)
     assert _run(tmp_path, default_text(), "trajectory") == 2
     out, err = capsys.readouterr()
     assert out == ""
