@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from admrelay import cli, nodal, trajectory
-from admrelay.errors import ScenarioError
+from admrelay.errors import ModelError, ScenarioError, SingularSystemError
 from admrelay.network import (
     CurrentLimitedInverter,
     FaultKind,
@@ -647,6 +647,27 @@ def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
     monkeypatch.setattr(nodal, "solve_network", None)
     assert cli.main(["sweep", _write_default(tmp_path)]) == 0
     assert calls == [40]
+
+
+@pytest.mark.parametrize("kind", ["lg", "ll"])
+@pytest.mark.parametrize("location", ["upstream", "downstream"])
+def test_sweep_point_at_infinite_rf_fails_its_closed_form(kind, location):
+    # the log grid overflows to rf = inf after its first point, and that
+    # point's closed form rejects it as a solve would
+    s = parse_scenario(f"[fault]\nkind = {kind}\nrf_min = 1e-10 ohm\nrf_max = 1.7e308 ohm\n"
+                       f"rf_points = 4\n[relay]\nlocation = {location}\n")
+    assert sweep_points(s)[1] == math.inf
+    with pytest.raises(ModelError, match="closed-form solvers require a finite fault resistance"):
+        cli.run_sweep(s)
+
+
+def test_sweep_factors_its_network_before_its_closed_form_checks_the_model():
+    # the network is singular and the closed forms reject the open neutral:
+    # the factorization comes first
+    s = parse_scenario("[system]\ncable_zero_seq_scale = 1e-300\n"
+                       "load_grounding_resistance = inf ohm\n")
+    with pytest.raises(SingularSystemError, match="nodal matrix is singular"):
+        cli.run_sweep(s)
 
 
 def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
