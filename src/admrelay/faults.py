@@ -322,7 +322,7 @@ def _ll_node_voltages(
         i_loop = dv / (z_eq + z_2)
         v_m1 = v_eq1 - z_eq * i_loop
         v_m2 = v_eq2 + z_eq * i_loop
-        z_2d = parallel(z_2, z_d)
+        z_2d = parallel(z_2, z_d)  # here, not in intermediates(): its guard can raise
 
         def intermediates() -> dict[str, complex]:
             i_2n = v_eq2 / z_2 if z_2 != 0 else 0j
@@ -386,7 +386,7 @@ def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
 
 
 def _ll_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
-    _positive_rf(m.fault.rf)
+    _positive_rf(m.fault.rf)  # m's own rf before its network, as in _finite_inputs
     node_voltages = _ll_node_voltages(m, m.source.sequence_voltages())
     z_d1, z_d0 = downstream_path(m)
 
