@@ -147,32 +147,23 @@ def run_case(s: Scenario, case: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_case(s: Scenario) -> tuple[RelayLocation, object]:
-    kind = str(s.get("fault", "kind"))
-    source = str(s.get("system", "source"))
-    location = relay_location(s)
-    for _, (ckind, csource, clocation, solver) in CASES.items():
-        if ckind == kind and clocation is location and csource in (source, None):
-            return location, solver
-    raise ModelError(f"no analytic case for kind={kind} source={source} "
-                     f"location={location.value}")
-
-
 def run_sweep(s: Scenario) -> str:
-    location, _ = _sweep_case(s)
+    location = relay_location(s)
     grid = sweep_points(s)
     base = build_model(s)
-    models = [base.with_fault(FaultSpec(base.fault.kind, rf)) for rf in grid]
-    # every point has the base's source; each reads only its relay rows
+    network = nodal.Network(base)
+    # every point has the base's network and source; each reads only its relay rows
     v = sequence_to_phase(base.source.sequence_voltages())
     first = 3 if location is RelayLocation.UPSTREAM_OF_FAULT else 6
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     closed_form = None
-    for rf, m, tf in zip(grid, models, nodal.transfers(models)):
+    for rf in grid:
+        fault = FaultSpec(base.fault.kind, rf)
+        tf = network.transfer(fault)
         # reduced once, at the first point's model, where its solve would check it
-        closed_form = closed_form or faults.reduce(m, location)
+        closed_form = closed_form or faults.reduce(base.with_fault(fault), location)
         z, _ = closed_form(rf)
-        z_oracle, rel_err = _oracle_error(z, tf.rows(0, v), tf.rows(first, v), m, location)
+        z_oracle, rel_err = _oracle_error(z, tf.rows(0, v), tf.rows(first, v), base, location)
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
             f"{abs(z_oracle):.10g},{rel_err:.6e}"

@@ -292,8 +292,8 @@ def couple_from_network(m: MicrogridModel, fault_time: float) -> dict[str, list[
     """
     line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
     healthy = not math.isfinite(m.fault.rf)
-    source_seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else None
     tf = nodal.transfer(m)
+    source_seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else m.source.sequence_voltages()
     script: dict[str, list[PickupChange]] = {}
     for relay_id, location in ((RELAY_A, RelayLocation.UPSTREAM_OF_FAULT),
                                 (RELAY_B, RelayLocation.DOWNSTREAM_OF_FAULT)):

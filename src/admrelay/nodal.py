@@ -16,8 +16,9 @@ source phases and w = A0^-1 u, z_kk = u^T w and i_f = u^T x0 / (rf + z_kk)
 *Power System Analysis*, ch. 10-12; Tinney, IEEE Trans. PAS-91, 1972).  The
 solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
 exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
-A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each model's come
+A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
+A :class:`Network` is factored once and gives each fault's :class:`Transfer`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import SingularSystemError
 from .faults import FaultSolution
-from .network import FaultKind, MicrogridModel, RelayLocation, SequenceImpedancePair
+from .network import FaultKind, FaultSpec, MicrogridModel, RelayLocation, SequenceImpedancePair
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
 from .records import Record
 
@@ -169,24 +170,24 @@ def _checked(residual: float) -> float:
 
 
 class Transfer:
-    """One model's network, linear in the source phase voltages.
+    """One fault's network, linear in the source phase voltages.
 
     Its 13 map rows over the source phases (a, b, c) are: the fault-node
     (relay-point) voltage (rows 0-2), the source-side segment current, source
     bus -> fault node (3-5), the load-side one, fault node -> load bus (6-8),
     the load-bus voltage (9-11) and the fault-branch current, a to ground or
-    b to c (12; zero with the fault open).  A faulted model's rows are its
+    b to c (12; zero with the fault open).  A faulted network's rows are its
     kind's bolted rows plus lw c, made three at a time on first read, so a
     reader pays only for the rows it reads.  residual is the relative
-    residual of the model's own solution.
+    residual of the fault's own solution.
     """
 
-    __slots__ = ("model", "residual", "_blocks", "_injection")
+    __slots__ = ("fault", "residual", "_blocks", "_injection")
 
-    def __init__(self, model: MicrogridModel, residual: float,
+    def __init__(self, fault: FaultSpec, residual: float,
                  blocks: dict[int, list[tuple[complex, complex, complex]]],
                  injection: tuple | None) -> None:
-        self.model, self.residual = model, residual
+        self.fault, self.residual = fault, residual
         self._blocks, self._injection = blocks, injection
 
     def _rows(self, first: int) -> list[tuple[complex, complex, complex]]:
@@ -207,22 +208,18 @@ class Transfer:
         """Map rows first..first+2 (first 0, 3, 6 or 9) for the source phases v."""
         return PhaseTriple._make(_superpose(self._rows(first), v))
 
-    def solve(
-        self, relay_location: RelayLocation, source_seq: SequenceTriple | None = None
-    ) -> FaultSolution:
-        """Relay quantities for one source; see :func:`solve_network`."""
-        m = self.model
-        seq = m.source.sequence_voltages() if source_seq is None else source_seq
+    def solve(self, relay_location: RelayLocation, source_seq: SequenceTriple) -> FaultSolution:
+        """Relay quantities for the source source_seq; see :func:`solve_network`."""
         if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
             first = 3
         elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
             first = 6
         else:
             raise ValueError(f"unknown relay location {relay_location!r}")
-        v = sequence_to_phase(seq)
+        v = sequence_to_phase(source_seq)
         v_m, relay_i = self.rows(0, v), self.rows(first, v)
         v_load_a, i_f = _superpose((self._rows(9)[0], self._rows(12)[0]), v)
-        if m.fault.kind is FaultKind.LINE_GROUND_A:
+        if self.fault.kind is FaultKind.LINE_GROUND_A:
             i_fault = {"i_f_a": i_f, "i_f_b": 0j, "i_f_c": 0j}
             z_measured = v_m.a / relay_i.a
         else:
@@ -238,20 +235,23 @@ def _superpose(rows: Iterable[tuple[complex, complex, complex]], v: PhaseTriple)
     return [r0 * va + r1 * vb + r2 * vc for r0, r1, r2 in rows]
 
 
-class _Network:
-    """A factorized healthy network, its solution x0 for the source phases
-    and, per fault kind on first use, the bolted solution; columns span the unknown nodes."""
+class Network:
+    """One model's healthy network, factored and checked once (SingularSystemError
+    if singular or its relative residual is not below RESIDUAL_LIMIT), its solution
+    x0 for the source phases and, per fault kind on first use, the bolted
+    solution; columns span the unknown nodes."""
 
-    def __init__(self, sysm: NodalSystem) -> None:
+    def __init__(self, m: MicrogridModel) -> None:
+        sysm = build_system(m)
         self.y_1m, self.y_m2 = sysm.y_1m, sysm.y_m2
         self.a0 = [row[3:] for row in sysm.y[3:]]
         self.lu, self.order = _factor([list(row) for row in self.a0])
         self.b = [[-row[j] for row in sysm.y[3:]] for j in range(3)]
         self.b_norm = _norm(v for col in self.b for v in col) or 1.0
         self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
-        residual = _checked(_norm(v for col in self._residual(self.x0) for v in col) / self.b_norm)
-        rows = [tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]
-        self.healthy = residual, {first: rows[first:first + 3] for first in (0, 3, 6, 9, 12)}
+        self.residual = _checked(
+            _norm(v for col in self._residual(self.x0) for v in col) / self.b_norm)
+        self.healthy: dict | None = None  # x0's map rows, made on first read
         self.faults: dict[FaultKind, tuple] = {}
 
     def _residual(self, x: list[list[complex]]) -> list[list[complex]]:
@@ -290,15 +290,21 @@ class _Network:
         return (nonzero, z_kk, ux0, _norm(ux0) or 1.0, self._maps(p, True), lw, aw,
                 self._residual(p), up)
 
-    def transfer(self, m: MicrogridModel) -> Transfer:
-        rf = m.fault.rf
+    def transfer(self, fault: FaultSpec) -> Transfer:
+        """The fault's transfer: x0 for rf = inf, else its kind's bolted solution
+        plus one injection.  Raises SingularSystemError if the fault current is
+        undefined or its relative residual is not below RESIDUAL_LIMIT."""
+        rf = fault.rf
         if rf == math.inf:  # every row made: the blocks are only read
-            return Transfer(m, *self.healthy, None)
-        kind = m.fault.kind
-        fault = self.faults.get(kind)
-        if fault is None:
-            fault = self.faults[kind] = self._bolted(kind)
-        u_nonzero, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = fault
+            if self.healthy is None:
+                rows = [tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]
+                self.healthy = {first: rows[first:first + 3] for first in (0, 3, 6, 9, 12)}
+            return Transfer(fault, self.residual, self.healthy, None)
+        kind = fault.kind
+        bolted_kind = self.faults.get(kind)
+        if bolted_kind is None:
+            bolted_kind = self.faults[kind] = self._bolted(kind)
+        u_nonzero, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = bolted_kind
         d = rf + z_kk
         if not (d != 0 and cmath.isfinite(d)):
             raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
@@ -315,30 +321,12 @@ class _Network:
             _norm(r) / self.b_norm,
             _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
         ))
-        return Transfer(m, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
-
-
-def transfers(models: Sequence[MicrogridModel]) -> Iterator[Transfer]:
-    """Transfers of many models, in order, each exactly what the model gets
-    on its own.  Models that differ only in their fault share one healthy
-    network, assembled and factored once before this returns; each transfer
-    is made as it is consumed, as its fault's bolted solution plus one
-    injection.  Raises SingularSystemError if a network is singular, a fault
-    current is undefined or a model's relative residual is not below
-    RESIDUAL_LIMIT."""
-    networks: dict[tuple, _Network] = {}
-    per_model = []
-    for m in models:
-        nw = networks.get(key := (m.line_1m, m.line_m2, m.load))
-        if nw is None:
-            nw = networks[key] = _Network(build_system(m))
-        per_model.append(nw)
-    return (nw.transfer(m) for nw, m in zip(per_model, models))
+        return Transfer(fault, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
 
 
 def transfer(m: MicrogridModel) -> Transfer:
-    """Factor the network of one model once; see :func:`transfers`."""
-    return next(transfers([m]))
+    """The transfer of one model's fault, on its own network."""
+    return Network(m).transfer(m.fault)
 
 
 def solve_network(
@@ -352,6 +340,9 @@ def solve_network(
     source-side segment current (source bus -> fault node) for an upstream
     relay and the load-side segment current (fault node -> load bus) for a
     downstream one.  The intermediates map carries the fault-branch currents
-    (i_f_a, i_f_b, i_f_c) and the solve residual.
+    (i_f_a, i_f_b, i_f_c) and the solve residual.  The source is the model's
+    own unless source_seq is given.
     """
-    return transfer(m).solve(relay_location, source_seq)
+    tf = transfer(m)
+    return tf.solve(relay_location,
+                    m.source.sequence_voltages() if source_seq is None else source_seq)

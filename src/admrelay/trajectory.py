@@ -126,7 +126,8 @@ def simulate_trajectory(
         raise ValueError(f"unknown relay location {relay_location!r}")
 
     # (healthy, faulted), indexed by whether the fault is on
-    topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
+    network = nodal.Network(m)
+    topologies = [network.transfer(m.fault._replace(rf=math.inf)), network.transfer(m.fault)]
     rotations = _rotations(src) if limit_active else None
     targets = [_target_scale(tf, src, rotations) for tf in topologies] if rotations else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)

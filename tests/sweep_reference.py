@@ -10,12 +10,12 @@ compare the two documents byte for byte, and the exceptions where both raise.
 from __future__ import annotations
 
 from admrelay import __version__, nodal
-from admrelay.cli import _require_finite, _sweep_case
-from admrelay.errors import MeasurementError
+from admrelay.cli import CASES, _require_finite
+from admrelay.errors import MeasurementError, ModelError
 from admrelay.faults import FaultSolution
 from admrelay.network import FaultSpec, MicrogridModel, RelayLocation, downstream_path
 from admrelay.relaying import measure_zlg, path_compensation
-from admrelay.scenario import Scenario, build_model, scenario_digest, sweep_points
+from admrelay.scenario import Scenario, build_model, relay_location, scenario_digest, sweep_points
 
 
 def _oracle_error(
@@ -33,14 +33,28 @@ def _oracle_error(
     return abs(sol.z_measured - z_ref) / abs(z_ref)
 
 
+def _case_solver(s: Scenario, location: RelayLocation):
+    """The solve_* of the case for the scenario's fault kind, source and relay location."""
+    kind, source = str(s.get("fault", "kind")), str(s.get("system", "source"))
+    for ckind, csource, clocation, solver in CASES.values():
+        if ckind == kind and clocation is location and csource in (source, None):
+            return solver
+    raise ModelError(f"no analytic case for kind={kind} source={source} "
+                     f"location={location.value}")
+
+
 def sweep_every_point(s: Scenario) -> str:
-    location, solver = _sweep_case(s)
+    location = relay_location(s)
+    solver = _case_solver(s, location)
     grid = sweep_points(s)
     base = build_model(s)
     models = [base.with_fault(FaultSpec(base.fault.kind, rf)) for rf in grid]
+    network = nodal.Network(base)
+    seq = base.source.sequence_voltages()
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
-    for rf, m, tf in zip(grid, models, nodal.transfers(models)):
-        sol, oracle = solver(m), tf.solve(location)
+    for rf, m in zip(grid, models):
+        tf = network.transfer(m.fault)
+        sol, oracle = solver(m), tf.solve(location, seq)
         rel_err = _oracle_error(sol, oracle, m, location)
         z = sol.z_measured
         rows.append(

@@ -219,16 +219,16 @@ def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
         assert abs(up.intermediates["v_load_a"] - v_load_a) <= 1e-12 * v_scale
 
 
-def test_residual_check_covers_the_network_and_each_model(monkeypatch):
-    # the healthy network is checked when transfers factors it, and each
-    # model's own solution when its transfer is consumed
-    pending = [nodal.transfers([m]) for m in (lg_model(3.68), ll_model(0.0))]
+def test_residual_check_covers_the_network_and_each_fault(monkeypatch):
+    # the healthy network is checked when Network factors it, and each
+    # fault's own solution when its transfer is made
+    pending = [(nodal.Network(m), m.fault) for m in (lg_model(3.68), ll_model(0.0))]
     monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 0.0)
-    for transfers in pending:
+    for network, fault in pending:
         with pytest.raises(SingularSystemError, match="residual"):
-            next(transfers)
+            network.transfer(fault)
     with pytest.raises(SingularSystemError, match="residual"):
-        nodal.transfers([lg_model(math.inf)])
+        nodal.Network(lg_model(math.inf))
 
 
 @pytest.mark.parametrize("product", ["A0 w", "A0 p - b"])
@@ -237,8 +237,8 @@ def test_model_residual_check_sees_an_error_in_a_cached_product(make, product):
     # each model's residual is evaluated from per-kind products cached with
     # the bolted solution; a wrong product must fail the next transfer
     m = make(3.68)
-    nw = nodal._Network(nodal.build_system(m))
-    assert nw.transfer(m).residual < 1e-13
+    nw = nodal.Network(m)
+    assert nw.transfer(m.fault).residual < 1e-13
     *head, aw, q, up = nw.faults[m.fault.kind]
     if product == "A0 w":
         aw = [v * (1 + 1e-6) for v in aw]
@@ -247,13 +247,13 @@ def test_model_residual_check_sees_an_error_in_a_cached_product(make, product):
         q = [[v * (1 + 1e-6) for v in col] if i == j else col for i, col in enumerate(q)]
     nw.faults[m.fault.kind] = (*head, aw, q, up)
     with pytest.raises(SingularSystemError, match="residual"):
-        nw.transfer(m)
+        nw.transfer(m.fault)
 
 
 def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
     calls = []
-    bolted = nodal._Network._bolted
-    monkeypatch.setattr(nodal._Network, "_bolted",
+    bolted = nodal.Network._bolted
+    monkeypatch.setattr(nodal.Network, "_bolted",
                         lambda nw, kind: calls.append((nw, kind)) or bolted(nw, kind))
     s = default_scenario()
     run_sweep(s)
@@ -261,7 +261,9 @@ def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
     assert [kind for _, kind in calls] == [FaultKind.LINE_GROUND_A]
 
     calls.clear()
-    list(nodal.transfers(_mixed_models()))
+    for network, models in _mixed_networks():
+        for m in models:
+            network.transfer(m.fault)
     assert len(calls) == len(set(calls)) == 4  # two networks, two kinds each
 
     calls.clear()
@@ -274,7 +276,7 @@ def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
 def test_model_residuals_stay_at_round_off(kind, grounded):
     rng = np.random.default_rng(20240611)
     models = [_random_model(rng, kind, grounded) for _ in range(40)]
-    assert max(tf.residual for tf in nodal.transfers(models)) < 1e-13
+    assert max(nodal.transfer(m).residual for m in models) < 1e-13
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
@@ -290,10 +292,10 @@ def test_sparse_model_residual_equals_the_dense_expression(kind, grounded, monke
         if m.fault.rf == math.inf:
             continue
         models += 1
-        nw = nodal._Network(nodal.build_system(m))
-        nw.transfer(m)  # builds the kind's bolted solution and products
+        nw = nodal.Network(m)
+        nw.transfer(m.fault)  # builds the kind's bolted solution and products
         monkeypatch.setattr(nodal, "_norm", lambda values: norms.append(norm(values)) or norms[-1])
-        residual = nw.transfer(m).residual
+        residual = nw.transfer(m.fault).residual
         monkeypatch.setattr(nodal, "_norm", norm)
         _, z_kk, ux0, ux0_norm, _, _, aw, q, up = nw.faults[m.fault.kind]
         u = ([1, 0, 0] if kind == "lg" else [0, 1, -1]) + [0] * (len(aw) - 3)
@@ -317,36 +319,63 @@ def test_nan_cable_resistance_raises_singular_system(segment):
         nodal.solve_network(m._replace(**{segment: bad}), UP)
 
 
-def _mixed_models():
-    """Models over two healthy networks and both fault kinds, interleaved so
-    that sharing a factorization has to keep the caller's order."""
-    models = []
-    for rf in (0.0, 3.68, 100.0, math.inf, 1.0):
-        for make in (lg_model, ll_model):
-            for grounding in ("1 ohm", "0 ohm"):
-                models.append(make(rf, load_grounding_resistance=grounding))
-    return models
+def _mixed_networks():
+    """One Network per healthy network (two load groundings), each with models
+    of both fault kinds, finite and infinite rf interleaved, so that a shared
+    factorization has to serve its faults in any order."""
+    for grounding in ("1 ohm", "0 ohm"):
+        models = [make(rf, load_grounding_resistance=grounding)
+                  for rf in (0.0, 3.68, 100.0, math.inf, 1.0) for make in (lg_model, ll_model)]
+        yield nodal.Network(models[0]), models
 
 
-def test_transfers_match_single_transfers_exactly():
-    models = _mixed_models()
-    batch = list(nodal.transfers(models))
-    assert len(batch) == len(models)
-    for m, tf in zip(models, batch):
-        alone = nodal.transfer(m)
-        assert tf.model is m
-        assert len(tf.maps) == 13 and all(len(row) == 3 for row in tf.maps)
-        assert tf.maps == alone.maps
-        assert tf.residual < nodal.RESIDUAL_LIMIT
-        for loc in (UP, DOWN):
-            assert tf.solve(loc) == nodal.solve_network(m, loc)
+def test_network_transfers_match_single_transfers_exactly():
+    for network, models in _mixed_networks():
+        for m in models:
+            tf, alone = network.transfer(m.fault), nodal.transfer(m)
+            assert tf.fault is m.fault
+            assert len(tf.maps) == 13 and all(len(row) == 3 for row in tf.maps)
+            assert repr(tf.maps) == repr(alone.maps)
+            assert tf.residual == alone.residual < nodal.RESIDUAL_LIMIT
+            for loc in (UP, DOWN):
+                assert tf.solve(loc, m.source.sequence_voltages()) == nodal.solve_network(m, loc)
+
+
+def test_healthy_rows_are_made_only_for_an_infinite_rf_fault(monkeypatch):
+    # a network that serves only finite-rf faults never maps x0; a later
+    # rf = inf transfer maps it then, as a network of its own would
+    maps, x0s = nodal.Network._maps, []
+    monkeypatch.setattr(nodal.Network, "_maps",
+                        lambda nw, x, source: x0s.append(x is nw.x0) or maps(nw, x, source))
+    for make in (lg_model, ll_model):
+        network = nodal.Network(make(3.68))
+        for rf in (0.0, 3.68, 100.0):
+            network.transfer(make(rf).fault).maps
+        assert x0s and not any(x0s)
+        m_inf = make(math.inf)
+        tf = network.transfer(m_inf.fault)
+        assert x0s[-1]
+        assert [repr(row) for row in tf.maps] == [repr(row) for row in nodal.transfer(m_inf).maps]
+        x0s.clear()
+
+
+@pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
+def test_singular_network_raises_when_it_is_made(segment):
+    # a nan in one segment fails the healthy network's checks before any
+    # fault is transferred
+    m = lg_model(3.68)
+    bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
+    with pytest.raises(SingularSystemError):
+        nodal.Network(m._replace(**{segment: bad}))
 
 
 def test_build_system_runs_once_per_distinct_healthy_network(tmp_path, monkeypatch):
     calls = []
     build = nodal.build_system
     monkeypatch.setattr(nodal, "build_system", lambda m: calls.append(m) or build(m))
-    list(nodal.transfers(_mixed_models()))
+    for network, models in _mixed_networks():
+        for m in models:
+            network.transfer(m.fault)
     assert len(calls) == 2  # one per load grounding
 
     calls.clear()
@@ -378,7 +407,8 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
     rng = np.random.default_rng(20240611)
     models = [_random_model(rng, kind, grounded) for _ in range(40)]
     assert {0.0, math.inf} <= {m.fault.rf for m in models}
-    for m, tf in zip(models, nodal.transfers(models)):
+    for m in models:
+        tf = nodal.transfer(m)
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         seq = SequenceTriple(*(complex(x) for x in parts))
         v_m, i_up, i_dn, v_load_a, i_f = _dense_reference(m, seq)
@@ -392,14 +422,3 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
         i_f_kernel = up.intermediates["i_f_a" if kind == "lg" else "i_f_b"]
         assert abs(i_f_kernel - i_f) <= 1e-11 * i_scale, m
         assert tf.residual < nodal.RESIDUAL_LIMIT
-
-
-@pytest.mark.parametrize("segment", ["line_1m", "line_m2"])
-def test_singular_member_of_a_stack_raises_singular_system(segment):
-    # the bad member's network differs from its neighbours' only in one
-    # segment, so it is factored on its own and fails that network's checks
-    models = [lg_model(rf) for rf in (1.0, 3.68, 10.0)]
-    bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(models[1], segment).z0)
-    models[1] = models[1]._replace(**{segment: bad})
-    with pytest.raises(SingularSystemError):
-        nodal.transfers(models)

@@ -641,12 +641,13 @@ def test_dcb_duration_must_cover_one_step(tmp_path, capsys, command):
 
 
 def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
-    calls = []
-    transfers = nodal.transfers
-    monkeypatch.setattr(nodal, "transfers", lambda ms: calls.append(len(ms)) or transfers(ms))
+    networks, faults = [], []
+    network, transfer = nodal.Network, nodal.Network.transfer
+    monkeypatch.setattr(nodal, "Network", lambda m: networks.append(m) or network(m))
+    monkeypatch.setattr(network, "transfer", lambda nw, f: faults.append(f) or transfer(nw, f))
     monkeypatch.setattr(nodal, "solve_network", None)
     assert cli.main(["sweep", _write_default(tmp_path)]) == 0
-    assert calls == [40]
+    assert len(networks) == 1 and len(faults) == 40
 
 
 @pytest.mark.parametrize("kind", ["lg", "ll"])

@@ -65,7 +65,8 @@ def simulate_every_step(
         k_lg = 0j
 
     # (healthy, faulted), indexed by whether the fault is on
-    topologies = list(nodal.transfers([m.with_fault(m.fault._replace(rf=math.inf)), m]))
+    network = nodal.Network(m)
+    topologies = [network.transfer(m.fault._replace(rf=math.inf)), network.transfer(m.fault)]
     targets = [_target_scale(tf, src) for tf in topologies] if limit_active else [1.0, 1.0]
     balanced = SequenceTriple(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
