@@ -62,17 +62,16 @@ def _oracle_error(
     z_measured: complex, v: PhaseTriple, i: PhaseTriple, m: MicrogridModel,
     location: RelayLocation
 ) -> tuple[complex, float]:
-    """The nodal oracle's reading from its relay voltages v and currents i, as
-    Transfer.solve reads it, and a closed-form reading's relative error against
-    it, both read the same way: a downstream ground element compensated for its
+    """The nodal oracle's reading from its relay voltages v and currents i
+    (nodal.reading), and a closed-form reading's relative error against it,
+    both read the same way: a downstream ground element compensated for its
     load path (as solve_lg_downstream reads it), any other the plain ratio."""
-    lg = m.fault.kind is FaultKind.LINE_GROUND_A
-    z_oracle = v.a / i.a if lg else (v.b - v.c) / (i.b - i.c)
+    z_oracle = nodal.reading(m.fault.kind, v, i)
     _require_finite(z_measured=z_measured, z_oracle=z_oracle)
     if z_oracle == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
     z_ref = z_oracle
-    if location is RelayLocation.DOWNSTREAM_OF_FAULT and lg:
+    if location is RelayLocation.DOWNSTREAM_OF_FAULT and m.fault.kind is FaultKind.LINE_GROUND_A:
         z_d1, z_d0 = downstream_path(m)
         # i0 as phase_to_sequence computes it
         z_ref = measure_zlg(v.a, i.a, (i.a + i.b + i.c) / 3.0, path_compensation(z_d0, z_d1))
@@ -154,7 +153,7 @@ def run_sweep(s: Scenario) -> str:
     network = nodal.Network(base)
     # every point has the base's network and source; each reads only its relay rows
     v = sequence_to_phase(base.source.sequence_voltages())
-    first = 3 if location is RelayLocation.UPSTREAM_OF_FAULT else 6
+    first = nodal.RELAY_ROW[location]
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     closed_form = None
     for rf in grid:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
 from .network import MicrogridModel, RelayLocation
-from .phasors import SequenceTriple, phase_to_sequence
+from .phasors import SequenceTriple, phase_to_sequence, sequence_to_phase
 from .records import Record
 from .relaying import DirectionalDecision, directional_neg_seq
 from . import nodal
@@ -291,15 +291,14 @@ def couple_from_network(m: MicrogridModel, fault_time: float) -> dict[str, list[
     is engaged on a fault, so the healthy study produces no pickups.
     """
     line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
-    healthy = not math.isfinite(m.fault.rf)
-    tf = nodal.transfer(m)
-    source_seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else m.source.sequence_voltages()
+    tf = nodal.Network(m).transfer(m.fault)
+    v = sequence_to_phase(m.source.sequence_voltages() if math.isfinite(m.fault.rf)
+                          else SequenceTriple(0j, m.source.v1, 0j))
+    v2 = phase_to_sequence(tf.rows(0, v)).neg  # both relays sit at the fault node
     script: dict[str, list[PickupChange]] = {}
     for relay_id, location in ((RELAY_A, RelayLocation.UPSTREAM_OF_FAULT),
                                 (RELAY_B, RelayLocation.DOWNSTREAM_OF_FAULT)):
-        sol = tf.solve(location, source_seq)
-        v2 = phase_to_sequence(sol.relay_v).neg
-        i2 = sol.relay_seq_i.neg
+        i2 = phase_to_sequence(tf.rows(nodal.RELAY_ROW[location], v)).neg
         decision = directional_neg_seq(v2, i2, line_angle)
         fwd = decision is DirectionalDecision.FORWARD
         rev = decision is DirectionalDecision.REVERSE

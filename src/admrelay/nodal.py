@@ -28,7 +28,7 @@ import math
 from operator import mul
 from typing import Iterable
 
-from .errors import SingularSystemError
+from .errors import MeasurementError, SingularSystemError
 from .faults import FaultSolution
 from .network import FaultKind, FaultSpec, MicrogridModel, RelayLocation, SequenceImpedancePair
 from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
@@ -210,23 +210,28 @@ class Transfer:
 
     def solve(self, relay_location: RelayLocation, source_seq: SequenceTriple) -> FaultSolution:
         """Relay quantities for the source source_seq; see :func:`solve_network`."""
-        if relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-            first = 3
-        elif relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
-            first = 6
-        else:
-            raise ValueError(f"unknown relay location {relay_location!r}")
         v = sequence_to_phase(source_seq)
-        v_m, relay_i = self.rows(0, v), self.rows(first, v)
+        v_m, relay_i = self.rows(0, v), self.rows(RELAY_ROW[relay_location], v)
         v_load_a, i_f = _superpose((self._rows(9)[0], self._rows(12)[0]), v)
-        if self.fault.kind is FaultKind.LINE_GROUND_A:
-            i_fault = {"i_f_a": i_f, "i_f_b": 0j, "i_f_c": 0j}
-            z_measured = v_m.a / relay_i.a
-        else:
-            i_fault = {"i_f_a": 0j, "i_f_b": i_f, "i_f_c": -i_f}
-            z_measured = (v_m.b - v_m.c) / (relay_i.b - relay_i.c)
+        i_fault = (dict(i_f_a=i_f, i_f_b=0j, i_f_c=0j) if self.fault.kind is FaultKind.LINE_GROUND_A
+                   else dict(i_f_a=0j, i_f_b=i_f, i_f_c=-i_f))
         inter = dict(i_fault, residual=complex(self.residual, 0.0), v_load_a=v_load_a)
-        return FaultSolution(v_m, relay_i, phase_to_sequence(relay_i), z_measured, inter)
+        return FaultSolution(v_m, relay_i, phase_to_sequence(relay_i),
+                             reading(self.fault.kind, v_m, relay_i), inter)
+
+
+# relay location -> the first map row of the segment current its relay measures
+RELAY_ROW = {RelayLocation.UPSTREAM_OF_FAULT: 3, RelayLocation.DOWNSTREAM_OF_FAULT: 6}
+
+
+def reading(kind: FaultKind, v: PhaseTriple, i: PhaseTriple) -> complex:
+    """The oracle's distance reading from relay voltages v and currents i, v_a / i_a
+    (line-ground) or (v_b - v_c) / (i_b - i_c); MeasurementError on a zero denominator."""
+    lg = kind is FaultKind.LINE_GROUND_A
+    num, den = (v.a, i.a) if lg else (v.b - v.c, i.b - i.c)
+    if den == 0:
+        raise MeasurementError(f"oracle reading: {'i_a' if lg else 'i_b - i_c'} is 0")
+    return num / den
 
 
 def _superpose(rows: Iterable[tuple[complex, complex, complex]], v: PhaseTriple) -> list[complex]:
@@ -324,11 +329,6 @@ class Network:
         return Transfer(fault, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
 
 
-def transfer(m: MicrogridModel) -> Transfer:
-    """The transfer of one model's fault, on its own network."""
-    return Network(m).transfer(m.fault)
-
-
 def solve_network(
     m: MicrogridModel,
     relay_location: RelayLocation,
@@ -343,6 +343,6 @@ def solve_network(
     (i_f_a, i_f_b, i_f_c) and the solve residual.  The source is the model's
     own unless source_seq is given.
     """
-    tf = transfer(m)
+    tf = Network(m).transfer(m.fault)
     return tf.solve(relay_location,
                     m.source.sequence_voltages() if source_seq is None else source_seq)

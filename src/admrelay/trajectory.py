@@ -119,11 +119,12 @@ def simulate_trajectory(
 
     if relay_location is RelayLocation.DOWNSTREAM_OF_FAULT:
         z_d1, z_d0 = downstream_path(m)
-        k_lg, current_row = path_compensation(z_d0, z_d1), 6
+        k_lg = path_compensation(z_d0, z_d1)
     elif relay_location is RelayLocation.UPSTREAM_OF_FAULT:
-        k_lg, current_row = 0j, 3
+        k_lg = 0j
     else:
         raise ValueError(f"unknown relay location {relay_location!r}")
+    current_row = nodal.RELAY_ROW[relay_location]
 
     # (healthy, faulted), indexed by whether the fault is on
     network = nodal.Network(m)

@@ -204,7 +204,7 @@ def _dense_reference(m, seq):
 def test_transfer_superposes_like_a_direct_solve(make, rf, grounding):
     rng = np.random.default_rng(20210119)
     m = make(rf, load_grounding_resistance=grounding)
-    tf = nodal.transfer(m)
+    tf = nodal.Network(m).transfer(m.fault)
     for _ in range(5):
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         seq = SequenceTriple(*(complex(x) for x in parts))
@@ -267,7 +267,8 @@ def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
     assert len(calls) == len(set(calls)) == 4  # two networks, two kinds each
 
     calls.clear()
-    nodal.transfer(lg_model(math.inf))
+    m = lg_model(math.inf)
+    nodal.Network(m).transfer(m.fault)
     assert calls == []
 
 
@@ -276,7 +277,7 @@ def test_bolted_solution_is_built_once_per_network_and_kind(monkeypatch):
 def test_model_residuals_stay_at_round_off(kind, grounded):
     rng = np.random.default_rng(20240611)
     models = [_random_model(rng, kind, grounded) for _ in range(40)]
-    assert max(nodal.transfer(m).residual for m in models) < 1e-13
+    assert max(nodal.Network(m).transfer(m.fault).residual for m in models) < 1e-13
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
@@ -332,7 +333,7 @@ def _mixed_networks():
 def test_network_transfers_match_single_transfers_exactly():
     for network, models in _mixed_networks():
         for m in models:
-            tf, alone = network.transfer(m.fault), nodal.transfer(m)
+            tf, alone = network.transfer(m.fault), nodal.Network(m).transfer(m.fault)
             assert tf.fault is m.fault
             assert len(tf.maps) == 13 and all(len(row) == 3 for row in tf.maps)
             assert repr(tf.maps) == repr(alone.maps)
@@ -355,7 +356,8 @@ def test_healthy_rows_are_made_only_for_an_infinite_rf_fault(monkeypatch):
         m_inf = make(math.inf)
         tf = network.transfer(m_inf.fault)
         assert x0s[-1]
-        assert [repr(row) for row in tf.maps] == [repr(row) for row in nodal.transfer(m_inf).maps]
+        own = nodal.Network(m_inf).transfer(m_inf.fault)
+        assert [repr(row) for row in tf.maps] == [repr(row) for row in own.maps]
         x0s.clear()
 
 
@@ -408,7 +410,7 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
     models = [_random_model(rng, kind, grounded) for _ in range(40)]
     assert {0.0, math.inf} <= {m.fault.rf for m in models}
     for m in models:
-        tf = nodal.transfer(m)
+        tf = nodal.Network(m).transfer(m.fault)
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         seq = SequenceTriple(*(complex(x) for x in parts))
         v_m, i_up, i_dn, v_load_a, i_f = _dense_reference(m, seq)

@@ -106,7 +106,7 @@ def test_current_cap_holds_at_settled_steps():
 def test_closed_form_target_puts_the_worst_phase_on_the_cap(make):
     m = make(1.0)
     src = m.source
-    tf = nodal.transfer(m)
+    tf = nodal.Network(m).transfer(m.fault)
     scale = _target_scale(tf, src, _rotations(src))
     assert 0.0 < scale < 1.0
     i_src = tf.solve(UP, _limited_seq(src, scale, 1.0, _rotations(src))).relay_i
