@@ -76,7 +76,10 @@ def _oracle_error(
         # i0 as phase_to_sequence computes it
         z_ref = measure_zlg(v.a, i.a, (i.a + i.b + i.c) / 3.0, path_compensation(z_d0, z_d1))
         _require_finite(z_oracle_compensated=z_ref)
-    return z_oracle, abs(z_measured - z_ref) / abs(z_ref)
+    rel_err = abs(z_measured - z_ref) / abs(z_ref)
+    if not math.isfinite(rel_err):  # |z_ref| subnormal: the quotient overflows
+        raise NumericalError(f"relative error is not finite: {rel_err}")
+    return z_oracle, rel_err
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
