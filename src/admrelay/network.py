@@ -128,9 +128,7 @@ class MicrogridModel(Record):
         self.load, self.fault, self.frequency = load, fault, frequency
 
     def with_fault(self, fault: FaultSpec) -> "MicrogridModel":
-        # _replace's keyword round trip costs an rf sweep a few percent
-        return MicrogridModel(self.source, self.line_1m, self.line_m2, self.load, fault,
-                              self.frequency)
+        return self._replace(fault=fault)
 
 
 class TheveninSet(Record):
