@@ -714,3 +714,34 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
     for name, (code, out) in results.items():
         assert code == 0, name
         assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[fault]\nrf =\n", "[fault] rf: empty value"),
+    ("[fault]\nrf = 3.68\n", "[fault] rf: expected '<number> <unit>', got '3.68'"),
+    ("[fault]\nkind = lg ll\n", "[fault] kind: expected a single token, got 'lg ll'"),
+    ("[fault]\nrf = x ohm\n", "[fault] rf: bad number 'x'"),
+    ("[system]\nfault_position = x\n", "[system] fault_position: bad number 'x'"),
+    ("[dcb]\noperational = yes\n", "[dcb] operational: expected true or false, got 'yes'"),
+    ("[fault]\nkind = lll\n", "[fault] kind: 'lll' not one of ['lg', 'll']"),
+    ("[relay]\nk_policy = x\n",
+     "[relay] k_policy: expected auto, line, downstream-path or a complex literal"),
+    ("[fault]\n[relay]\n[fault]\n", "line 3: duplicate section [fault]"),
+    ("# comment\nrf = 1 ohm\n", "line 2: key/value outside any section"),
+    ("[fault]\nrf 1 ohm\n", "line 2: expected 'key = value'"),
+    ("[fault]\nrf = 1 ohm\n\nrf = 2 ohm\n", "line 4: duplicate key 'rf' in [fault]"),
+    ("[system]\nfrequency = 0 Hz\n", "[system] frequency: must be positive"),
+    ("[system]\nv0_fraction = 1.5\n", "[system] v0_fraction: must lie in [0, 1]"),
+    ("[fault]\nrf_points = 0\n", "[fault] rf_points: must be >= 1"),
+    ("[dcb]\nloss = -0.1\n", "[dcb] loss: must lie in [0, 1]"),
+    ("[transient]\ndt = 0 ms\n", "[transient] dt: must be positive"),
+    ("[transient]\nfault_time = 200 ms\n", "[transient] fault_time: must fall before duration"),
+], ids=["empty", "quantity-tokens", "single-token", "bad-quantity-number", "bad-number",
+        "boolean", "choice", "k_policy", "duplicate-section", "outside-section",
+        "no-equals", "duplicate-key", "system-positive", "fraction-range", "rf_points",
+        "dcb-loss", "transient-dt", "transient-fault_time"])
+def test_validate_reports_each_scenario_error(tmp_path, capsys, text, message):
+    assert _run(tmp_path, text, "validate") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"validation error: {message}\n"
