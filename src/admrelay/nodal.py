@@ -227,10 +227,9 @@ RELAY_ROW = {RelayLocation.UPSTREAM_OF_FAULT: 3, RelayLocation.DOWNSTREAM_OF_FAU
 def reading(kind: FaultKind, v: PhaseTriple, i: PhaseTriple) -> complex:
     """The oracle's distance reading from relay voltages v and currents i, v_a / i_a
     (line-ground) or (v_b - v_c) / (i_b - i_c); MeasurementError on a zero denominator."""
-    lg = kind is FaultKind.LINE_GROUND_A
-    num, den = (v.a, i.a) if lg else (v.b - v.c, i.b - i.c)
-    if den == 0:
-        raise MeasurementError(f"oracle reading: {'i_a' if lg else 'i_b - i_c'} is 0")
+    num, den = (v.a, i.a) if kind is FaultKind.LINE_GROUND_A else (v.b - v.c, i.b - i.c)
+    if not den:
+        raise MeasurementError("oracle reading: no current in the measuring loop")
     return num / den
 
 
