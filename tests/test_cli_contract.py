@@ -90,7 +90,7 @@ def run(path: str, argv: list[str]) -> tuple[object, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main([argv[0], path, *argv[1:]])
-        except BaseException:
+        except Exception:
             code = traceback.format_exc()
     return code, out.getvalue(), err.getvalue()
 
