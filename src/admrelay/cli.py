@@ -104,6 +104,12 @@ def _compensated(sol: FaultSolution, m: MicrogridModel, k: complex) -> complex:
     return measure_zll(sol.relay_v.b, sol.relay_v.c, sol.relay_i.b, sol.relay_i.c)
 
 
+def _require_grounded(s: Scenario) -> None:  # the closed forms of case and sweep
+    if not math.isfinite(s.si("system", "load_grounding_resistance")):
+        raise ModelError("[system] load_grounding_resistance: the closed-form solvers of case "
+                         "and sweep need a finite grounding resistance")
+
+
 def run_case(s: Scenario, case: int) -> str:
     if case not in CASES:
         raise ModelError(f"case must be one of {sorted(CASES)}")
@@ -116,6 +122,7 @@ def run_case(s: Scenario, case: int) -> str:
         raise ModelError(f"case {case} needs source = {source_req}, scenario has {source_kind}")
     if not math.isfinite(s.si("fault", "rf")):
         raise ModelError("[fault] rf: a case is a fault study and needs a finite fault resistance")
+    _require_grounded(s)
 
     m = build_model(s)
     sol: FaultSolution = solver(m)
@@ -150,6 +157,7 @@ def run_case(s: Scenario, case: int) -> str:
 
 
 def run_sweep(s: Scenario) -> str:
+    _require_grounded(s)
     location = relay_location(s)
     grid = sweep_points(s)
     base = build_model(s)

@@ -12,7 +12,8 @@ expiry still suppresses the trip; carrier transitions computed during a scan
 become visible on the channel at the end of that scan.  Net effect on the
 classic race: a blocking signal wins if and only if its channel latency plus
 one scan step is at or below the coordination time.  Only the scans where an
-event can happen are evaluated, so the cost follows the events, not the window.
+event can happen are evaluated, and a running timer's skipped scans are added
+up in C, so the cost follows the events, not the window.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
@@ -168,14 +172,16 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     Only scans where something can change are evaluated: a delivery coming
     due, a script change or an untripped relay's timer expiring.  A skipped
     scan would repeat its inputs and emit nothing, and a running timer gains
-    the step once per skipped scan in the same float additions, so the trace
-    is exactly the scan-by-scan one.  Channel loss is drawn once per carrier
-    transition from the seeded stream; an inoperative channel delivers
-    nothing.  The trace is ordered by (time, relay, kind name).
+    the step once per skipped scan in the same float additions, made in order
+    by one ``functools.reduce`` rather than a Python loop pass per scan, so
+    the trace is exactly the scan-by-scan one.  Channel loss is drawn once
+    per carrier transition from the seeded stream; an inoperative channel
+    delivers nothing.  The trace is ordered by (time, relay, kind name).
     """
-    rng = random.Random(scenario.channel.seed)
+    rng = None  # seeded at the first carrier transition: most runs draw nothing
     relays = (RELAY_A, RELAY_B)
     settings = {RELAY_A: scenario.relay_a, RELAY_B: scenario.relay_b}
+    limits = {r: settings[r].coordination_time * (1.0 - 1e-9) for r in relays}  # relay_step's
     other = {RELAY_A: RELAY_B, RELAY_B: RELAY_A}
     states = {r: RelayState() for r in relays}
     block_rx = {r: False for r in relays}
@@ -205,19 +211,28 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         nxt = min([n_steps + 1] + [scan_of(d.due, i + 1) for d in pending]
                   + [scan_of(script[r][cursor[r]].time, i + 1)
                      for r in relays if cursor[r] < len(script[r])])
-        reached = {}  # running timers of untripped relays; a tripped relay's is never read
+        reached, walked = {}, {}  # running timers of untripped relays, by relay and by start
         for r in relays:
             if pickups[r][0] and not block_rx[r] and not states[r].tripped:
-                timer, j = states[r].coordination_timer, i + 1  # gains the step per skipped scan
-                while timer < settings[r].coordination_time * (1.0 - 1e-9) and j < nxt:
-                    timer, j = timer + step, j + 1
-                reached[r], nxt = (timer, j), j  # stop where this timer expires, if sooner
+                start, limit = states[r].coordination_timer, limits[r]
+                if (start, limit) not in walked:  # else it stops where the other relay's did
+                    # The scans two steps short of the limit gain the step in one C call, the
+                    # same float additions in order (sum() compensates since Python 3.12);
+                    # partial sums only grow, so the loop walks the rest, or all if need be.
+                    room, left = (limit - start) / step - 2.0, nxt - i - 1
+                    n = left if not room < left else int(max(room, 0.0))
+                    timer = reduce(add, repeat(step, n), start)
+                    timer, j = (timer, i + 1 + n) if timer < limit else (start, i + 1)
+                    while timer < limit and j < nxt:
+                        timer, j = timer + step, j + 1
+                    walked[start, limit] = timer, j
+                reached[r] = walked[start, limit]
+                nxt = reached[r][1]  # stop where this timer expires, if sooner
         for r, (timer, j) in reached.items():
+            s = states[r]
             if j > nxt:  # the other timer expires sooner: count this one again, up to nxt
-                timer = states[r].coordination_timer
-                for _ in range(nxt - i - 1):
-                    timer += step
-            states[r] = states[r]._replace(coordination_timer=timer)
+                timer = reduce(add, repeat(step, nxt - i - 1), s.coordination_timer)
+            states[r] = RelayState(s.forward_pickup, s.reverse_pickup, s.carrier_tx, timer, s.tripped)
         return nxt
 
     i = advance(-1)
@@ -246,6 +261,7 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
             if states[r].carrier_tx != prev_carrier:
                 # Transition leaves at end of scan, lands `latency` later
                 # unless the channel is dead or loses it.
+                rng = rng or random.Random(scenario.channel.seed)
                 lost = rng.random() < scenario.channel.loss_probability
                 if scenario.channel.operational and not lost:
                     pending.append(_Delivery(t + step + scenario.channel.latency, other[r],

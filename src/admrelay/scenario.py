@@ -26,7 +26,7 @@ except ImportError:
         from hashlib import sha256
 import math
 
-from .errors import ScenarioError
+from .errors import ModelError, ScenarioError
 from .network import (
     CurrentLimitedInverter,
     FaultKind,
@@ -178,76 +178,72 @@ def _fmt_num(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _finite(where: str, tok: str, value: float, spec: FieldSpec) -> float:
-    if math.isfinite(value) or (spec.allow_inf and value == math.inf):
-        return value
-    allowed = "a finite number or inf" if spec.allow_inf else "a finite number"
-    raise ScenarioError(f"{where}: expected {allowed}, got {tok!r}")
+def _error(section: str, key: str, message: str) -> ScenarioError:
+    """The field-level error; its text is built only when a value fails."""
+    return ScenarioError(f"[{section}] {key}: {message}")
 
 
 def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
-    where = f"[{section}] {key}"
     tokens = raw.split()
     if not tokens:
-        raise ScenarioError(f"{where}: empty value")
-    if spec.kind == "quantity":
-        if len(tokens) != 2:
-            raise ScenarioError(f"{where}: expected '<number> <unit>', got {raw!r}")
+        raise _error(section, key, "empty value")
+    kind, tok = spec.kind, tokens[0]
+    if kind == "quantity" and len(tokens) != 2:
+        raise _error(section, key, f"expected '<number> <unit>', got {raw!r}")
+    if kind != "quantity" and len(tokens) != 1:
+        raise _error(section, key, f"expected a single token, got {raw!r}")
+    if kind == "quantity" or kind == "number":
         try:
-            value = _finite(where, tokens[0], float(tokens[0]), spec)
+            value = float(tok)
         except ValueError as exc:
-            raise ScenarioError(f"{where}: bad number {tokens[0]!r}") from exc
+            raise _error(section, key, f"bad number {tok!r}") from exc
+        if not (math.isfinite(value) or (spec.allow_inf and value == math.inf)):
+            allowed = "a finite number or inf" if spec.allow_inf else "a finite number"
+            raise _error(section, key, f"expected {allowed}, got {tok!r}")
+        if kind == "number":
+            return value
         if tokens[1] not in spec.units:
-            raise ScenarioError(
-                f"{where}: unit {tokens[1]!r} not in allowed set {sorted(spec.units)}"
-            )
+            raise _error(section, key,
+                         f"unit {tokens[1]!r} not in allowed set {sorted(spec.units)}")
         return (value, tokens[1])
-    if len(tokens) != 1:
-        raise ScenarioError(f"{where}: expected a single token, got {raw!r}")
-    tok = tokens[0]
-    if spec.kind == "number":
-        try:
-            return _finite(where, tok, float(tok), spec)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: bad number {tok!r}") from exc
-    if spec.kind == "integer":
+    if kind == "integer":
         try:
             return int(tok)
         except ValueError as exc:
-            raise ScenarioError(f"{where}: bad integer {tok!r}") from exc
-    if spec.kind == "boolean":
+            raise _error(section, key, f"bad integer {tok!r}") from exc
+    if kind == "boolean":
         if tok not in ("true", "false"):
-            raise ScenarioError(f"{where}: expected true or false, got {tok!r}")
+            raise _error(section, key, f"expected true or false, got {tok!r}")
         return tok == "true"
-    if spec.kind == "choice":
+    if kind == "choice":
         if tok not in spec.choices:
-            raise ScenarioError(f"{where}: {tok!r} not one of {list(spec.choices)}")
+            raise _error(section, key, f"{tok!r} not one of {list(spec.choices)}")
         return tok
-    if spec.kind == "kpolicy":
+    if kind == "kpolicy":
         if tok in ("auto", "line", "downstream-path"):
             return tok
         try:
             k = complex(tok)
         except ValueError as exc:
-            raise ScenarioError(
-                f"{where}: expected auto, line, downstream-path or a complex literal"
-            ) from exc
-        _finite(where, tok, abs(k), spec)
+            raise _error(section, key, "expected auto, line, downstream-path or a complex "
+                                       "literal") from exc
+        if not math.isfinite(abs(k)):  # a k_policy is never inf
+            raise _error(section, key, f"expected a finite number, got {tok!r}")
         return k
-    raise ScenarioError(f"{where}: unhandled field kind {spec.kind!r}")
+    raise _error(section, key, f"unhandled field kind {kind!r}")
 
 
 def _fmt_value(value: object, spec: FieldSpec) -> str:
-    if spec.kind == "quantity":
-        v, unit = value  # type: ignore[misc]
-        return f"{_fmt_num(v)} {unit}"
-    if spec.kind == "number":
+    kind = spec.kind
+    if kind == "quantity":
+        return f"{float(value[0]):.12g} {value[1]}"  # type: ignore[index]
+    if kind == "number":
         return _fmt_num(value)  # type: ignore[arg-type]
-    if spec.kind == "integer":
+    if kind == "integer":
         return str(int(value))  # type: ignore[arg-type]
-    if spec.kind == "boolean":
+    if kind == "boolean":
         return "true" if value else "false"
-    if spec.kind == "kpolicy" and isinstance(value, complex):
+    if kind == "kpolicy" and isinstance(value, complex):
         return f"{value.real:.12g}{value.imag:+.12g}j"
     return str(value)
 
@@ -258,15 +254,16 @@ def parse_scenario(text: str) -> Scenario:
     current: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
+        if stripped[0] == "[" and stripped[-1] == "]":
             current = stripped[1:-1].strip()
             if current not in FIELDS:
                 raise ScenarioError(f"line {lineno}: unknown section [{current}]")
             if current in raw:
                 raise ScenarioError(f"line {lineno}: duplicate section [{current}]")
-            raw[current] = {}
+            fields, given = FIELDS[current], {}
+            raw[current] = given
             continue
         if current is None:
             raise ScenarioError(f"line {lineno}: key/value outside any section")
@@ -274,24 +271,22 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in FIELDS[current]:
+        if key not in fields:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{current}]")
-        if key in raw[current]:
+        if key in given:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        raw[current][key] = value.strip()
+        given[key] = value.strip()
 
     scenario = Scenario()
     for section, fields in FIELDS.items():
         if section in OPTIONAL_SECTIONS and section not in raw:
             continue
-        parsed: dict[str, object] = {}
         given = raw.get(section, {})
-        for key, spec in fields.items():
-            if key in given:
-                parsed[key] = _parse_value(section, key, given[key], spec)
-            else:
-                parsed[key] = spec.default
-        scenario.sections[section] = parsed
+        scenario.sections[section] = {
+            key: spec.default if (value := given.get(key)) is None
+            else _parse_value(section, key, value, spec)
+            for key, spec in fields.items()
+        }
     _check_consistency(scenario)
     return scenario
 
@@ -409,16 +404,19 @@ def build_model(s: Scenario) -> MicrogridModel:
         s.si("system", "load_reactive_power"),
         s.si("system", "line_line_voltage"),
     )
+    try:
+        load = LoadModel(z_load, complex(s.si("system", "load_grounding_resistance")))
+    except ModelError as exc:  # v_ll^2 / conj(S) under- or overflowed
+        raise ScenarioError("[system] line_line_voltage: with load_real_power and "
+                            "load_reactive_power, the load impedance under- or overflows to "
+                            "no positive resistance") from exc
     kind = FaultKind(str(s.get("fault", "kind")))
     fault = FaultSpec(kind=kind, rf=s.si("fault", "rf"))
     return MicrogridModel(
         source=_source_from(s),
         line_1m=cable.scaled(pos),
         line_m2=cable.scaled(1.0 - pos),
-        load=LoadModel(
-            z_load=z_load,
-            z_ground=complex(s.si("system", "load_grounding_resistance")),
-        ),
+        load=load,
         fault=fault,
         frequency=f,
     )

@@ -139,7 +139,16 @@ def _edit(**fields: str) -> str:
     # a subnormal oracle reading: the relative error overflows
     (_edit(rf_min="5e-324 ohm", rf_points="1"), {"sweep": 2}),
     (_edit(rf="5e-324 ohm"), {"case --case 2": 2}),
-], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case"])
+    # the load impedance under- or overflows to no positive resistance, and an
+    # ungrounded load neutral that only the closed forms reject
+    (_edit(line_line_voltage="1e-300 V"),
+     {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+    (_edit(load_reactive_power="1e300 kvar"),
+     {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+    (_edit(load_grounding_resistance="inf ohm"),
+     {"case --case 2": 1, "sweep": 1, "dcb": 0, "trajectory": 0}),
+], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case",
+        "load-underflow", "load-overflow", "open-neutral"])
 def test_fixed_scenarios_keep_the_contract(tmp_path, text, expected):
     found, exits = violations(text, str(tmp_path))
     assert found == []

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -160,9 +161,12 @@ def _random_scenario(rng):
     """A seeded DCB scenario across the regimes where skipping scans could
     go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,
     c +- one step), losses, a dead channel, off-grid and flapping scripts,
-    and steps that do not divide the window or the event times."""
-    c = rng.uniform(10.0, 25.0)
-    step = rng.choice((0.05, 0.1, 0.25, 1 / 30))
+    steps that do not divide the window or the event times (1/3 among them),
+    a coordination time that is an exact multiple of the step, two timers
+    with different coordination times running together from one pickup, and
+    windows that end while a timer still runs."""
+    step = rng.choice((0.05, 0.1, 0.25, 1 / 30, 1 / 3))
+    c = rng.choice([rng.uniform(10.0, 25.0), round(rng.uniform(10.0, 25.0) / step) * step])
     latency = rng.choice([rng.uniform(0.0, c - 1.0), rng.uniform(c + 1.0, 2.0 * c), 0.0, c,
                           c - 0.05, c - 0.15, c - step, c + step])
     loss = rng.choice([0.0, 0.0, 1.0, rng.uniform(0.2, 0.8)])
@@ -176,13 +180,18 @@ def _random_scenario(rng):
             t += rng.choice([step, 2 * step, rng.uniform(0.0, 5.0), rng.uniform(5.0, 60.0)])
         return changes
 
+    if rng.random() < 0.25:  # both forward from one instant: the timers run together
+        together = [dcb.PickupChange(rng.uniform(0.0, 40.0), True, False)]
+        fault_script = {"A": together, "B": together}
+    else:
+        fault_script = {"A": script(), "B": script()}
     return dcb.DcbScenario(
         relay_a=dcb.RelaySettings(c),
         relay_b=dcb.RelaySettings(rng.choice([c, rng.uniform(10.0, 25.0)])),
         channel=dcb.ChannelModel(latency=latency, operational=rng.random() >= 0.2,
                                  loss_probability=loss, seed=rng.randrange(2**31)),
-        fault_script={"A": script(), "B": script()},
-        duration=rng.uniform(70.0, 210.0),
+        fault_script=fault_script,
+        duration=rng.choice([rng.uniform(70.0, 210.0), rng.uniform(20.0, 60.0)]),
         step=step,
     )
 
@@ -211,6 +220,22 @@ def test_timer_landing_exactly_on_the_threshold_matches_the_reference(scans):
     while c * (1.0 - 1e-9) != timer:
         c = math.nextafter(c, math.inf if c * (1.0 - 1e-9) < timer else -math.inf)
     s = scripted(INTERNAL, coordination=c)
+    assert dcb.simulate(s) == simulate_every_scan(s)
+
+
+def test_a_compensated_timer_sum_would_move_the_trip():
+    # after 50 scans of 1/3 ms the timer, added up scan by scan, lies above the
+    # correctly rounded sum that math.fsum (and sum() since Python 3.12) gives;
+    # with the trip threshold at the sequential value, a catch-up that sums
+    # the skipped scans with compensation trips one scan late
+    step, timer = 1 / 3, 0.0
+    for _ in range(50):
+        timer += step
+    assert timer > math.fsum([step] * 50)
+    c = timer / (1.0 - 1e-9)
+    while c * (1.0 - 1e-9) != timer:
+        c = math.nextafter(c, math.inf if c * (1.0 - 1e-9) < timer else -math.inf)
+    s = scripted(INTERNAL, coordination=c, step=step)
     assert dcb.simulate(s) == simulate_every_scan(s)
 
 
@@ -272,3 +297,17 @@ def test_couple_from_network_assembles_one_network(monkeypatch, m):
     monkeypatch.setattr(nodal, "build_system", lambda *a: calls.append(a) or build(*a))
     assert dcb.couple_from_network(m, 10.0) == expected
     assert len(calls) == 1
+
+
+def main(argv):
+    """Compare simulate with the scan-by-scan reference on one scenario per seed."""
+    first, stop = map(int, argv)
+    mismatches = [seed for seed in range(first, stop)
+                  if dcb.simulate(s := _random_scenario(random.Random(seed)))
+                  != simulate_every_scan(s)]
+    print(f"seeds {first}..{stop - 1}: {len(mismatches)} mismatches {mismatches[:10]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

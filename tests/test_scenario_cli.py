@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from admrelay import cli, nodal, trajectory
-from admrelay.errors import ModelError, ScenarioError, SingularSystemError
+from admrelay.errors import ModelError, ScenarioError
 from admrelay.network import (
     CurrentLimitedInverter,
     FaultKind,
@@ -662,13 +663,51 @@ def test_sweep_point_at_infinite_rf_fails_its_closed_form(kind, location):
         cli.run_sweep(s)
 
 
-def test_sweep_factors_its_network_before_its_closed_form_checks_the_model():
-    # the network is singular and the closed forms reject the open neutral:
-    # the factorization comes first
+def test_sweep_rejects_an_open_neutral_before_factoring_its_network(monkeypatch):
+    # the network is singular too, but the closed forms' open neutral is a
+    # scenario error, reported before any network is built
     s = parse_scenario("[system]\ncable_zero_seq_scale = 1e-300\n"
                        "load_grounding_resistance = inf ohm\n")
-    with pytest.raises(SingularSystemError, match="nodal matrix is singular"):
+    monkeypatch.setattr(nodal, "Network", None)
+    with pytest.raises(ModelError, match=r"^\[system\] load_grounding_resistance: "):
         cli.run_sweep(s)
+
+
+@pytest.mark.parametrize("key, value, field, commands", [
+    ("line_line_voltage", "1e-300 V", "line_line_voltage",
+     ["case --case 2", "sweep", "dcb", "trajectory"]),
+    ("load_reactive_power", "1e300 kvar", "line_line_voltage",
+     ["case --case 2", "sweep", "dcb", "trajectory"]),
+    ("load_grounding_resistance", "inf ohm", "load_grounding_resistance",
+     ["case --case 2", "case --case 3", "sweep"]),
+], ids=["load-impedance-underflow", "load-impedance-overflow", "open-neutral"])
+def test_a_scenario_that_validates_fails_late_naming_its_field(
+    tmp_path, capsys, key, value, field, commands
+):
+    # the load impedance v_ll^2 / conj(S) has no positive resistance left, or
+    # the closed forms of case and sweep meet an ungrounded load neutral
+    text = _set_field("system", key, value)
+    assert _run(tmp_path, text, "validate") == 0
+    capsys.readouterr()
+    for argv in commands:
+        assert _run(tmp_path, text, *argv.split()) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"validation error: [system] {field}: "), argv
+
+
+def test_a_timer_running_across_a_million_scans_keeps_its_document():
+    # 1e-4 ms of 1e-10 ms scans is MAX_DCB_SCANS scans, and neither timer
+    # reaches 1e300 ms: both run to the window's end, and the catch-up must
+    # neither overflow its scan count nor hold a float per skipped scan
+    text = default_text()
+    for key, value in (("coordination_time", "1e300 ms"), ("step", "1e-10 ms"),
+                       ("duration", "1e-4 ms"), ("fault_time", "0 ms"), ("script", "internal")):
+        text = _set_field("dcb", key, value, text)
+    out = cli.run_dcb(parse_scenario(text))
+    assert out.startswith("0,A,PickupFwd\n0,B,PickupFwd\n# summary A: tripped=no blocked=no\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47155f2c7fd10106313e9e30789dfdc9692adddb471d81b6b283402a9dd9b462"
+    )
 
 
 def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
