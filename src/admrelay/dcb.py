@@ -23,7 +23,7 @@ import random
 from enum import Enum
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
@@ -159,11 +159,8 @@ def relay_step(
     return new_state, events
 
 
-class _Delivery(Record):
-    __slots__ = ("due", "target", "value")
-
-    def __init__(self, due: float, target: str, value: bool) -> None:
-        self.due, self.target, self.value = due, target, value
+_NAMES = (RELAY_A, RELAY_B)  # a relay is its index here; a delivery is (due, target, value)
+_trace_order = attrgetter("time", "relay", "kind.value")
 
 
 def simulate(scenario: DcbScenario) -> list[DcbEvent]:
@@ -175,22 +172,21 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     the step once per skipped scan in the same float additions, made in order
     by one ``functools.reduce`` rather than a Python loop pass per scan, so
     the trace is exactly the scan-by-scan one.  Channel loss is drawn once
-    per carrier transition from the seeded stream; an inoperative channel
-    delivers nothing.  The trace is ordered by (time, relay, kind name).
+    per carrier transition from the seeded stream, which is made only when a
+    draw can change the trace: an inoperative channel delivers nothing, and
+    loss 0 or 1 loses none or all.  The trace is ordered by (time, relay,
+    kind name).
     """
-    rng = None  # seeded at the first carrier transition: most runs draw nothing
-    relays = (RELAY_A, RELAY_B)
-    settings = {RELAY_A: scenario.relay_a, RELAY_B: scenario.relay_b}
-    limits = {r: settings[r].coordination_time * (1.0 - 1e-9) for r in relays}  # relay_step's
-    other = {RELAY_A: RELAY_B, RELAY_B: RELAY_A}
-    states = {r: RelayState() for r in relays}
-    block_rx = {r: False for r in relays}
-    pickups = {r: (False, False) for r in relays}
-    script = {
-        r: sorted(scenario.fault_script.get(r, ()), key=lambda ch: ch.time) for r in relays
-    }
-    cursor = {r: 0 for r in relays}
-    pending: list[_Delivery] = []
+    channel = scenario.channel
+    loss, latency = channel.loss_probability, channel.latency
+    sends, rng = channel.operational and loss < 1.0, None
+    draws = sends and loss > 0.0
+    coordination = (scenario.relay_a.coordination_time, scenario.relay_b.coordination_time)
+    limits = (coordination[0] * (1.0 - 1e-9), coordination[1] * (1.0 - 1e-9))  # relay_step's
+    states, block_rx, pickups = [RelayState(), RelayState()], [False, False], [(False, False)] * 2
+    script = [sorted(scenario.fault_script.get(r, ()), key=attrgetter("time")) for r in _NAMES]
+    cursor = [0, 0]
+    pending: list[tuple[float, int, bool]] = []
     events: list[DcbEvent] = []
 
     step = scenario.step
@@ -208,14 +204,18 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
 
     def advance(i: int) -> int:
         """First scan after i where anything can change; running timers catch up to it."""
-        nxt = min([n_steps + 1] + [scan_of(d.due, i + 1) for d in pending]
-                  + [scan_of(script[r][cursor[r]].time, i + 1)
-                     for r in relays if cursor[r] < len(script[r])])
-        reached, walked = {}, {}  # running timers of untripped relays, by relay and by start
-        for r in relays:
-            if pickups[r][0] and not block_rx[r] and not states[r].tripped:
-                start, limit = states[r].coordination_timer, limits[r]
-                if (start, limit) not in walked:  # else it stops where the other relay's did
+        nxt = n_steps + 1
+        for d in pending:
+            nxt = min(nxt, scan_of(d[0], i + 1))
+        for r in (0, 1):
+            if cursor[r] < len(script[r]):
+                nxt = min(nxt, scan_of(script[r][cursor[r]].time, i + 1))
+        a_start = None  # relay A's timer before its catch-up, if it runs
+        for r in (0, 1):
+            s = states[r]
+            if pickups[r][0] and not block_rx[r] and not s.tripped:
+                start, limit = s.coordination_timer, limits[r]
+                if start != a_start or limit != limits[0]:  # else it stops where A's did
                     # The scans two steps short of the limit gain the step in one C call, the
                     # same float additions in order (sum() compensates since Python 3.12);
                     # partial sums only grow, so the loop walks the rest, or all if need be.
@@ -225,14 +225,13 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                     timer, j = (timer, i + 1 + n) if timer < limit else (start, i + 1)
                     while timer < limit and j < nxt:
                         timer, j = timer + step, j + 1
-                    walked[start, limit] = timer, j
-                reached[r] = walked[start, limit]
-                nxt = reached[r][1]  # stop where this timer expires, if sooner
-        for r, (timer, j) in reached.items():
-            s = states[r]
-            if j > nxt:  # the other timer expires sooner: count this one again, up to nxt
-                timer = reduce(add, repeat(step, nxt - i - 1), s.coordination_timer)
-            states[r] = RelayState(s.forward_pickup, s.reverse_pickup, s.carrier_tx, timer, s.tripped)
+                if j < nxt and a_start is not None:  # B's expires sooner: count A's up to it
+                    a = states[0]
+                    states[0] = RelayState(a.forward_pickup, a.reverse_pickup, a.carrier_tx,
+                                           reduce(add, repeat(step, j - i - 1), a_start), a.tripped)
+                states[r] = RelayState(s.forward_pickup, s.reverse_pickup, s.carrier_tx, timer,
+                                       s.tripped)
+                nxt, a_start = j, start  # stop where this timer expires, if sooner
         return nxt
 
     i = advance(-1)
@@ -240,35 +239,34 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         t = i * step
 
         # Deliveries first: a block arriving at this instant beats the timer.
-        due = [d for d in pending if d.due <= t + eps]
-        pending = [d for d in pending if d.due > t + eps]
-        for d in sorted(due, key=lambda d: (d.due, d.target)):
-            if d.value and not block_rx[d.target]:
-                events.append(DcbEvent(time=t, relay=d.target, kind=EventKind.BLOCK_RECEIVED))
-            block_rx[d.target] = d.value
+        if pending and (due := [d for d in pending if d[0] <= t + eps]):
+            pending = [d for d in pending if d[0] > t + eps]
+            for _, r, value in sorted(due, key=itemgetter(0, 1)):  # stable within one target
+                if value and not block_rx[r]:
+                    events.append(DcbEvent(t, _NAMES[r], EventKind.BLOCK_RECEIVED))
+                block_rx[r] = value
 
-        for r in relays:
+        for r in (0, 1):
             seq = script[r]
             while cursor[r] < len(seq) and seq[cursor[r]].time <= t + eps:
                 pickups[r] = (seq[cursor[r]].fwd, seq[cursor[r]].rev)
                 cursor[r] += 1
 
-        for r in relays:
-            prev_carrier = states[r].carrier_tx
-            states[r], kinds = relay_step(states[r], RelayInputs(*pickups[r], block_rx[r]), step,
-                                          settings[r].coordination_time)
-            events.extend(DcbEvent(t, r, kind) for kind in kinds)
-            if states[r].carrier_tx != prev_carrier:
-                # Transition leaves at end of scan, lands `latency` later
-                # unless the channel is dead or loses it.
-                rng = rng or random.Random(scenario.channel.seed)
-                lost = rng.random() < scenario.channel.loss_probability
-                if scenario.channel.operational and not lost:
-                    pending.append(_Delivery(t + step + scenario.channel.latency, other[r],
-                                             states[r].carrier_tx))
+        for r in (0, 1):
+            prev = states[r]
+            states[r], kinds = relay_step(prev, RelayInputs(*pickups[r], block_rx[r]), step,
+                                          coordination[r])
+            for kind in kinds:
+                events.append(DcbEvent(t, _NAMES[r], kind))
+            if states[r].carrier_tx != prev.carrier_tx and sends:
+                # Transition leaves at end of scan, lands `latency` later unless lost.
+                if draws:
+                    rng = rng or random.Random(channel.seed)
+                if not draws or not rng.random() < loss:
+                    pending.append((t + step + latency, 1 - r, states[r].carrier_tx))
         i = advance(i)
 
-    events.sort(key=lambda e: (e.time, e.relay, e.kind.value))
+    events.sort(key=_trace_order)
     return events
 
 

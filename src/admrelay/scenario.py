@@ -25,8 +25,10 @@ except ImportError:
     except ImportError:  # a build without the builtin module
         from hashlib import sha256
 import math
+from functools import cache
+from typing import Callable
 
-from .errors import ModelError, ScenarioError
+from .errors import ScenarioError
 from .network import (
     CurrentLimitedInverter,
     FaultKind,
@@ -174,10 +176,6 @@ class Scenario(Record):
         return float(value) * _UNIT_SCALE[unit]
 
 
-def _fmt_num(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def _error(section: str, key: str, message: str) -> ScenarioError:
     """The field-level error; its text is built only when a value fails."""
     return ScenarioError(f"[{section}] {key}: {message}")
@@ -233,19 +231,28 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
     raise _error(section, key, f"unhandled field kind {kind!r}")
 
 
-def _fmt_value(value: object, spec: FieldSpec) -> str:
-    kind = spec.kind
+def _line_maker(key: str, kind: str) -> Callable[[object], str]:
+    """The function that writes one field's ``key = value`` line, made from its kind."""
+    head = f"{key} = "
     if kind == "quantity":
-        return f"{float(value[0]):.12g} {value[1]}"  # type: ignore[index]
+        return lambda v: f"{head}{float(v[0]):.12g} {v[1]}"
     if kind == "number":
-        return _fmt_num(value)  # type: ignore[arg-type]
+        return lambda v: f"{head}{float(v):.12g}"
     if kind == "integer":
-        return str(int(value))  # type: ignore[arg-type]
+        return lambda v: head + str(int(v))
     if kind == "boolean":
-        return "true" if value else "false"
-    if kind == "kpolicy" and isinstance(value, complex):
-        return f"{value.real:.12g}{value.imag:+.12g}j"
-    return str(value)
+        return lambda v: head + ("true" if v else "false")
+    if kind == "kpolicy":
+        return lambda v: (f"{head}{v.real:.12g}{v.imag:+.12g}j" if isinstance(v, complex)
+                          else head + str(v))
+    return lambda v: head + str(v)
+
+
+@cache  # made at first use: importing the package pays nothing for it
+def _emission() -> list[tuple[str, str, list[tuple[str, object, str, Callable]]]]:
+    """Per section its header, and per key the default object, its line and the line maker."""
+    return [(section, f"[{section}]", [(key, spec.default, (make := _line_maker(key, spec.kind))(
+        spec.default), make) for key, spec in fields.items()]) for section, fields in FIELDS.items()]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -339,6 +346,9 @@ def _check_consistency(s: Scenario) -> None:
             raise ScenarioError(
                 f"[dcb] step: duration/step must not exceed {MAX_DCB_SCANS} scans"
             )
+        for key in ("latency", "coordination_time", "duration", "step", "fault_time"):
+            if not math.isfinite(s.si("dcb", key) * 1e3):  # the simulator counts in ms
+                raise ScenarioError(f"[dcb] {key}: must be finite in milliseconds")
     if s.has("transient"):
         if s.si("transient", "dt") <= 0:
             raise ScenarioError("[transient] dt: must be positive")
@@ -353,12 +363,13 @@ def _check_consistency(s: Scenario) -> None:
 def scenario_to_text(s: Scenario) -> str:
     """Canonical emission: every present section, every key, declared order."""
     lines: list[str] = []
-    for section, fields in FIELDS.items():
-        if section not in s.sections:
+    for section, header, fields in _emission():
+        values = s.sections.get(section)
+        if values is None:
             continue
-        lines.append(f"[{section}]")
-        for key, spec in fields.items():
-            lines.append(f"{key} = {_fmt_value(s.sections[section][key], spec)}")
+        lines.append(header)
+        lines += [line if (value := values[key]) is default else make(value)
+                  for key, default, line, make in fields]
         lines.append("")
     return "\n".join(lines)
 
@@ -404,12 +415,12 @@ def build_model(s: Scenario) -> MicrogridModel:
         s.si("system", "load_reactive_power"),
         s.si("system", "line_line_voltage"),
     )
-    try:
-        load = LoadModel(z_load, complex(s.si("system", "load_grounding_resistance")))
-    except ModelError as exc:  # v_ll^2 / conj(S) under- or overflowed
+    # v_ll^2 / conj(S) under- or overflowed: LoadModel would reject the first, the solve the second
+    if not (z_load.real > 0 and math.isfinite(z_load.real) and math.isfinite(z_load.imag)):
         raise ScenarioError("[system] line_line_voltage: with load_real_power and "
                             "load_reactive_power, the load impedance under- or overflows to "
-                            "no positive resistance") from exc
+                            "no positive resistance")
+    load = LoadModel(z_load, complex(s.si("system", "load_grounding_resistance")))
     kind = FaultKind(str(s.get("fault", "kind")))
     fault = FaultSpec(kind=kind, rf=s.si("fault", "rf"))
     return MicrogridModel(

@@ -147,8 +147,14 @@ def _edit(**fields: str) -> str:
      {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
     (_edit(load_grounding_resistance="inf ohm"),
      {"case --case 2": 1, "sweep": 1, "dcb": 0, "trajectory": 0}),
+    # v_ll^2 overflows, so the load impedance is not finite
+    (_edit(line_line_voltage="1e200 V"),
+     {"validate": 0, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+    # [dcb] times that overflow when the simulator counts them in ms
+    (_edit(step="1e308 s").replace("\nduration = 100 ms\n", "\nduration = 1e308 s\n"),
+     {"validate": 1, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
 ], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case",
-        "load-underflow", "load-overflow", "open-neutral"])
+        "load-underflow", "load-overflow", "open-neutral", "voltage-overflow", "dcb-ms-overflow"])
 def test_fixed_scenarios_keep_the_contract(tmp_path, text, expected):
     found, exits = violations(text, str(tmp_path))
     assert found == []

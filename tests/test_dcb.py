@@ -157,6 +157,39 @@ def test_simulate_evaluates_only_event_scans(monkeypatch):
     assert len(calls) <= 20
 
 
+# B keys, drops and keys its carrier again: three transitions, three draws
+FLAPPING = {
+    "A": [dcb.PickupChange(10.0, True, False)],
+    "B": [dcb.PickupChange(5.0, False, True), dcb.PickupChange(6.0, False, False),
+          dcb.PickupChange(7.0, False, True)],
+}
+
+
+@pytest.mark.parametrize("loss, operational", [(0.0, True), (1.0, True), (0.5, False),
+                                               (0.0, False)])
+def test_no_stream_is_made_when_no_draw_can_change_the_trace(monkeypatch, loss, operational):
+    s = scripted(FLAPPING, loss=loss, operational=operational, seed=5)
+    want = simulate_every_scan(s)
+    assert [e.kind for e in want].count(dcb.EventKind.CARRIER_START) == 2
+
+    def refuse(seed):
+        raise AssertionError("a stream was made where no draw can change the trace")
+
+    monkeypatch.setattr(dcb.random, "Random", refuse)
+    assert dcb.simulate(s) == want
+
+
+def test_a_lossy_live_channel_draws_from_one_stream(monkeypatch):
+    # the stream of seed 2 loses the second start, so A's block lifts and A trips
+    s = scripted(FLAPPING, loss=0.5, seed=2)
+    want = simulate_every_scan(s)
+    assert trip_times(want, "A") and not trip_times(simulate_every_scan(scripted(FLAPPING)), "A")
+    made, stream = [], random.Random
+    monkeypatch.setattr(dcb.random, "Random", lambda seed: made.append(seed) or stream(seed))
+    assert dcb.simulate(s) == want
+    assert made == [2]
+
+
 def _random_scenario(rng):
     """A seeded DCB scenario across the regimes where skipping scans could
     go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,

@@ -784,3 +784,56 @@ def test_validate_reports_each_scenario_error(tmp_path, capsys, text, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"validation error: {message}\n"
+
+
+# values that stress the emission's number formats: signed zero, subnormals,
+# extremes, integers and booleans where floats are declared, long mantissas
+_NUMBERS = [0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+            math.inf, -math.inf, 1, 40, 10**20, True, False, 0.1, 1 / 3, -2.5, 123456789.123456789]
+
+
+def _random_value(rng, spec):
+    """A value of the spec's kind: its default object, an equal but distinct
+    copy of it, or a seeded draw, in the forms a parse or a caller gives."""
+    draw = rng.random()
+    if draw < 0.3:
+        return spec.default
+    kind = spec.kind
+    if draw < 0.45:  # equal to the default, not the same object
+        if kind == "quantity":
+            return (float(spec.default[0]), "".join(spec.default[1]))
+        return {"number": float, "integer": lambda v: int(str(v)), "boolean": bool}.get(
+            kind, lambda v: "".join(v))(spec.default)
+    number = rng.choice(_NUMBERS + [rng.uniform(-1e6, 1e6), rng.lognormvariate(0.0, 30.0)])
+    if kind == "quantity":
+        return (number, rng.choice(spec.units))
+    if kind == "number":
+        return number
+    if kind == "integer":
+        return rng.choice([0, -1, 7, 123456, 10**30, True])
+    if kind == "boolean":
+        return rng.choice([True, False, 1, 0])
+    if kind == "kpolicy":
+        return rng.choice(["auto", "line", "downstream-path",
+                           complex(number if math.isfinite(number) else 0.5, rng.choice(_NUMBERS[:9])),
+                           complex(-0.0, -0.0), 0.5 - 0.2j])
+    return rng.choice(spec.choices)
+
+
+def test_emission_matches_the_field_by_field_reference():
+    import random
+
+    from emission_reference import digest_every_field, emit_every_field
+
+    rng = random.Random(18)
+    for _ in range(400):
+        s = default_scenario() if rng.random() < 0.5 else parse_scenario(default_text())
+        for section in ("dcb", "transient"):
+            if rng.random() < 0.2:
+                del s.sections[section]
+        for section, values in s.sections.items():
+            for key, spec in FIELDS[section].items():
+                if rng.random() < 0.6:
+                    values[key] = _random_value(rng, spec)
+        assert scenario_to_text(s) == emit_every_field(s)
+        assert scenario_digest(s) == digest_every_field(s)
