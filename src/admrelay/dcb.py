@@ -179,8 +179,9 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     """
     channel = scenario.channel
     loss, latency = channel.loss_probability, channel.latency
-    sends, rng = channel.operational and loss < 1.0, None
-    draws = sends and loss > 0.0
+    sends = channel.operational and loss < 1.0  # else no transition ever lands
+    draws = sends and loss > 0.0  # else none is lost, and no stream is needed
+    rng = None
     coordination = (scenario.relay_a.coordination_time, scenario.relay_b.coordination_time)
     limits = (coordination[0] * (1.0 - 1e-9), coordination[1] * (1.0 - 1e-9))  # relay_step's
     states, block_rx, pickups = [RelayState(), RelayState()], [False, False], [(False, False)] * 2
@@ -241,7 +242,7 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         # Deliveries first: a block arriving at this instant beats the timer.
         if pending and (due := [d for d in pending if d[0] <= t + eps]):
             pending = [d for d in pending if d[0] > t + eps]
-            for _, r, value in sorted(due, key=itemgetter(0, 1)):  # stable within one target
+            for _, r, value in sorted(due, key=itemgetter(0, 1)):  # stable: keeps a tie's order
                 if value and not block_rx[r]:
                     events.append(DcbEvent(t, _NAMES[r], EventKind.BLOCK_RECEIVED))
                 block_rx[r] = value

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ from admrelay.scenario import (
     sweep_points,
 )
 
+from emission_reference import digest_every_field, emit_every_field
 from support import close
 
 
@@ -821,10 +823,6 @@ def _random_value(rng, spec):
 
 
 def test_emission_matches_the_field_by_field_reference():
-    import random
-
-    from emission_reference import digest_every_field, emit_every_field
-
     rng = random.Random(18)
     for _ in range(400):
         s = default_scenario() if rng.random() < 0.5 else parse_scenario(default_text())
