@@ -130,6 +130,9 @@ def _edit(**fields: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+EVERY_COMMAND_REJECTS = {"validate": 1, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}
+
+
 @pytest.mark.parametrize("text, expected", [
     # the relay currents underflow to 0: the oracle's reading is undefined,
     # and the DCB coupling, which reads no impedance, still runs
@@ -152,9 +155,15 @@ def _edit(**fields: str) -> str:
      {"validate": 0, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
     # [dcb] times that overflow when the simulator counts them in ms
     (_edit(step="1e308 s").replace("\nduration = 100 ms\n", "\nduration = 1e308 s\n"),
-     {"validate": 1, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+     EVERY_COMMAND_REJECTS),
+    # a segment, or the whole cable, whose impedance is round-off against the
+    # load's: every reading through it would be noise
+    (_edit(fault_position="1e-300"), EVERY_COMMAND_REJECTS),
+    (_edit(fault_position="0.9999999999999999"), EVERY_COMMAND_REJECTS),
+    (_edit(cable_resistance="1e-300 ohm", cable_inductance="0 H"), EVERY_COMMAND_REJECTS),
 ], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case",
-        "load-underflow", "load-overflow", "open-neutral", "voltage-overflow", "dcb-ms-overflow"])
+        "load-underflow", "load-overflow", "open-neutral", "voltage-overflow", "dcb-ms-overflow",
+        "negligible-source-side-segment", "negligible-load-side-segment", "negligible-cable"])
 def test_fixed_scenarios_keep_the_contract(tmp_path, text, expected):
     found, exits = violations(text, str(tmp_path))
     assert found == []

@@ -27,6 +27,7 @@ from admrelay.relaying import directional_neg_seq
 from admrelay.trajectory import TrajectoryPoint, simulate_trajectory
 from admrelay.scenario import (
     FIELDS,
+    SEGMENT_IMPEDANCE_FLOOR,
     build_model,
     default_scenario,
     parse_scenario,
@@ -531,6 +532,45 @@ def test_cli_cable_that_leaves_the_network_singular_or_active_is_a_validation_er
         out, err = capsys.readouterr()
         assert out == ""
         assert f"[system] {fields[0][0]}: must be" in err
+
+
+@pytest.mark.parametrize("fields", [
+    [("fault_position", "1e-300")],
+    [("fault_position", "0.9999999999999999")],
+    [("cable_resistance", "1e-300 ohm"), ("cable_inductance", "0 H")],
+], ids=["source-side-segment", "load-side-segment", "whole-cable"])
+def test_cli_negligible_segment_is_a_validation_error(tmp_path, capsys, fields):
+    # a segment whose impedance is round-off against the load's drops less
+    # of the bus voltage than the nodal solve resolves, so every reading
+    # through it would be noise printed at exit 0
+    text = None
+    for key, value in fields:
+        text = _set_field("system", key, value, text)
+    for argv in (["validate"], ["case", "--case", "2"], ["sweep"], ["dcb"], ["trajectory"]):
+        assert _run(tmp_path, text, *argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"validation error: [system] {fields[0][0]}: "), argv
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_segment_floor_is_a_ratio_of_impedances(k):
+    # every impedance scaled by 2**k (the cable's R and L up, the load's P
+    # and Q down) keeps the verdict on either side of the floor
+    def scenario(position):
+        text = _set_field("system", "fault_position", repr(position))
+        for key, value, unit in (("cable_resistance", 39e-3 * 2.0**k, "ohm"),
+                                 ("cable_inductance", 70.8e-6 * 2.0**k, "H"),
+                                 ("load_real_power", 25e3 * 2.0**-k, "W"),
+                                 ("load_reactive_power", 12.5e3 * 2.0**-k, "var")):
+            text = _set_field("system", key, f"{value!r} {unit}", text)
+        return text
+
+    m = build_model(default_scenario())
+    ratio = abs(m.line_1m.z1 + m.line_m2.z1) / abs(m.load.z_load)
+    parse_scenario(scenario(1.001 * SEGMENT_IMPEDANCE_FLOOR / ratio))
+    with pytest.raises(ScenarioError, match=r"^\[system\] fault_position: "):
+        parse_scenario(scenario(0.999 * SEGMENT_IMPEDANCE_FLOOR / ratio))
 
 
 @pytest.mark.parametrize("section, key, value, message, command", [
