@@ -353,9 +353,15 @@ def _check_consistency(s: Scenario) -> None:
     if rf_points > MAX_RF_POINTS:
         raise ScenarioError(f"[fault] rf_points: must not exceed {MAX_RF_POINTS}")
     # sweep_points spaces a log grid from rf_min unless the grid is one point
-    if (s.get("fault", "rf_spacing") == "log" and rf_points > 1 and rf_min != rf_max
-            and rf_min <= 0):
-        raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
+    if s.get("fault", "rf_spacing") == "log" and rf_points > 1 and rf_min != rf_max:
+        if rf_min <= 0:
+            raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
+        try:  # the grid's largest point; float ** raises where * gives inf
+            top = rf_min * _log_ratio(rf_min, rf_max, rf_points) ** (rf_points - 1)
+        except OverflowError:
+            top = math.inf
+        if top == math.inf:
+            raise ScenarioError("[fault] rf_max: the log grid from rf_min must not overflow")
     if s.has("dcb"):
         loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
         if not 0.0 <= loss <= 1.0:
@@ -470,7 +476,12 @@ def sweep_points(s: Scenario) -> list[float]:
     if n == 1 or lo == hi:
         return [lo]
     if str(s.get("fault", "rf_spacing")) == "log":
-        ratio = (hi / lo) ** (1.0 / (n - 1))
+        ratio = _log_ratio(lo, hi, n)
         return [lo * ratio**i for i in range(n)]
     step = (hi - lo) / (n - 1)
     return [lo + step * i for i in range(n)]
+
+
+def _log_ratio(lo: float, hi: float, n: int) -> float:
+    """Ratio of consecutive points of an n-point log grid from lo to hi."""
+    return (hi / lo) ** (1.0 / (n - 1))

@@ -161,9 +161,13 @@ EVERY_COMMAND_REJECTS = {"validate": 1, "case --case 2": 1, "sweep": 1, "dcb": 1
     (_edit(fault_position="1e-300"), EVERY_COMMAND_REJECTS),
     (_edit(fault_position="0.9999999999999999"), EVERY_COMMAND_REJECTS),
     (_edit(cable_resistance="1e-300 ohm", cable_inductance="0 H"), EVERY_COMMAND_REJECTS),
+    # a log grid whose top point overflows: float ** raised OverflowError in sweep
+    (_edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm", rf_points="5"),
+     EVERY_COMMAND_REJECTS),
 ], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case",
         "load-underflow", "load-overflow", "open-neutral", "voltage-overflow", "dcb-ms-overflow",
-        "negligible-source-side-segment", "negligible-load-side-segment", "negligible-cable"])
+        "negligible-source-side-segment", "negligible-load-side-segment", "negligible-cable",
+        "log-grid-overflow"])
 def test_fixed_scenarios_keep_the_contract(tmp_path, text, expected):
     found, exits = violations(text, str(tmp_path))
     assert found == []

@@ -693,16 +693,25 @@ def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
     assert len(networks) == 1 and len(faults) == 40
 
 
-@pytest.mark.parametrize("kind", ["lg", "ll"])
-@pytest.mark.parametrize("location", ["upstream", "downstream"])
-def test_sweep_point_at_infinite_rf_fails_its_closed_form(kind, location):
-    # the log grid overflows to rf = inf after its first point, and that
-    # point's closed form rejects it as a solve would
-    s = parse_scenario(f"[fault]\nkind = {kind}\nrf_min = 1e-10 ohm\nrf_max = 1.7e308 ohm\n"
-                       f"rf_points = 4\n[relay]\nlocation = {location}\n")
-    assert sweep_points(s)[1] == math.inf
-    with pytest.raises(ModelError, match="closed-form solvers require a finite fault resistance"):
-        cli.run_sweep(s)
+@pytest.mark.parametrize("rf_min, rf_max, rf_points", [
+    ("1e-10 ohm", "1.7e308 ohm", 4),
+    ("5e-324 ohm", "1 ohm", 40),
+    ("1 ohm", "1.7976931348623157e308 ohm", 5),
+], ids=["ratio-overflows", "subnormal-rf_min", "top-point-overflows"])
+def test_log_grid_that_overflows_is_a_validation_error(tmp_path, capsys, rf_min, rf_max,
+                                                        rf_points):
+    # rf_max / rf_min overflows, so the grid reaches rf = inf after its first
+    # point, or the top point's power raises OverflowError; both were found
+    # only when a sweep ran
+    text = _set_field("fault", "rf_min", rf_min)
+    text = _set_field("fault", "rf_max", rf_max, text)
+    text = _set_field("fault", "rf_points", str(rf_points), text)
+    with pytest.raises(ScenarioError, match=r"^\[fault\] rf_max: "):
+        parse_scenario(text)
+    for argv in (["validate"], ["sweep"], ["dcb"]):
+        assert _run(tmp_path, text, *argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("validation error: [fault] rf_max: "), argv
 
 
 def test_sweep_rejects_an_open_neutral_before_factoring_its_network(monkeypatch):
