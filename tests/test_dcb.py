@@ -10,8 +10,9 @@ from admrelay.network import RelayLocation
 from admrelay.phasors import SequenceTriple, phase_to_sequence
 from admrelay.relaying import DirectionalDecision, directional_neg_seq
 
+from coupling_reference import contract_model, mismatch
 from dcb_reference import simulate_every_scan
-from support import inverter, lg_model
+from support import ideal, inverter, lg_model, ll_model
 
 
 def scripted(script, *, latency=2.0, operational=True, loss=0.0, seed=1,
@@ -330,6 +331,23 @@ def test_couple_from_network_assembles_one_network(monkeypatch, m):
     monkeypatch.setattr(nodal, "build_system", lambda *a: calls.append(a) or build(*a))
     assert dcb.couple_from_network(m, 10.0) == expected
     assert len(calls) == 1
+
+
+COUPLING_SEEDS = range(600)  # about 0.6 s; CI runs the contract's 3,000
+
+
+def test_coupling_matches_the_reference_on_contract_scenarios():
+    # the same script, or the same exception class, on every contract
+    # scenario that builds a model
+    assert [seed for seed in COUPLING_SEEDS
+            if (m := contract_model(seed)) is not None and mismatch(m) is not None] == []
+
+
+@pytest.mark.parametrize("source", [ideal(), inverter()], ids=["ideal", "inverter"])
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+@pytest.mark.parametrize("rf", [0.0, 5e-324, 1e300, math.inf])
+def test_coupling_matches_the_reference_on_fixed_cases(rf, make, source):
+    assert mismatch(make(rf, source)) is None
 
 
 def main(argv):
