@@ -27,7 +27,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
-from .network import MicrogridModel, RelayLocation
+from .network import MicrogridModel
 from .phasors import SequenceTriple, phase_to_sequence, sequence_to_phase
 from .records import Record
 from .relaying import DirectionalDecision, directional_neg_seq
@@ -306,15 +306,13 @@ def couple_from_network(m: MicrogridModel, fault_time: float) -> dict[str, list[
     is engaged on a fault, so the healthy study produces no pickups.
     """
     line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
-    tf = nodal.Network(m).transfer(m.fault)
     v = sequence_to_phase(m.source.sequence_voltages() if math.isfinite(m.fault.rf)
                           else SequenceTriple(0j, m.source.v1, 0j))
-    v2 = phase_to_sequence(tf.rows(0, v)).neg  # both relays sit at the fault node
+    v_m, i_up, i_dn = nodal.fault_phases(m, v)
+    v2 = phase_to_sequence(v_m).neg  # both relays sit at the fault node
     script: dict[str, list[PickupChange]] = {}
-    for relay_id, location in ((RELAY_A, RelayLocation.UPSTREAM_OF_FAULT),
-                                (RELAY_B, RelayLocation.DOWNSTREAM_OF_FAULT)):
-        i2 = phase_to_sequence(tf.rows(nodal.RELAY_ROW[location], v)).neg
-        decision = directional_neg_seq(v2, i2, line_angle)
+    for relay_id, i in ((RELAY_A, i_up), (RELAY_B, i_dn)):
+        decision = directional_neg_seq(v2, phase_to_sequence(i).neg, line_angle)
         fwd = decision is DirectionalDecision.FORWARD
         rev = decision is DirectionalDecision.REVERSE
         if fwd or rev:

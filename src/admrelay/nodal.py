@@ -328,6 +328,53 @@ class Network:
         return Transfer(fault, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
 
 
+def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseTriple,
+                                                              PhaseTriple]:
+    """The fault-node voltage and the source-side and load-side segment
+    currents (source bus -> fault node, fault node -> load bus) of m under
+    its own fault, for the one vector v of source phase voltages.
+
+    The compensation method on one right-hand side: x0 = A0^-1 (b v) and,
+    for a finite rf, w = A0^-1 u, i_f = u^T x0 / (rf + z_kk) and
+    x = x0 - w i_f.  That is one factorization and at most two triangular
+    solves, where a :class:`Network` solves three source columns and bolts
+    the fault kind.  It serves a caller that needs one fault and one source
+    (the DCB coupling); the paths that print rows keep :class:`Network`,
+    whose round-off they print.  Raises SingularSystemError as
+    :class:`Network` and :meth:`Network.transfer` do: a singular matrix, a
+    zero or non-finite z_kk or rf + z_kk, or a relative residual of
+    A0 x0 = b v, A0 x + u i_f = b v or u^T x = rf i_f not below RESIDUAL_LIMIT.
+    """
+    sysm = build_system(m)
+    a0 = [row[3:] for row in sysm.y[3:]]
+    lu, order = _factor([list(row) for row in a0])
+    bv = [-r for r in _superpose((row[:3] for row in sysm.y[3:]), v)]
+    b_norm = _norm(bv) or 1.0
+    x = _lu_solve(lu, order, bv)
+    _checked(_norm(sum(map(mul, row, x)) - bk for row, bk in zip(a0, bv)) / b_norm)
+    rf = m.fault.rf
+    if rf != math.inf:
+        u = ([1, 0, 0] if m.fault.kind is FaultKind.LINE_GROUND_A else [0, 1, -1]) + [0] * (
+            len(a0) - 3)
+        w = _lu_solve(lu, order, u)
+        z_kk = sum(map(mul, u, w))
+        if not (z_kk != 0 and cmath.isfinite(z_kk)):
+            raise SingularSystemError(f"fault-point impedance is {z_kk}")
+        d = rf + z_kk
+        if not (d != 0 and cmath.isfinite(d)):
+            raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
+        ux0 = sum(map(mul, u, x))
+        i_f = ux0 / d
+        x = [xk - wk * i_f for xk, wk in zip(x, w)]
+        _checked(_norm(sum(map(mul, row, x)) + uk * i_f - bk
+                       for row, uk, bk in zip(a0, u, bv)) / b_norm)
+        _checked(abs(sum(map(mul, u, x)) - rf * i_f) / (abs(ux0) or 1.0))
+    v_m, v_2 = x[0:3], x[3:6]
+    d_up, d_dn = [a - b for a, b in zip(v, v_m)], [a - b for a, b in zip(v_m, v_2)]
+    return (PhaseTriple._make(v_m), PhaseTriple._make(sum(map(mul, r, d_up)) for r in sysm.y_1m),
+            PhaseTriple._make(sum(map(mul, r, d_dn)) for r in sysm.y_m2))
+
+
 def solve_network(
     m: MicrogridModel,
     relay_location: RelayLocation,

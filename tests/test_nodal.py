@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from admrelay import nodal
+from admrelay import dcb, nodal
 from admrelay.errors import SingularSystemError
 from admrelay.cli import run_sweep
 from admrelay.network import (
@@ -12,7 +12,7 @@ from admrelay.network import (
     SequenceImpedancePair,
     thevenin_line_ground,
 )
-from admrelay.phasors import SequenceTriple, sequence_to_phase
+from admrelay.phasors import SequenceTriple, phase_to_sequence, sequence_to_phase
 from admrelay.scenario import default_scenario, sweep_points
 from admrelay.trajectory import simulate_trajectory
 
@@ -424,3 +424,99 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
         i_f_kernel = up.intermediates["i_f_a" if kind == "lg" else "i_f_b"]
         assert abs(i_f_kernel - i_f) <= 1e-11 * i_scale, m
         assert tf.residual < nodal.RESIDUAL_LIMIT
+
+
+@pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
+@pytest.mark.parametrize("kind", ["lg", "ll"])
+def test_fault_phases_match_a_dense_solve_of_the_faulted_system(kind, grounded):
+    rng = np.random.default_rng(20261019)
+    models = [_random_model(rng, kind, grounded) for _ in range(40)]
+    assert {0.0, math.inf} <= {m.fault.rf for m in models}
+    for m in models:
+        parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        seq = SequenceTriple(*(complex(x) for x in parts))
+        v_m, i_up, i_dn, _, _ = _dense_reference(m, seq)
+        got_v, got_up, got_dn = nodal.fault_phases(m, sequence_to_phase(seq))
+        v_scale = max(abs(x) for x in sequence_to_phase(seq))
+        i_scale = max(np.abs(np.concatenate([i_up, i_dn])))
+        assert np.allclose(got_v, v_m, rtol=0, atol=1e-11 * v_scale), m
+        assert np.allclose(got_up, i_up, rtol=0, atol=1e-11 * i_scale), m
+        assert np.allclose(got_dn, i_dn, rtol=0, atol=1e-11 * i_scale), m
+
+
+@pytest.mark.parametrize("rf, solves", [(3.68, 2), (0.0, 2), (math.inf, 1)])
+def test_fault_phases_factor_once_and_solve_one_column_per_unknown(monkeypatch, rf, solves):
+    # the source column, and for a closed fault the fault column u
+    counts = {"build_system": 0, "_factor": 0, "_lu_solve": 0}
+    for name in counts:
+        monkeypatch.setattr(nodal, name, lambda *a, f=getattr(nodal, name), name=name:
+                            counts.__setitem__(name, counts[name] + 1) or f(*a))
+    m = ll_model(rf)
+    nodal.fault_phases(m, sequence_to_phase(m.source.sequence_voltages()))
+    assert counts == {"build_system": 1, "_factor": 1, "_lu_solve": solves}
+
+
+def _zeroed(build):
+    def build_zero(m):
+        sysm = build(m)
+        return sysm._replace(y=nodal.Matrix(tuple(0j for _ in row) for row in sysm.y))
+    return build_zero
+
+
+@pytest.mark.parametrize("rf", [3.68, math.inf])
+def test_fault_phases_reject_a_singular_healthy_network(monkeypatch, rf):
+    m = lg_model(rf)
+    v = sequence_to_phase(m.source.sequence_voltages())
+    for segment in ("line_1m", "line_m2"):  # a nan spreads through the factors
+        bad = SequenceImpedancePair(complex(math.nan, 0.01), getattr(m, segment).z0)
+        with pytest.raises(SingularSystemError):
+            nodal.fault_phases(m._replace(**{segment: bad}), v)
+    monkeypatch.setattr(nodal, "build_system", _zeroed(nodal.build_system))
+    with pytest.raises(SingularSystemError, match="^nodal matrix is singular$"):
+        nodal.fault_phases(m, v)
+
+
+@pytest.mark.parametrize("rf, fake_w, message", [
+    (3.68, lambda u, w: [0j] * len(w), r"^fault-point impedance is 0j$"),
+    (3.68, lambda u, w: [x * math.inf for x in w], r"^fault-point impedance is \(?(nan|inf)"),
+    (1.79e308, lambda u, w: [5e306 * x for x in u],
+     r"^rf \+ z_kk is \(?inf.*: the fault current is undefined$"),
+], ids=["zero-z_kk", "infinite-z_kk", "rf-plus-z_kk-overflows"])
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_fault_phases_reject_an_undefined_fault_current(monkeypatch, make, rf, fake_w, message):
+    # w = A0^-1 u, the second solve, is replaced so that z_kk = u^T w is zero,
+    # not finite, or finite but large enough for rf + z_kk to overflow
+    m = make(rf)
+    solve, solves = nodal._lu_solve, []
+
+    def second_solve_faked(lu, order, b):
+        solves.append(b)
+        x = solve(lu, order, b)
+        return x if len(solves) == 1 else fake_w(b, x)
+
+    monkeypatch.setattr(nodal, "_lu_solve", second_solve_faked)
+    with pytest.raises(SingularSystemError, match=message):
+        nodal.fault_phases(m, sequence_to_phase(m.source.sequence_voltages()))
+
+
+@pytest.mark.parametrize("rf", [0.0, 3.68, math.inf])
+def test_fault_phases_check_their_residuals(monkeypatch, rf):
+    m = lg_model(rf)
+    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 0.0)
+    with pytest.raises(SingularSystemError, match="^nodal solve residual "):
+        nodal.fault_phases(m, sequence_to_phase(m.source.sequence_voltages()))
+
+
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_fault_phases_of_an_open_fault_carry_one_balanced_current(make):
+    # with the fault branch open, the source-side and load-side currents are
+    # one current; a balanced source drives no negative sequence, so the
+    # DCB coupling scripts no pickup
+    m = make(math.inf, inverter())
+    v = sequence_to_phase(SequenceTriple(0j, m.source.v1, 0j))
+    v_m, i_up, i_dn = nodal.fault_phases(m, v)
+    scale = max(map(abs, i_up))
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(i_up, i_dn))
+    assert abs(phase_to_sequence(i_up).neg) <= 1e-12 * scale
+    assert abs(phase_to_sequence(v_m).neg) <= 1e-12 * max(map(abs, v_m))
+    assert dcb.couple_from_network(m, 10.0) == {}
