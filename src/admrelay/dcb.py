@@ -303,7 +303,9 @@ def couple_from_network(m: MicrogridModel, fault_time: float) -> dict[str, list[
 
     A model without a fault branch (infinite rf) is solved with the source
     balanced: the inverter only holds unbalanced voltage while its limiter
-    is engaged on a fault, so the healthy study produces no pickups.
+    is engaged on a fault, so the healthy study produces no pickups.  The
+    study is :func:`nodal.fault_phases`: one assembly and factorization and
+    at most two triangular solves, for this one fault and source vector.
     """
     line_angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
     v = sequence_to_phase(m.source.sequence_voltages() if math.isfinite(m.fault.rf)

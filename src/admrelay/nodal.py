@@ -18,7 +18,12 @@ solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
 exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
-A :class:`Network` is factored once and gives each fault's :class:`Transfer`.
+A :class:`Network` is factored once and gives each fault's :class:`Transfer`:
+the sweep, the trajectory and the case read its rows per unit source phase.
+:func:`fault_phases` solves one fault for one source vector instead, on one
+right-hand side, x = x0 - w i_f, for the DCB coupling, which reads three
+phase triples once.  The row readers keep :class:`Network`, because their
+documents print its round-off.
 """
 
 from __future__ import annotations
@@ -169,6 +174,11 @@ def _checked(residual: float) -> float:
     return residual
 
 
+def _fault_column(kind: FaultKind, n: int) -> list[int]:
+    """u over the n unknown nodes: e_Ma (line-ground) or e_Mb - e_Mc (line-line)."""
+    return ([1, 0, 0] if kind is FaultKind.LINE_GROUND_A else [0, 1, -1]) + [0] * (n - 3)
+
+
 class Transfer:
     """One fault's network, linear in the source phase voltages.
 
@@ -277,7 +287,7 @@ class Network:
         """u's nonzero (row, entry) pairs, z_kk, u^T x0 and its norm, the maps
         of p and w, and A0 w, A0 p - b, u^T p."""
         lg = kind is FaultKind.LINE_GROUND_A
-        u = ([1, 0, 0] if lg else [0, 1, -1]) + [0] * (len(self.a0) - 3)
+        u = _fault_column(kind, len(self.a0))
         w = _lu_solve(self.lu, self.order, u)
         z_kk = sum(map(mul, u, w))
         if not (z_kk != 0 and cmath.isfinite(z_kk)):
@@ -354,8 +364,7 @@ def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseT
     _checked(_norm(sum(map(mul, row, x)) - bk for row, bk in zip(a0, bv)) / b_norm)
     rf = m.fault.rf
     if rf != math.inf:
-        u = ([1, 0, 0] if m.fault.kind is FaultKind.LINE_GROUND_A else [0, 1, -1]) + [0] * (
-            len(a0) - 3)
+        u = _fault_column(m.fault.kind, len(a0))
         w = _lu_solve(lu, order, u)
         z_kk = sum(map(mul, u, w))
         if not (z_kk != 0 and cmath.isfinite(z_kk)):
