@@ -18,12 +18,11 @@ solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
 exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
-A :class:`Network` is factored once and gives each fault's :class:`Transfer`:
-the sweep, the trajectory and the case read its rows per unit source phase.
-:func:`fault_phases` solves one fault for one source vector instead, on one
-right-hand side, x = x0 - w i_f, for the DCB coupling, which reads three
-phase triples once.  The row readers keep :class:`Network`, because their
-documents print its round-off.
+A :class:`Network` is factored once and gives each fault's :class:`Transfer`,
+whose rows per unit source phase the sweep, trajectory and case read and
+print.  The DCB coupling needs one fault and one source vector, so
+:func:`fault_phases` solves x = x0 - w i_f on that one right-hand side; the
+row readers keep :class:`Network`, whose round-off their documents print.
 """
 
 from __future__ import annotations
@@ -341,19 +340,12 @@ class Network:
 def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseTriple,
                                                               PhaseTriple]:
     """The fault-node voltage and the source-side and load-side segment
-    currents (source bus -> fault node, fault node -> load bus) of m under
-    its own fault, for the one vector v of source phase voltages.
+    currents of m under its own fault, for one vector v of source phases.
 
-    The compensation method on one right-hand side: x0 = A0^-1 (b v) and,
-    for a finite rf, w = A0^-1 u, i_f = u^T x0 / (rf + z_kk) and
-    x = x0 - w i_f.  That is one factorization and at most two triangular
-    solves, where a :class:`Network` solves three source columns and bolts
-    the fault kind.  It serves a caller that needs one fault and one source
-    (the DCB coupling); the paths that print rows keep :class:`Network`,
-    whose round-off they print.  Raises SingularSystemError as
-    :class:`Network` and :meth:`Network.transfer` do: a singular matrix, a
-    zero or non-finite z_kk or rf + z_kk, or a relative residual of
-    A0 x0 = b v, A0 x + u i_f = b v or u^T x = rf i_f not below RESIDUAL_LIMIT.
+    The compensation method on one right-hand side: x0 = A0^-1 (b v) and, for
+    a finite rf, x = x0 - w i_f with w = A0^-1 u and i_f = u^T x0 / (rf + z_kk):
+    one factorization and at most two triangular solves.  Raises
+    SingularSystemError where :class:`Network` and its transfer do.
     """
     sysm = build_system(m)
     a0 = [row[3:] for row in sysm.y[3:]]

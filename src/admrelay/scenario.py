@@ -151,12 +151,9 @@ MAX_RF_POINTS = 10_000
 MAX_TRANSIENT_STEPS = 100_000
 MAX_DCB_SCANS = 1_000_000
 
-# Least |z1| of a line segment, and of the whole cable, relative to |z_load|.
-# A segment's voltage drop is about this share of the bus voltage; below the
-# nodal solve's accepted relative residual (1e-9) the drop, and so every
-# current and reading through the segment, is round-off.  The reference
-# system's segments sit near 3e-3.  A ratio of impedances, the floor does not
-# move when every impedance is scaled by one factor.
+# Least |z1| of the cable and of each segment, relative to |z_load|: below the
+# nodal solve's accepted relative residual (1e-9) a segment's voltage drop, and
+# every reading through it, is round-off.  The reference segments sit near 3e-3.
 SEGMENT_IMPEDANCE_FLOOR = 1e-9
 
 
@@ -332,18 +329,14 @@ def _check_consistency(s: Scenario) -> None:
     z_load = load_impedance_from_power(s.si("system", "load_real_power"),
                                        s.si("system", "load_reactive_power"),
                                        s.si("system", "line_line_voltage"))
-    # hypot, not abs, which raises OverflowError; a load impedance that under-
-    # or overflows is build_model's to name
-    load = math.hypot(z_load.real, z_load.imag)
-    if 0 < load < math.inf:
-        ratio = math.hypot(z_cable.real, z_cable.imag) / load
-        if not ratio >= SEGMENT_IMPEDANCE_FLOOR:
-            raise ScenarioError("[system] cable_resistance: with cable_inductance, the cable "
-                                f"impedance must be at least {SEGMENT_IMPEDANCE_FLOOR:g} of the "
-                                "load impedance")
-        if not min(pos, 1.0 - pos) * ratio >= SEGMENT_IMPEDANCE_FLOOR:
-            raise ScenarioError("[system] fault_position: each segment's impedance must be at "
-                                f"least {SEGMENT_IMPEDANCE_FLOOR:g} of the load impedance")
+    load = math.hypot(z_load.real, z_load.imag)  # abs() would raise OverflowError
+    if 0 < load < math.inf:  # else build_model names the load's under- or overflow
+        ratio = math.hypot(z_cable.real, z_cable.imag) / load  # unchanged by a common scale
+        for share, field, what in ((1.0, "cable_resistance", "with cable_inductance, the cable"),
+                                   (min(pos, 1.0 - pos), "fault_position", "each segment's")):
+            if not share * ratio >= SEGMENT_IMPEDANCE_FLOOR:
+                raise ScenarioError(f"[system] {field}: {what} impedance must be at least "
+                                    f"{SEGMENT_IMPEDANCE_FLOOR:g} of the load impedance")
     rf_min, rf_max = s.si("fault", "rf_min"), s.si("fault", "rf_max")
     if rf_min > rf_max:
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
