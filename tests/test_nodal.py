@@ -445,7 +445,7 @@ def test_fault_phases_match_a_dense_solve_of_the_faulted_system(kind, grounded):
 
 
 @pytest.mark.parametrize("rf, solves", [(3.68, 2), (0.0, 2), (math.inf, 1)])
-def test_fault_phases_factor_once_and_solve_one_column_per_unknown(monkeypatch, rf, solves):
+def test_fault_phases_factor_once_and_solve_at_most_twice(monkeypatch, rf, solves):
     # the source column, and for a closed fault the fault column u
     counts = {"build_system": 0, "_factor": 0, "_lu_solve": 0}
     for name in counts:
