@@ -193,17 +193,10 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
     fault_time = s.si("dcb", "fault_time") * 1e3  # ms
     if script_kind == "network":
         script = dcb.couple_from_network(m, fault_time=fault_time)
-    elif script_kind == "internal":
-        script = {
-            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
-            dcb.RELAY_B: [dcb.PickupChange(fault_time, True, False)],
-        }
-    else:  # external: fault beyond relay B
-        script = {
-            dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
-            dcb.RELAY_B: [dcb.PickupChange(fault_time, False, True)],
-        }
-    settings = dcb.RelaySettings(coordination_time=s.si("dcb", "coordination_time") * 1e3)
+    else:  # internal, or external: beyond relay B, which then looks reverse
+        external = script_kind == "external"
+        script = {dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],
+                  dcb.RELAY_B: [dcb.PickupChange(fault_time, not external, external)]}
     channel = dcb.ChannelModel(
         latency=s.si("dcb", "latency") * 1e3,
         operational=bool(s.get("dcb", "operational")),
@@ -211,8 +204,7 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
         seed=int(s.get("dcb", "seed")) if seed is None else seed,  # type: ignore[arg-type]
     )
     scenario = dcb.DcbScenario(
-        relay_a=settings,
-        relay_b=settings,
+        coordination_time=s.si("dcb", "coordination_time") * 1e3,
         channel=channel,
         fault_script=script,
         duration=s.si("dcb", "duration") * 1e3,

@@ -71,15 +71,6 @@ class RelayInputs(Record):
         self.fwd, self.rev, self.block_rx = fwd, rev, block_rx
 
 
-class RelaySettings(Record):
-    __slots__ = ("coordination_time",)
-
-    def __init__(self, coordination_time: float) -> None:
-        if not coordination_time > 0:
-            raise ModelError("coordination time must be positive")
-        self.coordination_time = coordination_time  # ms
-
-
 class ChannelModel(Record):
     """Blocking channel: fixed latency [ms], per-transition loss, seeded."""
 
@@ -108,15 +99,19 @@ FaultScript = Mapping[str, Sequence[PickupChange]]
 
 
 class DcbScenario(Record):
-    __slots__ = ("relay_a", "relay_b", "channel", "fault_script", "duration", "step")
+    """Both relays share one coordination time [ms]."""
 
-    def __init__(self, relay_a: RelaySettings, relay_b: RelaySettings, channel: ChannelModel,
+    __slots__ = ("coordination_time", "channel", "fault_script", "duration", "step")
+
+    def __init__(self, coordination_time: float, channel: ChannelModel,
                  fault_script: FaultScript, duration: float, step: float) -> None:
+        if not coordination_time > 0:
+            raise ModelError("coordination time must be positive")
         if not step > 0:
             raise ModelError("simulation step must be positive")
         if duration < step:
             raise ModelError("duration must cover at least one step")
-        self.relay_a, self.relay_b, self.channel = relay_a, relay_b, channel
+        self.coordination_time, self.channel = coordination_time, channel
         self.fault_script, self.duration, self.step = fault_script, duration, step  # ms
 
 
@@ -170,20 +165,19 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     due, a script change or an untripped relay's timer expiring.  A skipped
     scan would repeat its inputs and emit nothing, and a running timer gains
     the step once per skipped scan in the same float additions, made in order
-    by one ``functools.reduce`` rather than a Python loop pass per scan, so
-    the trace is exactly the scan-by-scan one.  Channel loss is drawn once
-    per carrier transition from the seeded stream, which is made only when a
-    draw can change the trace: an inoperative channel delivers nothing, and
-    loss 0 or 1 loses none or all.  The trace is ordered by (time, relay,
-    kind name).
+    by one ``functools.reduce``, so the trace is exactly the scan-by-scan one.
+    Channel loss is drawn once per carrier transition from the seeded stream,
+    which is made only when a draw can change the trace: an inoperative
+    channel delivers nothing, and loss 0 or 1 loses none or all.  The trace
+    is ordered by (time, relay, kind name).
     """
     channel = scenario.channel
     loss, latency = channel.loss_probability, channel.latency
     sends = channel.operational and loss < 1.0  # else no transition ever lands
     draws = sends and loss > 0.0  # else none is lost, and no stream is needed
     rng = None
-    coordination = (scenario.relay_a.coordination_time, scenario.relay_b.coordination_time)
-    limits = (coordination[0] * (1.0 - 1e-9), coordination[1] * (1.0 - 1e-9))  # relay_step's
+    coordination = scenario.coordination_time
+    limit = coordination * (1.0 - 1e-9)  # relay_step's expiry test
     states, block_rx, pickups = [RelayState(), RelayState()], [False, False], [(False, False)] * 2
     script = [sorted(scenario.fault_script.get(r, ()), key=attrgetter("time")) for r in _NAMES]
     cursor = [0, 0]
@@ -211,12 +205,15 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         for r in (0, 1):
             if cursor[r] < len(script[r]):
                 nxt = min(nxt, scan_of(script[r][cursor[r]].time, i + 1))
-        a_start = None  # relay A's timer before its catch-up, if it runs
-        for r in (0, 1):
+        # The larger timer first: both gain the same step per scan, and rounded
+        # addition is monotone, so the smaller one cannot reach the limit sooner.
+        lead = None  # the larger running timer's start and its caught-up value
+        a, b = states
+        for r in (0, 1) if a.coordination_timer >= b.coordination_timer else (1, 0):
             s = states[r]
             if pickups[r][0] and not block_rx[r] and not s.tripped:
-                start, limit = s.coordination_timer, limits[r]
-                if start != a_start or limit != limits[0]:  # else it stops where A's did
+                start = s.coordination_timer
+                if lead is None:
                     # The scans two steps short of the limit gain the step in one C call, the
                     # same float additions in order (sum() compensates since Python 3.12);
                     # partial sums only grow, so the loop walks the rest, or all if need be.
@@ -226,13 +223,12 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                     timer, j = (timer, i + 1 + n) if timer < limit else (start, i + 1)
                     while timer < limit and j < nxt:
                         timer, j = timer + step, j + 1
-                if j < nxt and a_start is not None:  # B's expires sooner: count A's up to it
-                    a = states[0]
-                    states[0] = RelayState(a.forward_pickup, a.reverse_pickup, a.carrier_tx,
-                                           reduce(add, repeat(step, j - i - 1), a_start), a.tripped)
+                    nxt, lead = j, (start, timer)  # stop where it expires, if sooner
+                else:  # the other timer, caught up to the same scan
+                    n = nxt - i - 1
+                    timer = lead[1] if start == lead[0] else reduce(add, repeat(step, n), start)
                 states[r] = RelayState(s.forward_pickup, s.reverse_pickup, s.carrier_tx, timer,
                                        s.tripped)
-                nxt, a_start = j, start  # stop where this timer expires, if sooner
         return nxt
 
     i = advance(-1)
@@ -256,7 +252,7 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         for r in (0, 1):
             prev = states[r]
             states[r], kinds = relay_step(prev, RelayInputs(*pickups[r], block_rx[r]), step,
-                                          coordination[r])
+                                          coordination)
             for kind in kinds:
                 events.append(DcbEvent(t, _NAMES[r], kind))
             if states[r].carrier_tx != prev.carrier_tx and sends:

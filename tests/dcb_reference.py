@@ -24,7 +24,6 @@ from admrelay.dcb import (
 def simulate_every_scan(scenario: DcbScenario) -> list[DcbEvent]:
     rng = random.Random(scenario.channel.seed)
     relays = (RELAY_A, RELAY_B)
-    settings = {RELAY_A: scenario.relay_a, RELAY_B: scenario.relay_b}
     other = {RELAY_A: RELAY_B, RELAY_B: RELAY_A}
     states = {r: RelayState() for r in relays}
     block_rx = {r: False for r in relays}
@@ -64,7 +63,7 @@ def simulate_every_scan(scenario: DcbScenario) -> list[DcbEvent]:
                 states[r],
                 RelayInputs(fwd=fwd, rev=rev, block_rx=block_rx[r]),
                 scenario.step,
-                settings[r].coordination_time,
+                scenario.coordination_time,
             )
             for kind in kinds:
                 events.append(DcbEvent(time=t, relay=r, kind=kind))

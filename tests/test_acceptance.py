@@ -185,8 +185,7 @@ def test_criterion_08_dcb_truth_table():
                 **{"latency": 2.0, "operational": True, "loss_probability": 0.0, "seed": 5, **kw}
             )
             sc = dcb.DcbScenario(
-                relay_a=dcb.RelaySettings(coordination_time=16.7),
-                relay_b=dcb.RelaySettings(coordination_time=16.7),
+                coordination_time=16.7,
                 channel=channel,
                 fault_script=script,
                 duration=100.0,

@@ -18,8 +18,7 @@ from support import ideal, inverter, lg_model, ll_model
 def scripted(script, *, latency=2.0, operational=True, loss=0.0, seed=1,
              coordination=16.7, duration=100.0, step=0.1):
     return dcb.DcbScenario(
-        relay_a=dcb.RelaySettings(coordination_time=coordination),
-        relay_b=dcb.RelaySettings(coordination_time=coordination),
+        coordination_time=coordination,
         channel=dcb.ChannelModel(
             latency=latency, operational=operational, loss_probability=loss, seed=seed
         ),
@@ -191,13 +190,34 @@ def test_a_lossy_live_channel_draws_from_one_stream(monkeypatch):
     assert made == [2]
 
 
+@pytest.mark.parametrize("script, trips", [
+    # B leads by three scans, and neither end is blocked
+    ({"A": [dcb.PickupChange(10.3, True, False)], "B": [dcb.PickupChange(10.0, True, False)]},
+     {"A": 27.0, "B": 26.7}),
+    (INTERNAL, {"A": 26.7, "B": 26.7}),
+    # B keys its carrier from 12 to 15 ms while its forward pickup holds: A's
+    # timer, started at 10 ms, is reset by the block from 14.1 to 17.1 ms
+    ({"A": [dcb.PickupChange(10.0, True, False)],
+      "B": [dcb.PickupChange(8.0, True, False), dcb.PickupChange(12.0, True, True),
+            dcb.PickupChange(15.0, True, False)]},
+     {"A": 33.8, "B": 24.7}),
+], ids=["b-picks-up-first", "together", "a-reset-by-a-block"])
+def test_two_running_timers_match_the_reference(script, trips):
+    # the larger timer, whichever relay's, sets where the scan loop stops next
+    s = scripted(script)
+    events = dcb.simulate(s)
+    assert events == simulate_every_scan(s)
+    assert {r: trip_times(events, r) for r in trips} == {
+        r: [pytest.approx(t)] for r, t in trips.items()}
+
+
 def _random_scenario(rng):
     """A seeded DCB scenario across the regimes where skipping scans could
     go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,
     c +- one step), losses, a dead channel, off-grid and flapping scripts,
     steps that do not divide the window or the event times (1/3 among them),
     a coordination time that is an exact multiple of the step, two timers
-    with different coordination times running together from one pickup, and
+    running together from one pickup, B's timer running ahead of A's, and
     windows that end while a timer still runs."""
     step = rng.choice((0.05, 0.1, 0.25, 1 / 30, 1 / 3))
     c = rng.choice([rng.uniform(10.0, 25.0), round(rng.uniform(10.0, 25.0) / step) * step])
@@ -220,8 +240,7 @@ def _random_scenario(rng):
     else:
         fault_script = {"A": script(), "B": script()}
     return dcb.DcbScenario(
-        relay_a=dcb.RelaySettings(c),
-        relay_b=dcb.RelaySettings(rng.choice([c, rng.uniform(10.0, 25.0)])),
+        coordination_time=c,
         channel=dcb.ChannelModel(latency=latency, operational=rng.random() >= 0.2,
                                  loss_probability=loss, seed=rng.randrange(2**31)),
         fault_script=fault_script,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from admrelay.dcb import ChannelModel, DcbScenario, RelayInputs, RelaySettings, RelayState
+from admrelay.dcb import ChannelModel, DcbScenario, RelayInputs, RelayState
 from admrelay.errors import ModelError
 from admrelay.faults import FaultSolution
 from admrelay.network import (
@@ -110,9 +110,8 @@ def _model(**changes):
 
 
 def _dcb(**changes):
-    fields = dict(relay_a=RelaySettings(16.7), relay_b=RelaySettings(16.7),
-                  channel=ChannelModel(2.0, True, 0.0, 1), fault_script={}, duration=100.0,
-                  step=0.1)
+    fields = dict(coordination_time=16.7, channel=ChannelModel(2.0, True, 0.0, 1),
+                  fault_script={}, duration=100.0, step=0.1)
     return DcbScenario(**{**fields, **changes})
 
 
@@ -131,7 +130,7 @@ def _dcb(**changes):
     (lambda: _model(frequency=0.0), "frequency must be positive"),
     (lambda: _model(frequency=math.nan), "frequency must be positive"),
     (lambda: GroundDistanceSettings(0.5j, 0j), "mho reach must be nonzero"),
-    (lambda: RelaySettings(0.0), "coordination time must be positive"),
+    (lambda: _dcb(coordination_time=0.0), "coordination time must be positive"),
     (lambda: ChannelModel(-1.0, True, 0.0, 1), "channel latency must be >= 0"),
     (lambda: ChannelModel(2.0, True, 1.5, 1), "loss probability must lie in [0, 1]"),
     (lambda: _dcb(step=0.0), "simulation step must be positive"),
