@@ -173,9 +173,22 @@ def _checked(residual: float) -> float:
     return residual
 
 
-def _fault_column(kind: FaultKind, n: int) -> list[int]:
-    """u over the n unknown nodes: e_Ma (line-ground) or e_Mb - e_Mc (line-line)."""
-    return ([1, 0, 0] if kind is FaultKind.LINE_GROUND_A else [0, 1, -1]) + [0] * (n - 3)
+def _fault_column(kind: FaultKind, lu: list[list[complex]], order: list[int]) -> tuple:
+    """u over the unknown nodes, e_Ma (line-ground) or e_Mb - e_Mc (line-line),
+    w = A0^-1 u and z_kk = u^T w; SingularSystemError if z_kk is 0 or not finite."""
+    u = ([1, 0, 0] if kind is FaultKind.LINE_GROUND_A else [0, 1, -1]) + [0] * (len(lu) - 3)
+    w = _lu_solve(lu, order, u)
+    z_kk = sum(map(mul, u, w))
+    if not (z_kk != 0 and cmath.isfinite(z_kk)):
+        raise SingularSystemError(f"fault-point impedance is {z_kk}")
+    return u, w, z_kk
+
+
+def _fault_denominator(rf: float, z_kk: complex) -> complex:
+    """rf + z_kk; SingularSystemError if it is 0 or not finite."""
+    if not ((d := rf + z_kk) != 0 and cmath.isfinite(d)):
+        raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
+    return d
 
 
 class Transfer:
@@ -286,11 +299,7 @@ class Network:
         """u's nonzero (row, entry) pairs, z_kk, u^T x0 and its norm, the maps
         of p and w, and A0 w, A0 p - b, u^T p."""
         lg = kind is FaultKind.LINE_GROUND_A
-        u = _fault_column(kind, len(self.a0))
-        w = _lu_solve(self.lu, self.order, u)
-        z_kk = sum(map(mul, u, w))
-        if not (z_kk != 0 and cmath.isfinite(z_kk)):
-            raise SingularSystemError(f"fault-point impedance is {z_kk}")
+        u, w, z_kk = _fault_column(kind, self.lu, self.order)
         ux0 = [sum(map(mul, u, col)) for col in self.x0]
         p = [[xk - wk * (uj / z_kk) for xk, wk in zip(col, w)]
              for col, uj in zip(self.x0, ux0)]
@@ -318,9 +327,7 @@ class Network:
         if bolted_kind is None:
             bolted_kind = self.faults[kind] = self._bolted(kind)
         u_nonzero, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = bolted_kind
-        d = rf + z_kk
-        if not (d != 0 and cmath.isfinite(d)):
-            raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
+        d = _fault_denominator(rf, z_kk)
         i_f = [v / d for v in ux0]
         c = [rf * f / z_kk for f in i_f]
         # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c;
@@ -356,16 +363,9 @@ def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseT
     _checked(_norm(sum(map(mul, row, x)) - bk for row, bk in zip(a0, bv)) / b_norm)
     rf = m.fault.rf
     if rf != math.inf:
-        u = _fault_column(m.fault.kind, len(a0))
-        w = _lu_solve(lu, order, u)
-        z_kk = sum(map(mul, u, w))
-        if not (z_kk != 0 and cmath.isfinite(z_kk)):
-            raise SingularSystemError(f"fault-point impedance is {z_kk}")
-        d = rf + z_kk
-        if not (d != 0 and cmath.isfinite(d)):
-            raise SingularSystemError(f"rf + z_kk is {d}: the fault current is undefined")
+        u, w, z_kk = _fault_column(m.fault.kind, lu, order)
         ux0 = sum(map(mul, u, x))
-        i_f = ux0 / d
+        i_f = ux0 / _fault_denominator(rf, z_kk)
         x = [xk - wk * i_f for xk, wk in zip(x, w)]
         _checked(_norm(sum(map(mul, row, x)) + uk * i_f - bk
                        for row, uk, bk in zip(a0, u, bv)) / b_norm)

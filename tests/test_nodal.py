@@ -476,27 +476,45 @@ def test_fault_phases_reject_a_singular_healthy_network(monkeypatch, rf):
         nodal.fault_phases(m, v)
 
 
-@pytest.mark.parametrize("rf, fake_w, message", [
+# w = A0^-1 u, the solve after the healthy ones, is replaced so that z_kk = u^T w
+# is zero, not finite, or finite but large enough for rf + z_kk to overflow
+UNDEFINED_FAULT_CURRENT = pytest.mark.parametrize("rf, fake_w, message", [
     (3.68, lambda u, w: [0j] * len(w), r"^fault-point impedance is 0j$"),
     (3.68, lambda u, w: [x * math.inf for x in w], r"^fault-point impedance is \(?(nan|inf)"),
     (1.79e308, lambda u, w: [5e306 * x for x in u],
      r"^rf \+ z_kk is \(?inf.*: the fault current is undefined$"),
 ], ids=["zero-z_kk", "infinite-z_kk", "rf-plus-z_kk-overflows"])
-@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
-def test_fault_phases_reject_an_undefined_fault_current(monkeypatch, make, rf, fake_w, message):
-    # w = A0^-1 u, the second solve, is replaced so that z_kk = u^T w is zero,
-    # not finite, or finite but large enough for rf + z_kk to overflow
-    m = make(rf)
+
+
+def _fault_solve_faked(monkeypatch, healthy_solves, fake_w):
     solve, solves = nodal._lu_solve, []
 
-    def second_solve_faked(lu, order, b):
+    def faked(lu, order, b):
         solves.append(b)
         x = solve(lu, order, b)
-        return x if len(solves) == 1 else fake_w(b, x)
+        return x if len(solves) <= healthy_solves else fake_w(b, x)
 
-    monkeypatch.setattr(nodal, "_lu_solve", second_solve_faked)
+    monkeypatch.setattr(nodal, "_lu_solve", faked)
+
+
+@UNDEFINED_FAULT_CURRENT
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_fault_phases_reject_an_undefined_fault_current(monkeypatch, make, rf, fake_w, message):
+    m = make(rf)
+    _fault_solve_faked(monkeypatch, 1, fake_w)  # one source vector
     with pytest.raises(SingularSystemError, match=message):
         nodal.fault_phases(m, sequence_to_phase(m.source.sequence_voltages()))
+
+
+@UNDEFINED_FAULT_CURRENT
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_network_transfer_rejects_an_undefined_fault_current(monkeypatch, make, rf, fake_w,
+                                                             message):
+    m = make(rf)
+    _fault_solve_faked(monkeypatch, 3, fake_w)  # one column per source phase
+    network = nodal.Network(m)
+    with pytest.raises(SingularSystemError, match=message):
+        network.transfer(m.fault)
 
 
 @pytest.mark.parametrize("rf", [0.0, 3.68, math.inf])
