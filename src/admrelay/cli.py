@@ -316,7 +316,8 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
 
     args = iter(argv)
     for step, arg in enumerate(args):
-        if arg == "--" and command and not options_end:  # before it, "--" is a bad subcommand
+        # before the command, argparse drops a last "--" and takes any other for a bad one
+        if arg == "--" and not options_end and (command or step == len(argv) - 1):
             options_end = True
             if scenario is not None and step != scenario_step + 1:  # argparse drops it only here
                 unknown.append(arg)
@@ -330,12 +331,11 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
                 continue
             name, (kind, _, _) = found[0], OPTIONS[found[0]]
             if kind is None and eq:
-                fail(f"argument {name}: ignored explicit argument {value!r}")
-            elif kind is None:
+                fail(f"argument {'-h/' * (name == '--help')}{name}: ignored explicit argument "
+                     f"{value!r}")
+            elif kind is None:  # --help or --version
                 opts[name] = True
-                if name in ("--help", "--version"):
-                    return command, scenario, opts
-                continue
+                return command, scenario, opts
             elif not eq:
                 value = next(args, "--")
                 if value == "--" or _is_option(value):
@@ -357,7 +357,8 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
     missing += ["--case"] if command == "case" and "--case" not in opts else []
     if not command or missing:
         fail(f"the following arguments are required: {', '.join(missing) if command else 'command'}")
-    if unknown:
+    if unknown:  # argparse reports these with the top-level usage
+        command = ""
         fail(f"unrecognized arguments: {' '.join(unknown)}")
     return command, scenario, opts
 

@@ -286,6 +286,43 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
     assert "error:" in err
 
 
+TOP_USAGE = "usage: admrelay [-h] [--version] {case,sweep,dcb,trajectory,validate} ...\n"
+CHOICES = "(choose from 'case', 'sweep', 'dcb', 'trajectory', 'validate')"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["validate", "{path}", "X"], TOP_USAGE + "admrelay: error: unrecognized arguments: X"),
+    (["validate", "{path}", "-", "--bogus"],
+     TOP_USAGE + "admrelay: error: unrecognized arguments: - --bogus"),
+    (["validate", "{path}", "--help=x"], "usage: admrelay validate [-h] [--out OUT] scenario\n"
+     "admrelay validate: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["--help=x"], TOP_USAGE + "admrelay: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["--version=1"], TOP_USAGE + "admrelay: error: argument --version: ignored explicit "
+     "argument '1'"),
+    (["--"], TOP_USAGE + "admrelay: error: the following arguments are required: command"),
+    (["--bogus", "--"], TOP_USAGE + "admrelay: error: the following arguments are required: "
+     "command"),
+    (["--", "validate", "{path}"],
+     TOP_USAGE + f"admrelay: error: argument command: invalid choice: '--' {CHOICES}"),
+    (["validate", "{path}", "--", "X"],
+     TOP_USAGE + "admrelay: error: unrecognized arguments: X"),
+    (["dcb", "{path}", "--", "--"], TOP_USAGE + "admrelay: error: unrecognized arguments: --"),
+    (["case", "{path}", "--case", "2", "--"],
+     TOP_USAGE + "admrelay: error: unrecognized arguments: --"),
+    (["case", "{path}", "--", "--case", "2"], "usage: admrelay case [-h] [--out OUT] --case CASE "
+     "scenario\nadmrelay case: error: the following arguments are required: --case"),
+    (["case", "{path}", "--case", "7"], "validation error: case must be one of [1, 2, 3, 4, 5, 6]"),
+], ids=["extra-positional", "extra-dash-and-option", "help-with-value", "top-help-with-value",
+        "version-with-value", "lone-double-dash", "option-then-double-dash",
+        "double-dash-before-command", "positional-after-double-dash", "second-double-dash",
+        "double-dash-after-an-option-value", "option-after-double-dash", "case-out-of-range"])
+def test_cli_usage_errors_print_argparse_text(tmp_path, capsys, argv, err):
+    # the texts of the argparse front end this parser replaced
+    path = _write_default(tmp_path)
+    assert cli.main([arg.format(path=path) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", err + "\n")
+
+
 @pytest.mark.parametrize("flag", ["-h", "--version"])
 def test_cli_help_and_version_exit_0(capsys, flag):
     assert cli.main([flag]) == 0
@@ -309,7 +346,11 @@ CASE_2 = ["case", "{path}", "--case", "2"]
     (["case", "--case", "2", "{path}"], CASE_2),
     (["case", "--out", "{out}", "{path}", "--case", "2"], CASE_2),
     (["dcb", "{path}", "--seed", "-5"], ["dcb", "{path}", "--seed=-5"]),
-], ids=["joined-value", "abbreviated", "option-first", "out-first", "negative-seed"])
+    (["case", "--case", "2", "--", "{path}"], CASE_2),
+    (["validate", "--", "{path}"], ["validate", "{path}"]),
+    (["validate", "{path}", "--"], ["validate", "{path}"]),
+], ids=["joined-value", "abbreviated", "option-first", "out-first", "negative-seed",
+        "double-dash-after-options", "double-dash-first", "double-dash-last"])
 def test_cli_option_forms_give_the_same_document(tmp_path, capsys, argv, canonical):
     path, out = _write_default(tmp_path), tmp_path / "out.txt"
     assert cli.main([arg.format(path=path) for arg in canonical]) == 0
