@@ -11,6 +11,10 @@ mostly to in-range values and sometimes to extreme ones (0, subnormal,
 get to run.  Run more seeds than the suite does with
 
     PYTHONPATH=src python tests/test_cli_contract.py FIRST STOP
+
+and the fixed degenerate scenarios in fresh CLI processes with
+
+    PYTHONPATH=src python tests/test_cli_contract.py fixed
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import io
 import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -133,41 +138,50 @@ def _edit(**fields: str) -> str:
 EVERY_COMMAND_REJECTS = {"validate": 1, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}
 
 
-@pytest.mark.parametrize("text, expected", [
+# (id, scenario text, the exit status expected of some commands): degenerate
+# inputs, each kept to the contract in process by the suite and in a fresh
+# `python -m admrelay.cli` process by `python tests/test_cli_contract.py fixed`
+FIXED = [
     # the relay currents underflow to 0: the oracle's reading is undefined,
     # and the DCB coupling, which reads no impedance, still runs
-    (_edit(cable_inductance="1e300 uH", kind="ll", location="downstream"),
+    ("huge-inductance-ll-downstream",
+     _edit(cable_inductance="1e300 uH", kind="ll", location="downstream"),
      {"sweep": 2, "case --case 6": 2, "dcb": 0}),
-    (_edit(cable_resistance="1e300 ohm", cable_zero_seq_scale="1"), {"dcb": 0}),
+    ("huge-resistance", _edit(cable_resistance="1e300 ohm", cable_zero_seq_scale="1"),
+     {"dcb": 0}),
     # a subnormal oracle reading: the relative error overflows
-    (_edit(rf_min="5e-324 ohm", rf_points="1"), {"sweep": 2}),
-    (_edit(rf="5e-324 ohm"), {"case --case 2": 2}),
+    ("subnormal-sweep", _edit(rf_min="5e-324 ohm", rf_points="1"), {"sweep": 2}),
+    ("subnormal-case", _edit(rf="5e-324 ohm"), {"case --case 2": 2}),
     # the load impedance under- or overflows to no positive resistance, and an
     # ungrounded load neutral that only the closed forms reject
-    (_edit(line_line_voltage="1e-300 V"),
+    ("load-underflow", _edit(line_line_voltage="1e-300 V"),
      {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
-    (_edit(load_reactive_power="1e300 kvar"),
+    ("load-overflow", _edit(load_reactive_power="1e300 kvar"),
      {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
-    (_edit(load_grounding_resistance="inf ohm"),
+    ("open-neutral", _edit(load_grounding_resistance="inf ohm"),
      {"case --case 2": 1, "sweep": 1, "dcb": 0, "trajectory": 0}),
     # v_ll^2 overflows, so the load impedance is not finite
-    (_edit(line_line_voltage="1e200 V"),
+    ("voltage-overflow", _edit(line_line_voltage="1e200 V"),
      {"validate": 0, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
     # [dcb] times that overflow when the simulator counts them in ms
-    (_edit(step="1e308 s").replace("\nduration = 100 ms\n", "\nduration = 1e308 s\n"),
+    ("dcb-ms-overflow",
+     _edit(step="1e308 s").replace("\nduration = 100 ms\n", "\nduration = 1e308 s\n"),
      EVERY_COMMAND_REJECTS),
     # a segment, or the whole cable, whose impedance is round-off against the
     # load's: every reading through it would be noise
-    (_edit(fault_position="1e-300"), EVERY_COMMAND_REJECTS),
-    (_edit(fault_position="0.9999999999999999"), EVERY_COMMAND_REJECTS),
-    (_edit(cable_resistance="1e-300 ohm", cable_inductance="0 H"), EVERY_COMMAND_REJECTS),
-    # a log grid whose top point overflows: float ** raised OverflowError in sweep
-    (_edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm", rf_points="5"),
+    ("negligible-source-side-segment", _edit(fault_position="1e-300"), EVERY_COMMAND_REJECTS),
+    ("negligible-load-side-segment", _edit(fault_position="0.9999999999999999"),
      EVERY_COMMAND_REJECTS),
-], ids=["huge-inductance-ll-downstream", "huge-resistance", "subnormal-sweep", "subnormal-case",
-        "load-underflow", "load-overflow", "open-neutral", "voltage-overflow", "dcb-ms-overflow",
-        "negligible-source-side-segment", "negligible-load-side-segment", "negligible-cable",
-        "log-grid-overflow"])
+    ("negligible-cable", _edit(cable_resistance="1e-300 ohm", cable_inductance="0 H"),
+     EVERY_COMMAND_REJECTS),
+    # a log grid whose top point overflows: float ** raised OverflowError in sweep
+    ("log-grid-overflow", _edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm",
+                                rf_points="5"), EVERY_COMMAND_REJECTS),
+]
+
+
+@pytest.mark.parametrize("text, expected", [row[1:] for row in FIXED],
+                         ids=[row[0] for row in FIXED])
 def test_fixed_scenarios_keep_the_contract(tmp_path, text, expected):
     found, exits = violations(text, str(tmp_path))
     assert found == []
@@ -185,7 +199,37 @@ def test_random_scenarios_keep_the_contract(tmp_path):
     assert valid >= len(TIER1_SEEDS) / 2  # the commands get to run
 
 
+def fresh_process_violations(text: str, expected: dict[str, int], directory: str) -> list[str]:
+    """Each command of one fixed row run by a fresh ``python -m admrelay.cli``:
+    its expected exit status, no traceback, and no stdout when it fails."""
+    path = os.path.join(directory, "scenario.scn")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    found = []
+    for name, want in expected.items():
+        command, *options = name.split()
+        done = subprocess.run([sys.executable, "-m", "admrelay.cli", command, path, *options],
+                              capture_output=True, text=True)
+        if done.returncode != want or "Traceback" in done.stderr or (want and done.stdout):
+            found.append(f"{name}: exit {done.returncode}, not {want}, with stdout "
+                         f"{done.stdout[:60]!r}, stderr {done.stderr!r}")
+    return found
+
+
+def test_fresh_process_runner_reports_a_broken_promise(tmp_path):
+    # validate accepts the default scenario, so expecting exit 1 is a violation
+    assert fresh_process_violations(_edit(), {"validate": 0}, str(tmp_path)) == []
+    assert len(fresh_process_violations(_edit(), {"validate": 1}, str(tmp_path))) == 1
+
+
 def main(argv: list[str]) -> int:
+    """``fixed``: the fixed rows in fresh processes; ``FIRST STOP``: those seeds."""
+    if argv == ["fixed"]:
+        with tempfile.TemporaryDirectory() as directory:
+            found = [f"{name}: {v}" for name, text, expected in FIXED
+                     for v in fresh_process_violations(text, expected, directory)]
+        print(*found, f"{len(FIXED)} fixed scenarios: {len(found)} violations", sep="\n")
+        return 1 if found else 0
     first, stop = map(int, argv)
     tally: dict[object, int] = {}
     valid, failures = 0, 0
