@@ -331,8 +331,8 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
                 continue
             name, (kind, _, _) = found[0], OPTIONS[found[0]]
             if kind is None and eq:
-                fail(f"argument {'-h/' * (name == '--help')}{name}: ignored explicit argument "
-                     f"{value!r}")
+                fail(f"argument {'-h/' if name == '--help' else ''}{name}: ignored explicit "
+                     f"argument {value!r}")
             elif kind is None:  # --help or --version
                 opts[name] = True
                 return command, scenario, opts
