@@ -205,11 +205,13 @@ def fresh_process_violations(text: str, expected: dict[str, int], directory: str
     path = os.path.join(directory, "scenario.scn")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    # the processes import the package this module tests
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     found = []
     for name, want in expected.items():
         command, *options = name.split()
         done = subprocess.run([sys.executable, "-m", "admrelay.cli", command, path, *options],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         if done.returncode != want or "Traceback" in done.stderr or (want and done.stdout):
             found.append(f"{name}: exit {done.returncode}, not {want}, with stdout "
                          f"{done.stdout[:60]!r}, stderr {done.stderr!r}")
