@@ -211,7 +211,7 @@ def fresh_process_violations(text: str, expected: dict[str, int], directory: str
     for name, want in expected.items():
         command, *options = name.split()
         done = subprocess.run([sys.executable, "-m", "admrelay.cli", command, path, *options],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=60)
         if done.returncode != want or "Traceback" in done.stderr or (want and done.stdout):
             found.append(f"{name}: exit {done.returncode}, not {want}, with stdout "
                          f"{done.stdout[:60]!r}, stderr {done.stderr!r}")
