@@ -18,11 +18,17 @@ solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
 exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
-A :class:`Network` is factored once and gives each fault's :class:`Transfer`,
-whose rows per unit source phase the sweep, trajectory and case read and
-print.  The DCB coupling needs one fault and one source vector, so
-:func:`fault_phases` solves x = x0 - w i_f on that one right-hand side; the
-row readers keep :class:`Network`, whose round-off their documents print.
+A :class:`Network` is factored once.  :meth:`Network.injections` streams a
+fault kind's rf values through it, giving each one's i_f, c and checked
+residual; it holds the only copy of that arithmetic.  The sweep reads each
+point's fault-node voltage and relay current from the stream: the bolted rows
+plus the rows of w times c (:meth:`Network.injection_rows`), in one
+superposition per point.  :meth:`Network.transfer` takes one injection from
+the stream and wraps it in a :class:`Transfer`, whose rows per unit source
+phase the trajectory and case read and print.  The DCB coupling needs one
+fault and one source vector, so :func:`fault_phases` solves x = x0 - w i_f on
+that one right-hand side; the row readers keep :class:`Network`, whose
+round-off their documents print.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MeasurementError, SingularSystemError
 from .faults import FaultSolution
@@ -246,10 +252,12 @@ class Transfer:
 RELAY_ROW = {RelayLocation.UPSTREAM_OF_FAULT: 3, RelayLocation.DOWNSTREAM_OF_FAULT: 6}
 
 
-def reading(kind: FaultKind, v: PhaseTriple, i: PhaseTriple) -> complex:
-    """The oracle's distance reading from relay voltages v and currents i, v_a / i_a
-    (line-ground) or (v_b - v_c) / (i_b - i_c); MeasurementError on a zero denominator."""
-    num, den = (v.a, i.a) if kind is FaultKind.LINE_GROUND_A else (v.b - v.c, i.b - i.c)
+def reading(kind: FaultKind, v: PhaseTriple | list[complex],
+            i: PhaseTriple | list[complex]) -> complex:
+    """The oracle's distance reading from relay voltages v and currents i, each
+    indexed a, b, c: v_a / i_a (line-ground) or (v_b - v_c) / (i_b - i_c);
+    MeasurementError on a zero denominator."""
+    num, den = (v[0], i[0]) if kind is FaultKind.LINE_GROUND_A else (v[1] - v[2], i[1] - i[2])
     if not den:
         raise MeasurementError("oracle reading: no current in the measuring loop")
     return num / den
@@ -265,7 +273,8 @@ class Network:
     """One model's healthy network, factored and checked once (SingularSystemError
     if singular or its relative residual is not below RESIDUAL_LIMIT), its solution
     x0 for the source phases and, per fault kind on first use, the bolted
-    solution; columns span the unknown nodes."""
+    solution, through which :meth:`injections` streams faults of that kind;
+    columns span the unknown nodes."""
 
     def __init__(self, m: MicrogridModel) -> None:
         sysm = build_system(m)
@@ -296,8 +305,9 @@ class Network:
         return v_m + _times(self.y_1m, d_up) + _times(self.y_m2, d_dn) + v_2
 
     def _bolted(self, kind: FaultKind) -> tuple:
-        """u's nonzero (row, entry) pairs, z_kk, u^T x0 and its norm, the maps
-        of p and w, and A0 w, A0 p - b, u^T p."""
+        """Make and keep the fault kind's bolted solution: u's nonzero (row,
+        entry) pairs, z_kk, u^T x0 and its norm, the maps of p and w, and A0 w,
+        A0 p - b, u^T p."""
         lg = kind is FaultKind.LINE_GROUND_A
         u, w, z_kk = _fault_column(kind, self.lu, self.order)
         ux0 = [sum(map(mul, u, col)) for col in self.x0]
@@ -309,38 +319,57 @@ class Network:
         aw = [sum(map(mul, row, w)) for row in self.a0]
         up = [sum(map(mul, u, col)) for col in p]
         nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
-        return (nonzero, z_kk, ux0, _norm(ux0) or 1.0, self._maps(p, True), lw, aw,
-                self._residual(p), up)
+        self.faults[kind] = bolted = (nonzero, z_kk, ux0, _norm(ux0) or 1.0,
+                                      self._maps(p, True), lw, aw, self._residual(p), up)
+        return bolted
+
+    def injection_rows(self, kind: FaultKind, first: int) -> list[tuple[tuple, complex]]:
+        """Map rows first..first+2 (first 0, 3, 6 or 9) of the fault kind as
+        (bolted row, lw entry) pairs, lw being the maps of w: with an injection
+        c of :meth:`injections`, row k is bolted[k] + lw[k] c, entry by entry."""
+        _, _, _, _, bolted, lw, _, _, _ = self.faults.get(kind) or self._bolted(kind)
+        return list(zip(bolted[first:first + 3], lw[first:first + 3]))
+
+    def injections(self, kind: FaultKind,
+                   rfs: Iterable[float]) -> Iterator[tuple[list[complex], list | None, float]]:
+        """Each rf's fault current i_f and injection c = rf i_f / z_kk per source
+        phase, and its relative residual, one rf at a time.  Raises
+        SingularSystemError at the rf where the fault current is undefined or
+        the residual is not below RESIDUAL_LIMIT.  rf = inf (a linear grid's
+        top point can round up to it) is the open fault: no current, c None
+        and the healthy residual."""
+        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q, up = (self.faults.get(kind)
+                                                           or self._bolted(kind))
+        n = len(aw)
+        for rf in rfs:
+            if rf == math.inf:
+                yield [0j] * 3, None, self.residual
+                continue
+            d = _fault_denominator(rf, z_kk)
+            i_f = [v / d for v in ux0]
+            c = [rf * f / z_kk for f in i_f]
+            # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c;
+            # u i_f is added only where u is nonzero, at the fault-node rows
+            r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
+            for j, fj in enumerate(i_f):
+                for k, uk in u_nonzero:
+                    r[j * n + k] += uk * fj
+            yield i_f, c, _checked(max(
+                _norm(r) / self.b_norm,
+                _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
+            ))
 
     def transfer(self, fault: FaultSpec) -> Transfer:
         """The fault's transfer: x0 for rf = inf, else its kind's bolted solution
-        plus one injection.  Raises SingularSystemError if the fault current is
-        undefined or its relative residual is not below RESIDUAL_LIMIT."""
-        rf = fault.rf
-        if rf == math.inf:  # every row made: the blocks are only read
+        plus its one injection from :meth:`injections`, which raises where that
+        does."""
+        if fault.rf == math.inf:  # every row made: the blocks are only read
             if self.healthy is None:
                 rows = [tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]
                 self.healthy = {first: rows[first:first + 3] for first in (0, 3, 6, 9, 12)}
             return Transfer(fault, self.residual, self.healthy, None)
-        kind = fault.kind
-        bolted_kind = self.faults.get(kind)
-        if bolted_kind is None:
-            bolted_kind = self.faults[kind] = self._bolted(kind)
-        u_nonzero, z_kk, ux0, ux0_norm, bolted, lw, aw, q, up = bolted_kind
-        d = _fault_denominator(rf, z_kk)
-        i_f = [v / d for v in ux0]
-        c = [rf * f / z_kk for f in i_f]
-        # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c;
-        # u i_f is added only where u is nonzero, at the fault-node rows
-        n = len(aw)
-        r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
-        for j, fj in enumerate(i_f):
-            for k, uk in u_nonzero:
-                r[j * n + k] += uk * fj
-        residual = _checked(max(
-            _norm(r) / self.b_norm,
-            _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
-        ))
+        i_f, c, residual = next(self.injections(fault.kind, (fault.rf,)))
+        _, _, _, _, bolted, lw, _, _, _ = self.faults[fault.kind]
         return Transfer(fault, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
 
 

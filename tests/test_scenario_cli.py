@@ -724,14 +724,21 @@ def test_dcb_duration_must_cover_one_step(tmp_path, capsys, command):
     assert _run(tmp_path, _set_field("dcb", "duration", "0.1 ms"), command) == 0
 
 
-def test_sweep_factors_all_points_in_one_call(tmp_path, monkeypatch):
-    networks, faults = [], []
-    network, transfer = nodal.Network, nodal.Network.transfer
+def test_sweep_streams_all_points_through_one_network(tmp_path, monkeypatch):
+    networks, points = [], []
+    network, injections = nodal.Network, nodal.Network.injections
+
+    def counted(nw, kind, rfs):
+        for point in injections(nw, kind, rfs):
+            points.append(point)
+            yield point
+
     monkeypatch.setattr(nodal, "Network", lambda m: networks.append(m) or network(m))
-    monkeypatch.setattr(network, "transfer", lambda nw, f: faults.append(f) or transfer(nw, f))
+    monkeypatch.setattr(network, "injections", counted)
+    monkeypatch.setattr(network, "transfer", None)
     monkeypatch.setattr(nodal, "solve_network", None)
     assert cli.main(["sweep", _write_default(tmp_path)]) == 0
-    assert len(networks) == 1 and len(faults) == 40
+    assert len(networks) == 1 and len(points) == 40
 
 
 @pytest.mark.parametrize("rf_min, rf_max, rf_points", [

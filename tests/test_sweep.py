@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 
+from admrelay import cli, faults, nodal
 from admrelay.cli import run_sweep
-from admrelay.errors import MeasurementError, ModelError
-from admrelay.scenario import parse_scenario
+from admrelay.errors import MeasurementError, ModelError, SingularSystemError
+from admrelay.scenario import build_model, parse_scenario, sweep_points
 
 from sweep_reference import sweep_every_point
 
@@ -84,3 +86,68 @@ def test_a_bolted_sweep_point_raises_as_the_reference_does(kind, location, error
         with pytest.raises(error, match=re.escape(message)):
             run(s)
     assert _outcome(run_sweep, s) == _outcome(sweep_every_point, s)
+
+
+def test_a_grid_point_that_rounds_up_to_infinity_fails_its_closed_form():
+    # rf_min + 3 * step rounds up past the largest float; the injection stream
+    # reads that point as the open fault, whose closed form then refuses it
+    s = parse_scenario("[fault]\nrf_min = 1 ohm\nrf_max = 1.7976931348623157e308 ohm\n"
+                       "rf_points = 4\nrf_spacing = linear\n[relay]\nlocation = downstream\n")
+    assert sweep_points(s)[-1] == math.inf
+    for run in (run_sweep, sweep_every_point):
+        with pytest.raises(ModelError, match="^closed-form solvers require a finite fault "):
+            run(s)
+
+@pytest.mark.parametrize("kind,location", [("lg", "upstream"), ("lg", "downstream"),
+                                           ("ll", "upstream"), ("ll", "downstream")])
+def test_a_failing_residual_check_raises_at_its_grid_point(tmp_path, capsys, monkeypatch, kind,
+                                                           location):
+    # with the limit lowered to point k's residual, the check first fails at
+    # point k: the sweep evaluates the closed form at points 0..k-1 only
+    text = (f"[fault]\nkind = {kind}\nrf_min = 0.01 ohm\nrf_max = 1e4 ohm\n"
+            f"[relay]\nlocation = {location}\n")
+    s = parse_scenario(text)
+    base = build_model(s)
+    network = nodal.Network(base)
+    grid = sweep_points(s)
+    residuals = [r for _, _, r in network.injections(base.fault.kind, grid)]
+    k = max(j for j, r in enumerate(residuals) if r > max([network.residual, *residuals[:j]]))
+    assert k > 0
+    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", residuals[k])
+    message = f"nodal solve residual {residuals[k]:.3e} exceeds {residuals[k]}"
+
+    evaluations, reduce = [], faults.reduce
+
+    def counted(m, loc):
+        closed_form = reduce(m, loc)
+        return lambda rf: evaluations.append(rf) or closed_form(rf)
+
+    monkeypatch.setattr(faults, "reduce", counted)
+    for run in (run_sweep, sweep_every_point):
+        with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+            run(s)
+    assert evaluations == grid[:k]
+    path = tmp_path / "sweep.scn"
+    path.write_text(text)
+    assert cli.main(["sweep", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+
+def main(argv):
+    """Compare run_sweep with the point-by-point reference on one scenario per
+    seed, the combinations taken in turn."""
+    first, stop = map(int, argv)
+    documents, mismatches = 0, []
+    for seed in range(first, stop):
+        s = _random_scenario(random.Random(seed), *COMBOS[seed % len(COMBOS)])
+        got = _outcome(run_sweep, s)
+        documents += isinstance(got, str)
+        if got != _outcome(sweep_every_point, s):
+            mismatches.append(seed)
+    print(f"seeds {first}..{stop - 1}: {documents} documents, {len(mismatches)} mismatches "
+          f"{mismatches[:10]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
