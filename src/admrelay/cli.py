@@ -318,6 +318,12 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
         usage = _help(command).split("\n", 1)[0]
         raise ModelError(f"{usage}\n{f'admrelay {command}'.rstrip()}: error: {message}")
 
+    # argparse first classifies every argument before the first "--", and "--" is
+    # a prefix of both top-level long options
+    ambiguous = [arg for arg in (argv[:argv.index("--")] if "--" in argv else argv)
+                 if arg.startswith("--=")]
+    if ambiguous:
+        fail(f"ambiguous option: {ambiguous[0]} could match --help, --version")
     args = iter(argv)
     for step, arg in enumerate(args):
         # before the command, argparse drops a last "--" and takes any other for a bad one
@@ -327,6 +333,11 @@ def parse_args(argv: list[str]) -> tuple[str, str | None, dict[str, object]]:
                 unknown.append(arg)
         elif not options_end and arg != "--" and _is_option(arg):
             name, eq, value = arg.partition("=")
+            if arg[:2] == "-h" and arg[2:3] not in ("", "="):
+                # argparse reads -hx as -h, then -x: a further h is -h again, and
+                # whatever is left over is an explicit argument -h ignores
+                name, eq = "-h", arg[2:].lstrip("h")
+                value = eq
             name = "--help" if name == "-h" else name
             found = [o for o, (_, commands, _) in OPTIONS.items() if command in commands
                      and (o == name or (len(name) > 2 and o.startswith(name)))]

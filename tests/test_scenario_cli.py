@@ -288,6 +288,7 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys, argv):
 
 TOP_USAGE = "usage: admrelay [-h] [--version] {case,sweep,dcb,trajectory,validate} ...\n"
 CHOICES = "(choose from 'case', 'sweep', 'dcb', 'trajectory', 'validate')"
+AMBIGUOUS = "admrelay: error: ambiguous option: --=x could match --help, --version"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -312,10 +313,17 @@ CHOICES = "(choose from 'case', 'sweep', 'dcb', 'trajectory', 'validate')"
     (["case", "{path}", "--", "--case", "2"], "usage: admrelay case [-h] [--out OUT] --case CASE "
      "scenario\nadmrelay case: error: the following arguments are required: --case"),
     (["case", "{path}", "--case", "7"], "validation error: case must be one of [1, 2, 3, 4, 5, 6]"),
+    (["validate", "-hx", "{path}"], "usage: admrelay validate [-h] [--out OUT] scenario\n"
+     "admrelay validate: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["--=x"], TOP_USAGE + AMBIGUOUS),
+    (["validate", "{path}", "--=x"], TOP_USAGE + AMBIGUOUS),
+    (["--v", "--=x"], TOP_USAGE + AMBIGUOUS),
 ], ids=["extra-positional", "extra-dash-and-option", "help-with-value", "top-help-with-value",
         "version-with-value", "lone-double-dash", "option-then-double-dash",
         "double-dash-before-command", "positional-after-double-dash", "second-double-dash",
-        "double-dash-after-an-option-value", "option-after-double-dash", "case-out-of-range"])
+        "double-dash-after-an-option-value", "option-after-double-dash", "case-out-of-range",
+        "short-help-with-value", "empty-long-option", "empty-long-option-after-scenario",
+        "empty-long-option-after-version"])
 def test_cli_usage_errors_print_argparse_text(tmp_path, capsys, argv, err):
     # the texts of the argparse front end this parser replaced
     path = _write_default(tmp_path)
