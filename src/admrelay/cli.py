@@ -165,7 +165,8 @@ def run_sweep(s: Scenario) -> str:
     kind = base.fault.kind
     network = nodal.Network(base)
     # every point has the base's network and source and reads only the
-    # fault-node voltage and its relay's current: the bolted rows plus lw c
+    # fault-node voltage and its relay's current: each row is the kind's
+    # bolted row plus lk times the point's injection c
     va, vb, vc = sequence_to_phase(base.source.sequence_voltages())
     read = network.injection_rows(kind, 0) + network.injection_rows(kind, nodal.RELAY_ROW[location])
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
