@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import json
 import os
 import statistics
@@ -102,7 +103,8 @@ def _sweep_points(nodal, FaultSpec, sweeps: list) -> tuple[int, object, object]:
 
 
 def _layers() -> dict:
-    """Each layer's (inputs, setup or None, one pass), recorded from this tree."""
+    """Each layer's builder of (inputs, setup or None, one pass), recorded from
+    this tree; a builder raises AttributeError for a name the tree lacks."""
     from admrelay import cli, faults, nodal, scenario
     from admrelay.network import FaultSpec
     from admrelay.phasors import sequence_to_phase
@@ -113,51 +115,66 @@ def _layers() -> dict:
     parsed = {w: [scenario.parse_scenario(item["text"]) for item in items[w]] for w in items}
     every = [s for w in IN_PROCESS for s in parsed[w]]
     case_runs = [(scenario.parse_scenario(item["text"]), int(item["cmd"][2])) for item in cases]
-    sweeps = []
-    for s in parsed["sweep-study"]:
-        m, location = scenario.build_model(s), scenario.relay_location(s)
-        sweeps.append((m, scenario.sweep_points(s), location,
-                       sequence_to_phase(m.source.sequence_voltages()), nodal.RELAY_ROW[location]))
 
-    def closed_forms(_):
+    def sweeps() -> list:
+        """Each sweep's model, grid, relay location, source phases and relay row."""
+        found = []
+        for s in parsed["sweep-study"]:
+            m, location = scenario.build_model(s), scenario.relay_location(s)
+            found.append((m, scenario.sweep_points(s), location,
+                          sequence_to_phase(m.source.sequence_voltages()),
+                          nodal.RELAY_ROW[location]))
+        return found
+
+    def closed_forms():
         """Each sweep's closed form, reduced at its first point and evaluated at every one."""
-        for m, grid, location, _, _ in sweeps:
-            closed = faults.reduce(m.with_fault(FaultSpec(m.fault.kind, grid[0])), location)
-            [closed(rf) for rf in grid]
+        reduce, found = faults.reduce, sweeps()
+
+        def run(_):
+            for m, grid, location, _, _ in found:
+                closed = reduce(m.with_fault(FaultSpec(m.fault.kind, grid[0])), location)
+                [closed(rf) for rf in grid]
+
+        return len(found), None, run
 
     def replay_all(workload: str, cmd: str):
         run = getattr(cli, f"run_{cmd}")
         return lambda: [run(s) for s in parsed[workload]]
 
-    layers = {
-        "scenario.parse_scenario": (len(texts), None,
-                                    lambda _: [scenario.parse_scenario(t) for t in texts]),
-        "scenario.scenario_digest": (len(every), None,
-                                     lambda _: [scenario.scenario_digest(s) for s in every]),
-        "scenario.build_model": (len(every), None,
-                                 lambda _: [scenario.build_model(s) for s in every]),
-        "nodal.Network": (len(sweeps), None, lambda _: [nodal.Network(m) for m, *_ in sweeps]),
-        "nodal.sweep_points": _sweep_points(
-            nodal, FaultSpec, [(m, grid, v, first) for m, grid, _, v, first in sweeps]),
-        "faults.reduce+evaluations": (len(sweeps), None, closed_forms),
-    }
-    from admrelay import dcb, trajectory
+    def recorded(module_name: str, name: str, workload: str, cmd: str):
+        module = importlib.import_module(f"admrelay.{module_name}")
+        return lambda: _replay(*_recorded(module, name, replay_all(workload, cmd)))
 
-    for module, name, workload, cmd in (
-        (dcb, "couple_from_network", "dcb-study", "dcb"),
-        (dcb, "simulate", "dcb-study", "dcb"),
-        (dcb, "format_trace", "dcb-study", "dcb"),
-        (trajectory, "simulate_trajectory", "trajectory-study", "trajectory"),
-        (trajectory, "format_trajectory", "trajectory-study", "trajectory"),
+    layers = {
+        "scenario.parse_scenario": lambda: (
+            len(texts), None, lambda _: [scenario.parse_scenario(t) for t in texts]),
+        "scenario.scenario_digest": lambda: (
+            len(every), None, lambda _: [scenario.scenario_digest(s) for s in every]),
+        "scenario.build_model": lambda: (
+            len(every), None, lambda _: [scenario.build_model(s) for s in every]),
+        "nodal.Network": lambda: (
+            len(parsed["sweep-study"]), None, lambda _, models=[
+                scenario.build_model(s) for s in parsed["sweep-study"]]: [
+                nodal.Network(m) for m in models]),
+        "nodal.sweep_points": lambda: _sweep_points(
+            nodal, FaultSpec, [(m, grid, v, first) for m, grid, _, v, first in sweeps()]),
+        "faults.reduce+evaluations": closed_forms,
+    }
+    for module_name, name, workload, cmd in (
+        ("dcb", "couple_from_network", "dcb-study", "dcb"),
+        ("dcb", "simulate", "dcb-study", "dcb"),
+        ("dcb", "format_trace", "dcb-study", "dcb"),
+        ("trajectory", "simulate_trajectory", "trajectory-study", "trajectory"),
+        ("trajectory", "format_trajectory", "trajectory-study", "trajectory"),
     ):
-        layers[f"{module.__name__.split('.')[-1]}.{name}"] = _replay(
-            *_recorded(module, name, replay_all(workload, cmd)))
+        layers[f"{module_name}.{name}"] = recorded(module_name, name, workload, cmd)
     for workload, cmd in zip(IN_PROCESS, ("sweep", "trajectory", "dcb")):
-        layers[f"cli.run_{cmd}"] = (len(parsed[workload]), None,
-                                    lambda _, run=replay_all(workload, cmd): run())
-    layers["cli.run_case"] = (len(case_runs), None,
-                              lambda _: [cli.run_case(s, case) for s, case in case_runs])
-    layers["cli.run_validate"] = (len(every), None, lambda _: [cli.run_validate(s) for s in every])
+        layers[f"cli.run_{cmd}"] = lambda workload=workload, cmd=cmd: (
+            len(parsed[workload]), None, lambda _, run=replay_all(workload, cmd): run())
+    layers["cli.run_case"] = lambda: (
+        len(case_runs), None, lambda _: [cli.run_case(s, case) for s, case in case_runs])
+    layers["cli.run_validate"] = lambda: (
+        len(every), None, lambda _: [cli.run_validate(s) for s in every])
     return layers
 
 
@@ -191,8 +208,13 @@ def child(budget: float) -> None:
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     result = {"digest": _documents_digest(), "us_per_input": {}}
-    for name, (inputs, setup, run) in _layers().items():
-        result["us_per_input"][name] = _fastest(setup, run, budget) / inputs * 1e6
+    for name, build in _layers().items():
+        try:
+            inputs, setup, run = build()
+            result["us_per_input"][name] = _fastest(setup, run, budget) / inputs * 1e6
+        except AttributeError as exc:  # the layer, or a name it needs, is not in this tree
+            print(f"{name}: n/a: {exc}", file=sys.stderr)
+            result["us_per_input"][name] = None
     print(json.dumps(result))
 
 
@@ -256,7 +278,7 @@ def main(argv: list[str]) -> int:
             row[f"{stat}_change"] = round(c[stat] / p[stat] - 1, 4) if p and c else None
         layers[name] = row
         cells = [f"{s['min']:.1f}/{s['median']:.1f}/{s['iqr']:.1f}" if s else "n/a" for s in (p, c)]
-        changes = "".join(f"{row[k]:>+8.1%}" if row[k] is not None else f"{'':>8}"
+        changes = "".join(f" {row[k]:>+7.1%}" if row[k] is not None else f"{'':>8}"
                           for k in ("min_change", "median_change"))
         print(f"{name:<30}{cells[0]:>26}{cells[1]:>26}{changes}")
     digests = {side: sorted({r["digest"] for r in runs[side]}) for side in runs}
