@@ -98,12 +98,14 @@ def test_a_grid_point_that_rounds_up_to_infinity_fails_its_closed_form():
         with pytest.raises(ModelError, match="^closed-form solvers require a finite fault "):
             run(s)
 
+
 @pytest.mark.parametrize("kind,location", [("lg", "upstream"), ("lg", "downstream"),
                                            ("ll", "upstream"), ("ll", "downstream")])
 def test_a_failing_residual_check_raises_at_its_grid_point(tmp_path, capsys, monkeypatch, kind,
                                                            location):
     # with the limit lowered to point k's residual, the check first fails at
-    # point k: the sweep evaluates the closed form at points 0..k-1 only
+    # point k, whose residual the message prints: the sweep evaluates the
+    # closed form at points 0..k-1 only
     text = (f"[fault]\nkind = {kind}\nrf_min = 0.01 ohm\nrf_max = 1e4 ohm\n"
             f"[relay]\nlocation = {location}\n")
     s = parse_scenario(text)
@@ -123,10 +125,11 @@ def test_a_failing_residual_check_raises_at_its_grid_point(tmp_path, capsys, mon
         return lambda rf: evaluations.append(rf) or closed_form(rf)
 
     monkeypatch.setattr(faults, "reduce", counted)
-    for run in (run_sweep, sweep_every_point):
-        with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
-            run(s)
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+        run_sweep(s)
     assert evaluations == grid[:k]
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+        sweep_every_point(s)
     path = tmp_path / "sweep.scn"
     path.write_text(text)
     assert cli.main(["sweep", str(path)]) == 2

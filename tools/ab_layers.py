@@ -235,7 +235,7 @@ def _side(tree: str, budget: float) -> dict:
 
 
 def _stats(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, med, q3 = statistics.quantiles(values, n=4)
     return {"min": round(min(values), 2), "median": round(med, 2), "iqr": round(q3 - q1, 2)}
 
 
