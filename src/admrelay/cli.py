@@ -165,20 +165,16 @@ def run_sweep(s: Scenario) -> str:
     kind = base.fault.kind
     network = nodal.Network(base)
     # every point has the base's network and source and reads only the
-    # fault-node voltage and its relay's current: each row is the kind's
-    # bolted row plus lk times the point's injection c
-    va, vb, vc = sequence_to_phase(base.source.sequence_voltages())
-    read = network.injection_rows(kind, 0) + network.injection_rows(kind, nodal.RELAY_ROW[location])
+    # fault-node voltage and its relay's current
+    v = sequence_to_phase(base.source.sequence_voltages())
+    points = network.readings(kind, grid, v, nodal.RELAY_ROW[location])
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     closed_form = None
-    for rf, (_, c, _) in zip(grid, network.injections(kind, grid)):
+    for rf, (v_m, relay_i) in zip(grid, points):
         # reduced once, at the first point's model, where its solve would check it
         closed_form = closed_form or faults.reduce(base.with_fault(FaultSpec(kind, rf)), location)
         z, _ = closed_form(rf)
-        c0, c1, c2 = c  # rf is finite here: the closed form refuses rf = inf
-        vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
-              for (b0, b1, b2), lk in read]
-        z_oracle, rel_err = _oracle_error(z, vi[:3], vi[3:], base, location)
+        z_oracle, rel_err = _oracle_error(z, v_m, relay_i, base, location)
         rows.append(
             f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
             f"{abs(z_oracle):.10g},{rel_err:.6e}"

@@ -21,9 +21,8 @@ from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use
 A :class:`Network` is factored once.  :meth:`Network.injections` streams a
 fault kind's rf values through it, giving each one's i_f, c and checked
 residual; it holds the only copy of that arithmetic.  The sweep reads each
-point's fault-node voltage and relay current from the stream: the bolted rows
-plus the rows of w times c (:meth:`Network.injection_rows`), in one
-superposition per point.  :meth:`Network.transfer` takes one injection from
+point's fault-node voltage and relay current from :meth:`Network.readings`:
+the bolted rows plus the rows of w times c, in one superposition per point.  :meth:`Network.transfer` takes one injection from
 the stream and wraps it in a :class:`Transfer`, whose rows per unit source
 phase the trajectory and case read and print.  The DCB coupling needs one
 fault and one source vector, so :func:`fault_phases` solves x = x0 - w i_f on
@@ -323,13 +322,6 @@ class Network:
                                       self._maps(p, True), lw, aw, self._residual(p), up)
         return bolted
 
-    def injection_rows(self, kind: FaultKind, first: int) -> list[tuple[tuple, complex]]:
-        """Map rows first..first+2 (first 0, 3, 6 or 9) of the fault kind as
-        (bolted row, lw entry) pairs, lw being the maps of w: with an injection
-        c of :meth:`injections`, row k is bolted[k] + lw[k] c, entry by entry."""
-        _, _, _, _, bolted, lw, _, _, _ = self.faults.get(kind) or self._bolted(kind)
-        return list(zip(bolted[first:first + 3], lw[first:first + 3]))
-
     def injections(self, kind: FaultKind,
                    rfs: Iterable[float]) -> Iterator[tuple[list[complex], list | None, float]]:
         """Each rf's fault current i_f and injection c = rf i_f / z_kk per source
@@ -358,6 +350,26 @@ class Network:
                 _norm(r) / self.b_norm,
                 _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
             ))
+
+    def readings(self, kind: FaultKind, rfs: Iterable[float], v: PhaseTriple,
+                 first: int) -> Iterator[tuple[list[complex], list[complex]]]:
+        """Each rf's fault-node voltages (map rows 0-2) and map rows first..
+        first+2 (first 3 or 6: a relay's currents) for the source phases v, one
+        rf at a time, raising where :meth:`injections` does.  Each row is the
+        kind's bolted row plus lw c, superposed over v in one expression: the
+        float operations of :meth:`Transfer.rows`, in the same order."""
+        _, _, _, _, bolted, lw, _, _, _ = self.faults.get(kind) or self._bolted(kind)
+        read = list(zip(bolted[0:3] + bolted[first:first + 3], lw[0:3] + lw[first:first + 3]))
+        va, vb, vc = v
+        for _, c, _ in self.injections(kind, rfs):
+            if c is None:  # the open fault reads the healthy network
+                tf = self.transfer(FaultSpec(kind, math.inf))
+                yield _superpose(tf._rows(0), v), _superpose(tf._rows(first), v)
+                continue
+            c0, c1, c2 = c
+            vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
+                  for (b0, b1, b2), lk in read]
+            yield vi[:3], vi[3:]
 
     def transfer(self, fault: FaultSpec) -> Transfer:
         """The fault's transfer: x0 for rf = inf, else its kind's bolted solution

@@ -429,9 +429,9 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
 @pytest.mark.parametrize("kind", ["lg", "ll"])
-def test_injection_stream_reads_as_each_point_transfer_does(kind, grounded):
-    # the sweep reads each point as the kind's bolted rows plus lw c, fused,
-    # on one network: bit for bit the rows and residual of the point's own
+def test_readings_stream_as_each_point_transfer_reads(kind, grounded):
+    # the sweep reads each point from Network.readings on one network: bit
+    # for bit the rows, fault current and residual of the point's own
     # transfer on a network of its own
     rng = np.random.default_rng(20240613)
     for _ in range(12):
@@ -439,23 +439,18 @@ def test_injection_stream_reads_as_each_point_transfer_does(kind, grounded):
         rfs = [float(10.0 ** rng.uniform(-3.0, 4.0)) for _ in range(6)] + [math.inf]
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         v = sequence_to_phase(SequenceTriple(*(complex(x) for x in parts)))
-        va, vb, vc = v
         network = nodal.Network(m)
-        read = {loc: network.injection_rows(m.fault.kind, 0)
-                + network.injection_rows(m.fault.kind, nodal.RELAY_ROW[loc]) for loc in (UP, DOWN)}
         for rf, (i_f, c, residual) in zip(rfs, network.injections(m.fault.kind, rfs)):
             tf = nodal.Network(m).transfer(FaultSpec(m.fault.kind, rf))
             assert residual == tf.residual < nodal.RESIDUAL_LIMIT
-            if rf == math.inf:  # the open fault
-                assert (i_f, c) == ([0j] * 3, None)
-                continue
             assert repr(tuple(i_f)) == repr(tf.maps[12])
-            c0, c1, c2 = c
-            for loc, rows in read.items():
-                vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
-                      for (b0, b1, b2), lk in rows]
-                want = [*tf.rows(0, v), *tf.rows(nodal.RELAY_ROW[loc], v)]
-                assert repr(vi) == repr(want), (m, rf, loc)
+            assert (c is None) == (rf == math.inf)
+        for loc in (UP, DOWN):
+            first = nodal.RELAY_ROW[loc]
+            for rf, (v_m, relay_i) in zip(rfs, network.readings(m.fault.kind, rfs, v, first)):
+                tf = nodal.Network(m).transfer(FaultSpec(m.fault.kind, rf))
+                want = [*tf.rows(0, v)], [*tf.rows(first, v)]
+                assert repr((v_m, relay_i)) == repr(want), (m, rf, loc)
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
