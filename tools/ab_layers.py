@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/ab_layers.py PARENT CHANGE [--processes 6] [--budget 0.25]
+    python3 tools/ab_layers.py PARENT CHANGE
 
 Each commit's tree is taken with ``git archive`` into a temporary directory,
 so uncommitted edits are not measured.  The inputs are the scenario files of
@@ -12,14 +12,15 @@ is imported and never changed.  What a layer receives is recorded from one
 run of the ``cli.run_*`` entry points of that tree, so each layer sees the
 arguments its tree passes it.
 
-Each side runs in ``--processes`` fresh processes, the sides alternating
+Each side runs in PROCESSES (6) fresh processes, the sides alternating
 (the parent first in odd rounds).  A process times each layer in whole
 passes over its inputs, with the garbage collector off, for at least three
-passes and ``--budget`` seconds, and keeps its fastest pass.  The report
+passes and BUDGET (0.25) seconds, and keeps its fastest pass.  The report
 gives, per layer and side, the minimum, median and interquartile range over
 the processes of that fastest pass, in microseconds per input, and the
 relative change of the minimums and of the medians; on a host whose speed
-drifts between processes, the minimums are the steadier figure.  A layer a tree does not have reads n/a.
+drifts between processes, the minimums are the steadier figure.  A layer a
+tree does not have reads n/a.
 It also prints each tree's digest of the 132 in-process documents: the
 sha256 of their sha256 hex digests joined by newlines, workload by workload
 and seed by seed, in generation order.  The last line of stdout is one JSON
@@ -43,6 +44,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 IN_PROCESS = ("sweep-study", "trajectory-study", "dcb-study")
+PROCESSES = 6  # fresh processes per side
+BUDGET = 0.25  # seconds of passes per layer and process
 
 
 def _items(workload: str) -> list[dict]:
@@ -80,18 +83,16 @@ def _replay(fn, calls: list) -> tuple[int, None, object]:
 
 def _sweep_points(nodal, FaultSpec, sweeps: list) -> tuple[int, object, object]:
     """The sweep's nodal readings at every grid point, on networks made before
-    the pass, as cli.run_sweep reads them: through the injection stream where
-    the tree has one, else through one Transfer per point."""
+    the pass, as cli.run_sweep reads them: through Network.readings where the
+    tree has it, else through one Transfer per point."""
 
     def fresh():
         return [(nodal.Network(m), m.fault.kind, grid, v, first) for m, grid, v, first in sweeps]
 
     def stream(networks):
-        for network, kind, grid, (va, vb, vc), first in networks:
-            read = network.injection_rows(kind, 0) + network.injection_rows(kind, first)
-            for _, (c0, c1, c2), _ in network.injections(kind, grid):
-                [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
-                 for (b0, b1, b2), lk in read]
+        for network, kind, grid, v, first in networks:
+            for _ in network.readings(kind, grid, v, first):
+                pass
 
     def transfers(networks):
         for network, kind, grid, v, first in networks:
@@ -99,7 +100,7 @@ def _sweep_points(nodal, FaultSpec, sweeps: list) -> tuple[int, object, object]:
                 tf = network.transfer(FaultSpec(kind, rf))
                 tf.rows(0, v), tf.rows(first, v)
 
-    return len(sweeps), fresh, stream if hasattr(nodal.Network, "injections") else transfers
+    return len(sweeps), fresh, stream if hasattr(nodal.Network, "readings") else transfers
 
 
 def _layers() -> dict:
@@ -178,10 +179,10 @@ def _layers() -> dict:
     return layers
 
 
-def _fastest(setup, run, budget: float) -> float:
-    """The fastest of at least three passes and budget seconds, in seconds."""
+def _fastest(setup, run) -> float:
+    """The fastest of at least three passes and BUDGET seconds, in seconds."""
     best, spent, passes = float("inf"), 0.0, 0
-    while passes < 3 or spent < budget:
+    while passes < 3 or spent < BUDGET:
         state = setup() if setup else None
         gc.disable()
         try:
@@ -203,7 +204,7 @@ def _documents_digest() -> str:
     return hashlib.sha256("\n".join(hexes).encode()).hexdigest()
 
 
-def child(budget: float) -> None:
+def child() -> None:
     """Time every layer of the tree on PYTHONPATH; print one JSON line."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -211,7 +212,7 @@ def child(budget: float) -> None:
     for name, build in _layers().items():
         try:
             inputs, setup, run = build()
-            result["us_per_input"][name] = _fastest(setup, run, budget) / inputs * 1e6
+            result["us_per_input"][name] = _fastest(setup, run) / inputs * 1e6
         except AttributeError as exc:  # the layer, or a name it needs, is not in this tree
             print(f"{name}: n/a: {exc}", file=sys.stderr)
             result["us_per_input"][name] = None
@@ -226,11 +227,10 @@ def _archive(rev: str, dest: str) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def _side(tree: str, budget: float) -> dict:
+def _side(tree: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                          "--budget", str(budget)], cwd=tree, env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"], cwd=tree,
+                         env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -243,16 +243,13 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--processes", type=int, default=6, help="processes per side (>= 6)")
-    parser.add_argument("--budget", type=float, default=0.25,
-                        help="seconds of passes per layer and process")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.budget)
+        child()
         return 0
-    if not (args.parent and args.change) or args.processes < 6:
-        parser.error("give PARENT and CHANGE, and at least 6 processes per side")
+    if not (args.parent and args.change):
+        parser.error("give PARENT and CHANGE")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab_layers-") as tmp:
         trees = {}
@@ -260,9 +257,9 @@ def main(argv: list[str]) -> int:
             trees[side] = os.path.join(tmp, side)
             os.mkdir(trees[side])
             _archive(rev, trees[side])
-        for k in range(args.processes):
+        for k in range(PROCESSES):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(_side(trees[side], args.budget))
+                runs[side].append(_side(trees[side]))
                 print(f"round {k + 1}, {side}: done", file=sys.stderr)
     names = list(dict.fromkeys(n for side in runs.values() for r in side for n in r["us_per_input"]))
     layers = {}
@@ -286,8 +283,8 @@ def main(argv: list[str]) -> int:
         print(f"documents digest, {side}: {', '.join(found)}")
     print(json.dumps({
         "method": f"tools/ab_layers.py {args.parent} {args.change}: each tree a git archive, "
-                  f"{args.processes} alternating processes per side, each layer's fastest pass "
-                  f"(gc off, at least 3 passes and {args.budget} s) over the inputs of seeds "
+                  f"{PROCESSES} alternating processes per side, each layer's fastest pass "
+                  f"(gc off, at least 3 passes and {BUDGET} s) over the inputs of seeds "
                   "1-3, in us per input; min, median and IQR over the processes",
         "parent": args.parent, "change": args.change, "layers": layers,
         "documents_digest": {side: found[0] if len(found) == 1 else found
