@@ -345,16 +345,21 @@ def _check_consistency(s: Scenario) -> None:
         raise ScenarioError("[fault] rf_points: must be >= 1")
     if rf_points > MAX_RF_POINTS:
         raise ScenarioError(f"[fault] rf_points: must not exceed {MAX_RF_POINTS}")
-    # sweep_points spaces a log grid from rf_min unless the grid is one point
-    if s.get("fault", "rf_spacing") == "log" and rf_points > 1 and rf_min != rf_max:
-        if rf_min <= 0:
+    # sweep_points spaces a grid from rf_min unless the grid is one point; its
+    # largest point, computed as sweep_points computes it, must be finite
+    spacing = s.get("fault", "rf_spacing")
+    if rf_points > 1 and rf_min != rf_max:
+        if spacing == "linear":
+            top = rf_min + (rf_max - rf_min) / (rf_points - 1) * (rf_points - 1)
+        elif rf_min <= 0:
             raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
-        try:  # the grid's largest point; float ** raises where * gives inf
-            top = rf_min * _log_ratio(rf_min, rf_max, rf_points) ** (rf_points - 1)
-        except OverflowError:
-            top = math.inf
+        else:
+            try:  # float ** raises where * gives inf
+                top = rf_min * _log_ratio(rf_min, rf_max, rf_points) ** (rf_points - 1)
+            except OverflowError:
+                top = math.inf
         if top == math.inf:
-            raise ScenarioError("[fault] rf_max: the log grid from rf_min must not overflow")
+            raise ScenarioError(f"[fault] rf_max: the {spacing} grid from rf_min must not overflow")
     if s.has("dcb"):
         loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
         if not 0.0 <= loss <= 1.0:

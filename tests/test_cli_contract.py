@@ -177,6 +177,9 @@ FIXED = [
     # a log grid whose top point overflows: float ** raised OverflowError in sweep
     ("log-grid-overflow", _edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm",
                                 rf_points="5"), EVERY_COMMAND_REJECTS),
+    # a linear grid whose top point rounds up to inf: the closed form refused it late
+    ("linear-grid-overflow", _edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm",
+                                   rf_points="4", rf_spacing="linear"), EVERY_COMMAND_REJECTS),
 ]
 
 

@@ -749,19 +749,22 @@ def test_sweep_streams_all_points_through_one_network(tmp_path, monkeypatch):
     assert len(networks) == 1 and len(points) == 40
 
 
-@pytest.mark.parametrize("rf_min, rf_max, rf_points", [
-    ("1e-10 ohm", "1.7e308 ohm", 4),
-    ("5e-324 ohm", "1 ohm", 40),
-    ("1 ohm", "1.7976931348623157e308 ohm", 5),
-], ids=["ratio-overflows", "subnormal-rf_min", "top-point-overflows"])
-def test_log_grid_that_overflows_is_a_validation_error(tmp_path, capsys, rf_min, rf_max,
-                                                        rf_points):
-    # rf_max / rf_min overflows, so the grid reaches rf = inf after its first
-    # point, or the top point's power raises OverflowError; both were found
-    # only when a sweep ran
+@pytest.mark.parametrize("rf_min, rf_max, rf_points, rf_spacing", [
+    ("1e-10 ohm", "1.7e308 ohm", 4, "log"),
+    ("5e-324 ohm", "1 ohm", 40, "log"),
+    ("1 ohm", "1.7976931348623157e308 ohm", 5, "log"),
+    ("1 ohm", "1.7976931348623157e308 ohm", 4, "linear"),
+], ids=["ratio-overflows", "subnormal-rf_min", "top-point-overflows", "linear-top-point-overflows"])
+def test_rf_grid_that_overflows_is_a_validation_error(tmp_path, capsys, rf_min, rf_max,
+                                                       rf_points, rf_spacing):
+    # rf_max / rf_min overflows, so the log grid reaches rf = inf after its
+    # first point, the log grid's top power raises OverflowError, or the
+    # linear grid's rf_min + 3 * step rounds up past the largest float; each
+    # was found only when a sweep ran
     text = _set_field("fault", "rf_min", rf_min)
     text = _set_field("fault", "rf_max", rf_max, text)
     text = _set_field("fault", "rf_points", str(rf_points), text)
+    text = _set_field("fault", "rf_spacing", rf_spacing, text)
     with pytest.raises(ScenarioError, match=r"^\[fault\] rf_max: "):
         parse_scenario(text)
     for argv in (["validate"], ["sweep"], ["dcb"]):
