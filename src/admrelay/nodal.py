@@ -19,15 +19,16 @@ exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
 A :class:`Network` is factored once.  :meth:`Network.injections` streams a
-fault kind's rf values through it, giving each one's i_f, c and checked
-residual; it holds the only copy of that arithmetic.  The sweep reads each
-point's fault-node voltage and relay current from :meth:`Network.readings`:
-the bolted rows plus the rows of w times c, in one superposition per point.  :meth:`Network.transfer` takes one injection from
-the stream and wraps it in a :class:`Transfer`, whose rows per unit source
-phase the trajectory and case read and print.  The DCB coupling needs one
-fault and one source vector, so :func:`fault_phases` solves x = x0 - w i_f on
-that one right-hand side; the row readers keep :class:`Network`, whose
-round-off their documents print.
+fault kind's finite rf values through it, giving each one's i_f, c and
+checked residual; it holds the only copy of that arithmetic.  The sweep reads
+each point's fault-node voltage and relay current from
+:meth:`Network.readings`: the bolted rows plus the rows of w times c, in one
+superposition per point.  :meth:`Network.transfer` takes one injection from
+the stream and makes the 13 map rows of a :class:`Transfer` in one pass (x0's
+for rf = inf), which the trajectory and case read and print.  The DCB
+coupling needs one fault and one source vector, so :func:`fault_phases`
+solves x = x0 - w i_f on that one right-hand side; the row readers keep
+:class:`Network`, whose round-off their documents print.
 """
 
 from __future__ import annotations
@@ -199,47 +200,29 @@ def _fault_denominator(rf: float, z_kk: complex) -> complex:
 class Transfer:
     """One fault's network, linear in the source phase voltages.
 
-    Its 13 map rows over the source phases (a, b, c) are: the fault-node
-    (relay-point) voltage (rows 0-2), the source-side segment current, source
-    bus -> fault node (3-5), the load-side one, fault node -> load bus (6-8),
-    the load-bus voltage (9-11) and the fault-branch current, a to ground or
-    b to c (12; zero with the fault open).  A faulted network's rows are its
-    kind's bolted rows plus lw c, made three at a time on first read, so a
-    reader pays only for the rows it reads.  residual is the relative
-    residual of the fault's own solution.
+    maps holds its 13 map rows over the source phases (a, b, c): the
+    fault-node (relay-point) voltage (rows 0-2), the source-side segment
+    current, source bus -> fault node (3-5), the load-side one, fault node ->
+    load bus (6-8), the load-bus voltage (9-11) and the fault-branch current,
+    a to ground or b to c (12; zero with the fault open).  residual is the
+    relative residual of the fault's own solution.
     """
 
-    __slots__ = ("fault", "residual", "_blocks", "_injection")
+    __slots__ = ("fault", "residual", "maps")
 
     def __init__(self, fault: FaultSpec, residual: float,
-                 blocks: dict[int, list[tuple[complex, complex, complex]]],
-                 injection: tuple | None) -> None:
-        self.fault, self.residual = fault, residual
-        self._blocks, self._injection = blocks, injection
-
-    def _rows(self, first: int) -> list[tuple[complex, complex, complex]]:
-        """Map rows first..first+2 (first 0, 3, 6 or 9), or row 12."""
-        rows = self._blocks.get(first)
-        if rows is None:
-            bolted, lw, (c0, c1, c2) = self._injection
-            rows = self._blocks[first] = [(b0 + lk * c0, b1 + lk * c1, b2 + lk * c2) for
-                                          (b0, b1, b2), lk in zip(bolted[first:first + 3],
-                                                                  lw[first:first + 3])]
-        return rows
-
-    @property
-    def maps(self) -> tuple[tuple[complex, complex, complex], ...]:
-        return tuple(row for first in (0, 3, 6, 9, 12) for row in self._rows(first))
+                 maps: tuple[tuple[complex, complex, complex], ...]) -> None:
+        self.fault, self.residual, self.maps = fault, residual, maps
 
     def rows(self, first: int, v: PhaseTriple) -> PhaseTriple:
         """Map rows first..first+2 (first 0, 3, 6 or 9) for the source phases v."""
-        return PhaseTriple._make(_superpose(self._rows(first), v))
+        return PhaseTriple._make(_superpose(self.maps[first:first + 3], v))
 
     def solve(self, relay_location: RelayLocation, source_seq: SequenceTriple) -> FaultSolution:
         """Relay quantities for the source source_seq; see :func:`solve_network`."""
         v = sequence_to_phase(source_seq)
         v_m, relay_i = self.rows(0, v), self.rows(RELAY_ROW[relay_location], v)
-        v_load_a, i_f = _superpose((self._rows(9)[0], self._rows(12)[0]), v)
+        v_load_a, i_f = _superpose((self.maps[9], self.maps[12]), v)
         i_fault = (dict(i_f_a=i_f, i_f_b=0j, i_f_c=0j) if self.fault.kind is FaultKind.LINE_GROUND_A
                    else dict(i_f_a=0j, i_f_b=i_f, i_f_c=-i_f))
         inter = dict(i_fault, residual=complex(self.residual, 0.0), v_load_a=v_load_a)
@@ -285,7 +268,6 @@ class Network:
         self.x0 = [_lu_solve(self.lu, self.order, col) for col in self.b]
         self.residual = _checked(
             _norm(v for col in self._residual(self.x0) for v in col) / self.b_norm)
-        self.healthy: dict | None = None  # x0's map rows, made on first read
         self.faults: dict[FaultKind, tuple] = {}
 
     def _residual(self, x: list[list[complex]]) -> list[list[complex]]:
@@ -323,20 +305,15 @@ class Network:
         return bolted
 
     def injections(self, kind: FaultKind,
-                   rfs: Iterable[float]) -> Iterator[tuple[list[complex], list | None, float]]:
-        """Each rf's fault current i_f and injection c = rf i_f / z_kk per source
-        phase, and its relative residual, one rf at a time.  Raises
-        SingularSystemError at the rf where the fault current is undefined or
-        the residual is not below RESIDUAL_LIMIT.  rf = inf (a linear grid's
-        top point can round up to it) is the open fault: no current, c None
-        and the healthy residual."""
+                   rfs: Iterable[float]) -> Iterator[tuple[list[complex], list[complex], float]]:
+        """Each finite rf's fault current i_f and injection c = rf i_f / z_kk per
+        source phase, and its relative residual, one rf at a time.  Raises
+        SingularSystemError at the rf where the fault current is undefined
+        (rf = inf among them) or the residual is not below RESIDUAL_LIMIT."""
         u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q, up = (self.faults.get(kind)
                                                            or self._bolted(kind))
         n = len(aw)
         for rf in rfs:
-            if rf == math.inf:
-                yield [0j] * 3, None, self.residual
-                continue
             d = _fault_denominator(rf, z_kk)
             i_f = [v / d for v in ux0]
             c = [rf * f / z_kk for f in i_f]
@@ -353,7 +330,7 @@ class Network:
 
     def readings(self, kind: FaultKind, rfs: Iterable[float], v: PhaseTriple,
                  first: int) -> Iterator[tuple[list[complex], list[complex]]]:
-        """Each rf's fault-node voltages (map rows 0-2) and map rows first..
+        """Each finite rf's fault-node voltages (map rows 0-2) and map rows first..
         first+2 (first 3 or 6: a relay's currents) for the source phases v, one
         rf at a time, raising where :meth:`injections` does.  Each row is the
         kind's bolted row plus lw c, superposed over v in one expression: the
@@ -361,28 +338,22 @@ class Network:
         _, _, _, _, bolted, lw, _, _, _ = self.faults.get(kind) or self._bolted(kind)
         read = list(zip(bolted[0:3] + bolted[first:first + 3], lw[0:3] + lw[first:first + 3]))
         va, vb, vc = v
-        for _, c, _ in self.injections(kind, rfs):
-            if c is None:  # the open fault reads the healthy network
-                tf = self.transfer(FaultSpec(kind, math.inf))
-                yield _superpose(tf._rows(0), v), _superpose(tf._rows(first), v)
-                continue
-            c0, c1, c2 = c
+        for _, (c0, c1, c2), _ in self.injections(kind, rfs):
             vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
                   for (b0, b1, b2), lk in read]
             yield vi[:3], vi[3:]
 
     def transfer(self, fault: FaultSpec) -> Transfer:
-        """The fault's transfer: x0 for rf = inf, else its kind's bolted solution
-        plus its one injection from :meth:`injections`, which raises where that
-        does."""
-        if fault.rf == math.inf:  # every row made: the blocks are only read
-            if self.healthy is None:
-                rows = [tuple(r) for r in self._maps(self.x0, True) + [[0j] * 3]]
-                self.healthy = {first: rows[first:first + 3] for first in (0, 3, 6, 9, 12)}
-            return Transfer(fault, self.residual, self.healthy, None)
-        i_f, c, residual = next(self.injections(fault.kind, (fault.rf,)))
+        """The fault's transfer: x0's rows for rf = inf, else its kind's bolted
+        rows plus lw times its one injection from :meth:`injections`, which
+        raises where that does."""
+        if fault.rf == math.inf:
+            return Transfer(fault, self.residual,
+                            (*map(tuple, self._maps(self.x0, True)), (0j, 0j, 0j)))
+        i_f, (c0, c1, c2), residual = next(self.injections(fault.kind, (fault.rf,)))
         _, _, _, _, bolted, lw, _, _, _ = self.faults[fault.kind]
-        return Transfer(fault, residual, {12: [tuple(i_f)]}, (bolted, lw, c))
+        rows = [(b0 + lk * c0, b1 + lk * c1, b2 + lk * c2) for (b0, b1, b2), lk in zip(bolted, lw)]
+        return Transfer(fault, residual, (*rows, tuple(i_f)))
 
 
 def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseTriple,

@@ -432,25 +432,29 @@ def test_transfers_match_a_dense_solve_of_the_faulted_system(kind, grounded):
 def test_readings_stream_as_each_point_transfer_reads(kind, grounded):
     # the sweep reads each point from Network.readings on one network: bit
     # for bit the rows, fault current and residual of the point's own
-    # transfer on a network of its own
+    # transfer on a network of its own; the stream serves finite rf only
     rng = np.random.default_rng(20240613)
     for _ in range(12):
         m = _random_model(rng, kind, grounded)
-        rfs = [float(10.0 ** rng.uniform(-3.0, 4.0)) for _ in range(6)] + [math.inf]
+        rfs = [float(10.0 ** rng.uniform(-3.0, 4.0)) for _ in range(6)]
         parts = 277.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         v = sequence_to_phase(SequenceTriple(*(complex(x) for x in parts)))
         network = nodal.Network(m)
-        for rf, (i_f, c, residual) in zip(rfs, network.injections(m.fault.kind, rfs)):
+        for rf, (i_f, _, residual) in zip(rfs, network.injections(m.fault.kind, rfs)):
             tf = nodal.Network(m).transfer(FaultSpec(m.fault.kind, rf))
             assert residual == tf.residual < nodal.RESIDUAL_LIMIT
             assert repr(tuple(i_f)) == repr(tf.maps[12])
-            assert (c is None) == (rf == math.inf)
         for loc in (UP, DOWN):
             first = nodal.RELAY_ROW[loc]
             for rf, (v_m, relay_i) in zip(rfs, network.readings(m.fault.kind, rfs, v, first)):
                 tf = nodal.Network(m).transfer(FaultSpec(m.fault.kind, rf))
                 want = [*tf.rows(0, v)], [*tf.rows(first, v)]
                 assert repr((v_m, relay_i)) == repr(want), (m, rf, loc)
+        to_open = [1.0, math.inf]
+        with pytest.raises(SingularSystemError, match="^rf \\+ z_kk is "):
+            list(network.injections(m.fault.kind, to_open))
+        with pytest.raises(SingularSystemError, match="^rf \\+ z_kk is "):
+            list(network.readings(m.fault.kind, to_open, v, nodal.RELAY_ROW[UP]))
 
 
 @pytest.mark.parametrize("grounded", [True, False], ids=["grounded", "solid"])
