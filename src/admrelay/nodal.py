@@ -388,20 +388,13 @@ def fault_phases(m: MicrogridModel, v: PhaseTriple) -> tuple[PhaseTriple, PhaseT
             PhaseTriple._make(sum(map(mul, r, d_dn)) for r in sysm.y_m2))
 
 
-def solve_network(
-    m: MicrogridModel,
-    relay_location: RelayLocation,
-    source_seq: SequenceTriple | None = None,
-) -> FaultSolution:
+def solve_network(m: MicrogridModel, relay_location: RelayLocation) -> FaultSolution:
     """Solve the full three-phase network and extract relay quantities.
 
     The relay voltage is the fault-node voltage; the relay current is the
     source-side segment current (source bus -> fault node) for an upstream
     relay and the load-side segment current (fault node -> load bus) for a
     downstream one.  The intermediates map carries the fault-branch currents
-    (i_f_a, i_f_b, i_f_c) and the solve residual.  The source is the model's
-    own unless source_seq is given.
+    (i_f_a, i_f_b, i_f_c) and the solve residual, for the model's own source.
     """
-    tf = Network(m).transfer(m.fault)
-    return tf.solve(relay_location,
-                    m.source.sequence_voltages() if source_seq is None else source_seq)
+    return Network(m).transfer(m.fault).solve(relay_location, m.source.sequence_voltages())

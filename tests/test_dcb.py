@@ -332,12 +332,12 @@ def test_scenario_validation():
 def test_couple_from_network_assembles_one_network(monkeypatch, m):
     # the script equals the one two separate oracle solves give
     healthy = not math.isfinite(m.fault.rf)
-    seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else None
+    seq = SequenceTriple(0j, m.source.v1, 0j) if healthy else m.source.sequence_voltages()
     angle = math.atan2(m.line_1m.z1.imag, m.line_1m.z1.real)
     expected = {}
     for relay, loc in zip(("A", "B"), (RelayLocation.UPSTREAM_OF_FAULT,
                                        RelayLocation.DOWNSTREAM_OF_FAULT)):
-        sol = nodal.solve_network(m, loc, source_seq=seq)
+        sol = nodal.Network(m).transfer(m.fault).solve(loc, seq)
         decision = directional_neg_seq(
             phase_to_sequence(sol.relay_v).neg, sol.relay_seq_i.neg, angle
         )
