@@ -4,9 +4,13 @@ The files under ``tests/golden/`` are the stdout of each subcommand on
 ``scenarios/default.scn`` and of ``case`` and ``sweep`` on the variant
 scenarios next to them (ideal source, line-line, downstream relay).  They
 pin the current behaviour for refactors; a refactor that changes a byte
-must explain the change, not regenerate them.
+must explain the change, not regenerate them.  The 132 documents the
+benchmark's in-process workloads make from its seeds 1-3 are pinned by one
+digest.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,9 @@ from admrelay import cli
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "default.scn"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# tools/ab_layers.py's digest of the sweep-, trajectory- and dcb-study
+# documents of seeds 1-3, as every BENCH_*.json since BENCH_18.json records it
+BENCHMARK_DIGEST = "70814657ee9275b88af52ea15845e7f47e23a85d6b6de4ced9a20ab766e31bce"
 
 DOCUMENTS = {
     "validate": ["validate"],
@@ -48,3 +55,18 @@ def test_default_scenario_documents_match_goldens(name, tmp_path):
 def test_variant_scenario_documents_match_goldens(name, tmp_path):
     variant, argv = VARIANT_DOCUMENTS[name]
     _matches_golden(name, GOLDEN / f"{variant}.scn", argv, tmp_path)
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_documents_keep_their_digest(monkeypatch):
+    # bench/gen.py is imported as it stands, and no bytecode is written beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "gen", _load(ROOT / "bench" / "gen.py"))
+    ab_layers = _load(ROOT / "tools" / "ab_layers.py")
+    assert ab_layers._documents_digest() == BENCHMARK_DIGEST
