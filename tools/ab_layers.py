@@ -162,6 +162,7 @@ def _layers() -> dict:
         "faults.reduce+evaluations": closed_forms,
     }
     for module_name, name, workload, cmd in (
+        ("nodal", "fault_phases", "dcb-study", "dcb"),
         ("dcb", "couple_from_network", "dcb-study", "dcb"),
         ("dcb", "simulate", "dcb-study", "dcb"),
         ("dcb", "format_trace", "dcb-study", "dcb"),
