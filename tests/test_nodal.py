@@ -104,11 +104,12 @@ def test_relay_phase_and_sequence_currents_are_consistent():
 def test_superposition_of_sequence_sources():
     m = lg_model(3.68, inverter())
     seq = m.source.sequence_voltages()
-    combined = nodal.Network(m).transfer(m.fault).solve(UP, seq)
+    tf = nodal.Network(m).transfer(m.fault)
+    combined = tf.solve(UP, seq)
     parts = [
-        nodal.Network(m).transfer(m.fault).solve(UP, SequenceTriple(seq.zero, 0j, 0j)),
-        nodal.Network(m).transfer(m.fault).solve(UP, SequenceTriple(0j, seq.pos, 0j)),
-        nodal.Network(m).transfer(m.fault).solve(UP, SequenceTriple(0j, 0j, seq.neg)),
+        tf.solve(UP, SequenceTriple(seq.zero, 0j, 0j)),
+        tf.solve(UP, SequenceTriple(0j, seq.pos, 0j)),
+        tf.solve(UP, SequenceTriple(0j, 0j, seq.neg)),
     ]
     for attr in ("a", "b", "c"):
         total_v = sum(getattr(p.relay_v, attr) for p in parts)
