@@ -19,7 +19,6 @@ from admrelay.trajectory import (
     LimiterKind,
     TRAJECTORY_HEADER,
     TrajectoryPoint,
-    _limited_seq,
     _rotations,
     _target_scale,
     calibrate_unbalance,
@@ -28,7 +27,7 @@ from admrelay.trajectory import (
 )
 
 from support import close, ideal, inverter, lg_model, ll_model, rel_err
-from trajectory_reference import simulate_every_step
+from trajectory_reference import _limited_seq, simulate_every_step
 
 UP = RelayLocation.UPSTREAM_OF_FAULT
 DOWN = RelayLocation.DOWNSTREAM_OF_FAULT

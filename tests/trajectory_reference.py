@@ -3,12 +3,14 @@
 :func:`simulate_every_step` solves every step of the window in full through
 :meth:`admrelay.nodal.Transfer.solve`, as :func:`admrelay.trajectory.simulate_trajectory`
 did before it learned to reuse a step whose topology and applied source are
-the previous step's and to read only the relay rows.  The tests compare the
-two trajectories bit for bit.
+the previous step's and to read only the relay rows.  It keeps its own frozen
+copies of the applied-source arithmetic, so a rewrite of the simulator cannot
+change both sides at once.  The tests compare the two trajectories bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from admrelay import nodal
@@ -23,11 +25,26 @@ from admrelay.trajectory import (
     TAU_LIM_DEFAULT_S,
     LimiterKind,
     TrajectoryPoint,
-    _limited_seq,
-    _rotations,
 )
 
 _CAP_SLACK = 1e-6
+
+
+def _rotations(src: CurrentLimitedInverter) -> tuple[complex, complex]:
+    return cmath.exp(1j * src.v0_angle), cmath.exp(1j * src.v2_angle)
+
+
+def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float,
+                 rotations: tuple[complex, complex]) -> SequenceTriple:
+    """The applied source at engagement level `level`, as the simulator first
+    computed it."""
+    rot0, rot2 = rotations
+    v1_eff = src.v1 * (1.0 - level * (1.0 - scale))
+    return SequenceTriple(
+        zero=v1_eff * (level * src.v0_fraction) * rot0,
+        pos=v1_eff,
+        neg=v1_eff * (level * src.v2_fraction) * rot2,
+    )
 
 
 def _source_currents(tf: nodal.Transfer, seq: SequenceTriple) -> PhaseTriple:
