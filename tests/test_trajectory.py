@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -231,46 +232,111 @@ def _bits(points):
 
 LIMITERS = {"none": None, "instantaneous": LimiterKind.INSTANTANEOUS_SATURATION,
             "latching": LimiterKind.LATCHING}
-_rng = random.Random(11)
+
+
+def _unbalance(rng):
+    """[system] fields of an inverter whose unbalance fractions differ and whose
+    two angles are nonzero and distinct (v2 leads, v0 lags), so neither
+    rotation is 1 and swapping the zero- and negative-sequence parts shows."""
+    return {"v2_fraction": rng.uniform(0.05, 0.95), "v0_fraction": rng.uniform(0.05, 0.95),
+            "v2_angle": f"{rng.uniform(5.0, 175.0)!r} deg",
+            "v0_angle": f"{-rng.uniform(5.0, 175.0)!r} deg"}
+
+
+_rng, _source_rng = random.Random(11), random.Random(13)
 REFERENCE_GRID = [
     (limiter, location, kind, source, dt,
      math.exp(_rng.uniform(math.log(0.5), math.log(300.0))),  # rf [ohm]
      _rng.choice(("20 A", "70 A", "120 A")),  # i_max
-     _rng.uniform(0.0, 0.06))  # fault_time [s]
+     _rng.uniform(0.0, 0.06),  # fault_time [s]
+     _unbalance(_source_rng))
     for limiter, location, kind, source, dt in itertools.product(
         LIMITERS, ("up", "down"), ("lg", "ll"), ("ideal", "inverter"), (1e-3, 5e-4, 2.5e-4))
 ]
 
 
-def _assert_matches_reference(kind, rf, i_max, limiter, location, **kw):
+def _model(kind, rf, i_max, unbalance):
     """i_max None selects the ideal source."""
     make = lg_model if kind == "lg" else ll_model
-    m = make(rf, ideal() if i_max is None else inverter(i_max=i_max))
+    return make(rf, {**(ideal() if i_max is None else inverter(i_max=i_max)), **unbalance})
+
+
+def _assert_matches_reference(kind, rf, i_max, unbalance, limiter, location, **kw):
+    m = _model(kind, rf, i_max, unbalance)
     kw.update(limiter=LIMITERS[limiter], relay_location=UP if location == "up" else DOWN)
     assert _bits(simulate_trajectory(m, **kw)) == _bits(simulate_every_step(m, **kw))
 
 
-@pytest.mark.parametrize("limiter,location,kind,source,dt,rf,i_max,fault_time", REFERENCE_GRID)
+@pytest.mark.parametrize("limiter,location,kind,source,dt,rf,i_max,fault_time,unbalance",
+                         REFERENCE_GRID)
 def test_trajectory_is_bit_identical_to_the_step_by_step_reference(
-    limiter, location, kind, source, dt, rf, i_max, fault_time
+    limiter, location, kind, source, dt, rf, i_max, fault_time, unbalance
 ):
-    _assert_matches_reference(kind, rf, i_max if source == "inverter" else None, limiter,
-                              location, dt=dt, fault_time=fault_time, duration=0.12)
+    _assert_matches_reference(kind, rf, i_max if source == "inverter" else None, unbalance,
+                              limiter, location, dt=dt, fault_time=fault_time, duration=0.12)
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
 @pytest.mark.parametrize("location", ["up", "down"])
-@pytest.mark.parametrize("kind,rf,i_max,fault_time", [
-    ("lg", 3.68, "70 A", 0.0),
-    ("ll", 2.0, "20 A", 0.0),  # engaged from the start: level reaches 1.0, steps repeat
-    ("lg", math.inf, "70 A", 0.05),
-    ("ll", math.inf, "20 A", 0.05),
-    ("lg", 0.0, "70 A", 0.05),
-    ("ll", 0.0, "70 A", 0.05),
-    ("lg", 3.68, "inf A", 0.05),
-    ("ll", 1.0, "inf A", 0.0),
+@pytest.mark.parametrize("kind,rf,i_max,fault_time,unbalance", [
+    (*row, _unbalance(random.Random(k))) for k, row in enumerate([
+        ("lg", 3.68, "70 A", 0.0),
+        ("ll", 2.0, "20 A", 0.0),  # engaged from the start: level reaches 1.0, steps repeat
+        ("lg", math.inf, "70 A", 0.05),
+        ("ll", math.inf, "20 A", 0.05),
+        ("lg", 0.0, "70 A", 0.05),
+        ("ll", 0.0, "70 A", 0.05),
+        ("lg", 3.68, "inf A", 0.05),
+        ("ll", 1.0, "inf A", 0.0),
+    ])
 ])
 def test_trajectory_edge_cases_are_bit_identical_to_the_reference(
-    limiter, location, kind, rf, i_max, fault_time
+    limiter, location, kind, rf, i_max, fault_time, unbalance
 ):
-    _assert_matches_reference(kind, rf, i_max, limiter, location, fault_time=fault_time)
+    _assert_matches_reference(kind, rf, i_max, unbalance, limiter, location,
+                              fault_time=fault_time)
+
+
+def _random_run(rng):
+    """A model and the simulate_trajectory keywords of one seeded run: limiter,
+    relay side, fault kind, step, rf (0 or open in one draw of ten each),
+    source (ideal in one of four; i_max unlimited in one inverter of ten),
+    fault time, unbalance fractions and angles."""
+    r = rng.random()
+    rf = 0.0 if r < 0.1 else math.inf if r < 0.2 else math.exp(rng.uniform(math.log(0.1), 7.0))
+    i_max = (None if rng.random() < 0.25 else "inf A" if rng.random() < 0.1
+             else f"{math.exp(rng.uniform(math.log(5.0), math.log(300.0)))!r} A")
+    duration = 0.12
+    kw = dict(limiter=LIMITERS[rng.choice(list(LIMITERS))],
+              relay_location=rng.choice((UP, DOWN)),
+              dt=math.exp(rng.uniform(math.log(2.5e-4), math.log(4e-3))), duration=duration,
+              fault_time=rng.choice((0.0, rng.uniform(0.0, duration))))
+    return _model(rng.choice(("lg", "ll")), rf, i_max, _unbalance(rng)), kw
+
+
+def _outcome(m, kw, simulate):
+    """The bits of the trajectory, or the class and message of what it raised."""
+    try:
+        return _bits(simulate(m, **kw))
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return type(exc), str(exc)
+
+
+def main(argv):
+    """Compare simulate_trajectory with the step-by-step reference on one seeded
+    run per seed."""
+    first, stop = map(int, argv)
+    runs, mismatches = 0, []
+    for seed in range(first, stop):
+        m, kw = _random_run(random.Random(seed))
+        got = _outcome(m, kw, simulate_trajectory)
+        runs += isinstance(got, list)
+        if got != _outcome(m, kw, simulate_every_step):
+            mismatches.append(seed)
+    print(f"seeds {first}..{stop - 1}: {runs} runs, {len(mismatches)} mismatches "
+          f"{mismatches[:10]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
