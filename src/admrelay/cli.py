@@ -243,7 +243,9 @@ def run_trajectory(s: Scenario) -> str:
     for p in points:  # a reused step's readings are the very objects checked before
         if not (q and p.z_lg is q.z_lg and p.z_ll is q.z_ll and p.relay_i is q.relay_i):
             q = p
-            _require_finite(z_lg=p.z_lg, z_ll=p.z_ll, i_a=p.relay_i.a)
+            if not (cmath.isfinite(p.z_lg) and cmath.isfinite(p.z_ll)
+                    and cmath.isfinite(p.relay_i.a)):
+                _require_finite(z_lg=p.z_lg, z_ll=p.z_ll, i_a=p.relay_i.a)
     out = trajectory.format_trajectory(points)
     final = points[-1]
     post = [p for p in points if p.t >= fault_time]

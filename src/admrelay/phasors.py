@@ -16,6 +16,7 @@ from .errors import DegenerateParallelError
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 """Unit rotation operator: multiplication advances a phasor by +120 degrees."""
+ALPHA2 = ALPHA * ALPHA
 
 
 class PhaseTriple(NamedTuple):
@@ -44,19 +45,19 @@ def phase_to_sequence(p: PhaseTriple) -> SequenceTriple:
     a, b, c = p
     return SequenceTriple(
         zero=(a + b + c) / 3.0,
-        pos=(a + ALPHA * b + ALPHA * ALPHA * c) / 3.0,
-        neg=(a + ALPHA * ALPHA * b + ALPHA * c) / 3.0,
+        pos=(a + ALPHA * b + ALPHA2 * c) / 3.0,
+        neg=(a + ALPHA2 * b + ALPHA * c) / 3.0,
     )
+
+
+def phase_parts(zero: complex, pos: complex, neg: complex) -> tuple[complex, complex, complex]:
+    """The phase quantities (a, b, c) of the symmetrical components, as a plain tuple."""
+    return zero + pos + neg, zero + ALPHA2 * pos + ALPHA * neg, zero + ALPHA * pos + ALPHA2 * neg
 
 
 def sequence_to_phase(s: SequenceTriple) -> PhaseTriple:
     """Recombine symmetrical components into phase quantities."""
-    zero, pos, neg = s
-    return PhaseTriple(
-        a=zero + pos + neg,
-        b=zero + ALPHA * ALPHA * pos + ALPHA * neg,
-        c=zero + ALPHA * pos + ALPHA * ALPHA * neg,
-    )
+    return PhaseTriple._make(phase_parts(*s))
 
 
 def parallel(zx: complex, zy: complex) -> complex:

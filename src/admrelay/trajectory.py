@@ -1,14 +1,15 @@
 """Quasi-static R-X trajectory simulation with inverter current limiting.
 
 The network has two topologies, fault branch open before the fault instant
-and closed after; both share one factorization of the healthy network.  A
-step superposes the applied source voltages through one of them, reading only
-the relay rows, and only when its topology or applied source changed since the
-previous step, whose readings it otherwise reuses.  When any source phase
-current exceeds the inverter's RMS cap the limiter engages: the internal source
-is rescaled so the worst phase lands on the cap, and negative-/zero-sequence
-content appears at the inverter's configured fractions of the rescaled
-positive-sequence voltage.  Engagement is first-order smoothed so the applied
+and closed after; both share one factorization of the healthy network.  Each
+topology's six relay rows (fault-node voltages, then the relay's segment
+currents) are taken once per run.  A step reads them with one superposition of
+the applied source phases, and only when its topology or applied source changed
+since the previous step, whose readings and cap test it otherwise reuses.
+When any source phase current exceeds the inverter's RMS cap the limiter
+engages: the internal source is rescaled so the worst phase lands on the cap,
+and negative-/zero-sequence content appears at the inverter's configured
+fractions of the rescaled positive-sequence voltage.  Engagement is first-order smoothed so the applied
 source walks into the limited operating point instead of jumping.
 
 Measured impedances per step follow the relay conventions: the ground element
@@ -32,7 +33,7 @@ from .network import (
     RelayLocation,
     downstream_path,
 )
-from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to_phase
+from .phasors import PhaseTriple, phase_parts, phase_to_sequence
 from .records import Record
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import default_scenario
@@ -61,8 +62,9 @@ class TrajectoryPoint(Record):
         self.z_lg, self.z_ll, self.limited = z_lg, z_ll, limited
 
 
-def _worst_phase(i: PhaseTriple) -> float:
-    return max(abs(i.a), abs(i.b), abs(i.c))
+def _worst_phase(i: PhaseTriple | list[complex]) -> float:
+    a, b, c = i
+    return max(abs(a), abs(b), abs(c))
 
 
 def _rotations(src: CurrentLimitedInverter) -> tuple[complex, complex]:
@@ -70,19 +72,16 @@ def _rotations(src: CurrentLimitedInverter) -> tuple[complex, complex]:
     return cmath.exp(1j * src.v0_angle), cmath.exp(1j * src.v2_angle)
 
 
-def _limited_seq(src: CurrentLimitedInverter, scale: float, level: float,
-                 rotations: tuple[complex, complex]) -> SequenceTriple:
-    """Applied source at engagement level `level`: the positive-sequence
+def _applied_phases(src: CurrentLimitedInverter, scale: float, level: float,
+                    rotations: tuple[complex, complex]) -> tuple[complex, complex, complex]:
+    """Applied source phases at engagement level `level`: the positive-sequence
     magnitude blends from nominal to scale*nominal while the unbalance
     fractions ramp in with the same level.  rotations are the source's
     :func:`_rotations`."""
     rot0, rot2 = rotations
     v1_eff = src.v1 * (1.0 - level * (1.0 - scale))
-    return SequenceTriple(
-        zero=v1_eff * (level * src.v0_fraction) * rot0,
-        pos=v1_eff,
-        neg=v1_eff * (level * src.v2_fraction) * rot2,
-    )
+    return phase_parts(v1_eff * (level * src.v0_fraction) * rot0, v1_eff,
+                       v1_eff * (level * src.v2_fraction) * rot2)
 
 
 def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter,
@@ -91,7 +90,7 @@ def _target_scale(tf: nodal.Transfer, src: CurrentLimitedInverter,
     worst phase exactly on the cap.  The network and the fully engaged source
     are both linear in the scale, so it is i_max over the worst phase at unit
     scale; a source already within the cap at unit scale keeps scale 1."""
-    worst = _worst_phase(tf.rows(3, sequence_to_phase(_limited_seq(src, 1.0, 1.0, rotations))))
+    worst = _worst_phase(nodal._superpose(tf.maps[3:6], _applied_phases(src, 1.0, 1.0, rotations)))
     return 1.0 if worst <= src.i_max_rms * (1.0 + _CAP_SLACK) else src.i_max_rms / worst
 
 
@@ -124,14 +123,16 @@ def simulate_trajectory(
         k_lg = 0j
     else:
         raise ValueError(f"unknown relay location {relay_location!r}")
-    current_row = nodal.RELAY_ROW[relay_location]
+    row = nodal.RELAY_ROW[relay_location]
 
     # (healthy, faulted), indexed by whether the fault is on
     network = nodal.Network(m)
     topologies = [network.transfer(m.fault._replace(rf=math.inf)), network.transfer(m.fault)]
+    # each topology's relay rows: the fault-node voltages, then the relay's currents
+    relay_rows = [tf.maps[0:3] + tf.maps[row:row + 3] for tf in topologies]
     rotations = _rotations(src) if limit_active else None
     targets = [_target_scale(tf, src, rotations) for tf in topologies] if rotations else [1.0, 1.0]
-    balanced = SequenceTriple(0j, src.v1, 0j)
+    balanced = phase_parts(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
 
     engaged = False
@@ -147,27 +148,24 @@ def simulate_trajectory(
         # carry -0.0 parts
         if inputs != (faulted, engaged, target, level):
             inputs = (faulted, engaged, target, level)
-            tf = topologies[faulted]
-            seq = _limited_seq(src, target, level, rotations) if engaged else balanced
-            v_src = sequence_to_phase(seq)
-            v, cur = tf.rows(0, v_src), tf.rows(current_row, v_src)
+            v_src = _applied_phases(src, target, level, rotations) if engaged else balanced
+            va, vb, vc, ia, ib, ic = nodal._superpose(relay_rows[faulted], v_src)
+            v, cur = PhaseTriple(va, vb, vc), PhaseTriple(ia, ib, ic)
             # i0 as phase_to_sequence computes it
-            z_lg = measure_zlg(v.a, cur.a, (cur.a + cur.b + cur.c) / 3.0, k_lg)
-            z_ll = measure_zll(v.b, v.c, cur.b, cur.c)
-            i_src = None
+            z_lg = measure_zlg(va, ia, (ia + ib + ic) / 3.0, k_lg)
+            z_ll = measure_zll(vb, vc, ib, ic)
+            # the steps that reuse this one's source would repeat its cap test
+            over = limit_active and not engaged and _worst_phase(
+                cur if row == 3 else nodal._superpose(topologies[faulted].maps[3:6], v_src)
+            ) > src.i_max_rms * (1.0 + _CAP_SLACK)
         points.append(TrajectoryPoint(t, v, cur, z_lg, z_ll, engaged))
 
-        if not limit_active:
-            continue
         if engaged:
             # the latching limiter keeps its engagement target
             if limiter is LimiterKind.INSTANTANEOUS_SATURATION:
                 target = targets[faulted]
             level += smoothing * (1.0 - level)
-            continue
-        if i_src is None:
-            i_src = cur if current_row == 3 else tf.rows(3, v_src)
-        if _worst_phase(i_src) > src.i_max_rms * (1.0 + _CAP_SLACK):
+        elif over:
             engaged = True
             target = targets[faulted]
 
