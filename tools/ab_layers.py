@@ -10,7 +10,9 @@ seeds 1-3 of the in-process workloads (sweep-study, trajectory-study,
 dcb-study) and the ``case`` files of cli-cold, made by ``bench/gen.py``, which
 is imported and never changed.  What a layer receives is recorded from one
 run of the ``cli.run_*`` entry points of that tree, so each layer sees the
-arguments its tree passes it.
+arguments its tree passes it.  An ``op.<workload>`` row times what the
+benchmark times per operation of that in-process workload: ``parse_scenario``
+of the item's text, then its ``cli.run_*`` entry point.
 
 Each side runs in PROCESSES (6) fresh processes, the sides alternating
 (the parent first in odd rounds).  A process times each layer in whole
@@ -177,6 +179,10 @@ def _layers() -> dict:
         len(case_runs), None, lambda _: [cli.run_case(s, case) for s, case in case_runs])
     layers["cli.run_validate"] = lambda: (
         len(every), None, lambda _: [cli.run_validate(s) for s in every])
+    for workload in IN_PROCESS:
+        layers[f"op.{workload}"] = lambda found=items[workload]: (
+            len(found), None, lambda _: [
+                _run(cli, scenario.parse_scenario(item["text"]), item["cmd"]) for item in found])
     return layers
 
 
