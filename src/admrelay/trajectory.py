@@ -9,8 +9,9 @@ since the previous step, whose readings and cap test it otherwise reuses.
 When any source phase current exceeds the inverter's RMS cap the limiter
 engages: the internal source is rescaled so the worst phase lands on the cap,
 and negative-/zero-sequence content appears at the inverter's configured
-fractions of the rescaled positive-sequence voltage.  Engagement is first-order smoothed so the applied
-source walks into the limited operating point instead of jumping.
+fractions of the rescaled positive-sequence voltage.  Engagement is
+first-order smoothed so the applied source walks into the limited operating
+point instead of jumping.
 
 Measured impedances per step follow the relay conventions: the ground element
 of an upstream relay is the plain v_a/i_a loop ratio and a downstream relay's
