@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from admrelay import nodal, trajectory
+from admrelay.cli import run_trajectory
 from admrelay.errors import ModelError
 from admrelay.faults import solve_lg_upstream_ideal, solve_lg_upstream_inverter
 from admrelay.network import (
@@ -16,6 +17,7 @@ from admrelay.network import (
 )
 from admrelay.phasors import PhaseTriple, phase_to_sequence
 from admrelay.relaying import measure_zlg
+from admrelay.scenario import default_scenario, parse_scenario, scenario_to_text
 from admrelay.trajectory import (
     LimiterKind,
     TRAJECTORY_HEADER,
@@ -28,6 +30,7 @@ from admrelay.trajectory import (
 )
 
 from support import close, ideal, inverter, lg_model, ll_model, rel_err
+from trajectory_document_reference import compare, document_every_walk
 from trajectory_reference import _limited_seq, simulate_every_step
 
 UP = RelayLocation.UPSTREAM_OF_FAULT
@@ -218,6 +221,23 @@ def test_format_repeats_a_row_only_for_the_very_same_readings():
            TrajectoryPoint(2e-3, i, i, z_neg, z, True)]
     assert format_trajectory(pts).splitlines()[1:] == [
         "0,0,1,0,1,2,0", "0.001,0,1,0,1,2,1", "0.002,-0,1,0,1,2,1"]
+
+
+def test_the_trajectory_document_is_byte_identical_to_its_reference():
+    tally, mismatches = compare(0, 48)
+    assert mismatches == []
+    assert tally["documents"] >= 40
+    assert all(tally[f"{name} {verdict}"] for name in ("z_lg", "z_ll") for verdict in ("yes", "no"))
+
+
+@pytest.mark.parametrize("reactive,verdict", [("12.5 kvar", "yes"), ("-12.5 kvar", "no")])
+def test_a_capacitive_load_leaves_the_first_quadrant(reactive, verdict):
+    s = parse_scenario(scenario_to_text(default_scenario()).replace("load_reactive_power = 12.5 kvar",
+                                              f"load_reactive_power = {reactive}"))
+    text = run_trajectory(s)
+    assert text == document_every_walk(s)
+    assert text.splitlines()[-4:-2] == [f"# post_fault_first_quadrant_z_{name} = {verdict}"
+                                        for name in ("lg", "ll")]
 
 
 def _hex(z):
