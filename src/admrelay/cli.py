@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__, faults, nodal
-from .errors import MeasurementError, ModelError, NumericalError
+from .errors import MeasurementError, ModelError, NumericalError, require_finite
 from .faults import (
     FaultSolution,
     solve_lg_downstream,
@@ -24,7 +24,7 @@ from .faults import (
     solve_ll_upstream_inverter,
 )
 from .network import FaultKind, FaultSpec, MicrogridModel, RelayLocation, downstream_path
-from .phasors import PhaseTriple, sequence_to_phase
+from .phasors import PhaseTriple, fmt_complex, sequence_to_phase
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import (
     Scenario,
@@ -47,17 +47,6 @@ CASES: dict[int, tuple[str, str | None, RelayLocation, object]] = {
 }
 
 
-def fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
-def _require_finite(**values: complex) -> None:
-    """A non-finite result is a numerical failure, never a printed row."""
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise NumericalError(f"{name} is not finite: {value}")
-
-
 def _oracle_error(
     z_measured: complex, v: PhaseTriple | list[complex], i: PhaseTriple | list[complex],
     m: MicrogridModel, location: RelayLocation
@@ -68,7 +57,7 @@ def _oracle_error(
     load path (as solve_lg_downstream reads it), any other the plain ratio."""
     z_oracle = nodal.reading(m.fault.kind, v, i)
     if not (cmath.isfinite(z_measured) and cmath.isfinite(z_oracle)):
-        _require_finite(z_measured=z_measured, z_oracle=z_oracle)
+        require_finite(z_measured=z_measured, z_oracle=z_oracle)
     if z_oracle == 0:
         raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
     z_ref = z_oracle
@@ -76,7 +65,7 @@ def _oracle_error(
         z_d1, z_d0 = downstream_path(m)
         # i0 as phase_to_sequence computes it
         z_ref = measure_zlg(v[0], i[0], (i[0] + i[1] + i[2]) / 3.0, path_compensation(z_d0, z_d1))
-        _require_finite(z_oracle_compensated=z_ref)
+        require_finite(z_oracle_compensated=z_ref)
     rel_err = abs(z_measured - z_ref) / abs(z_ref)
     if not math.isfinite(rel_err):  # |z_ref| subnormal: the quotient overflows
         raise NumericalError(f"relative error is not finite: {rel_err}")
@@ -132,8 +121,8 @@ def run_case(s: Scenario, case: int) -> str:
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
-    _require_finite(k=k, z_compensated=z_comp, z_d1=z_d1,
-                    **{f"int.{key}": v for key, v in sol.intermediates.items()})
+    require_finite(k=k, z_compensated=z_comp, z_d1=z_d1,
+                   **{f"int.{key}": v for key, v in sol.intermediates.items()})
 
     lines = [
         "# admrelay case result",
@@ -239,24 +228,8 @@ def run_trajectory(s: Scenario) -> str:
         limiter=limiter,
         relay_location=relay_location(s),
     )
-    q = None
-    for p in points:  # a reused step's readings are the very objects checked before
-        if not (q and p.z_lg is q.z_lg and p.z_ll is q.z_ll and p.relay_i is q.relay_i):
-            q = p
-            if not (cmath.isfinite(p.z_lg) and cmath.isfinite(p.z_ll)
-                    and cmath.isfinite(p.relay_i.a)):
-                _require_finite(z_lg=p.z_lg, z_ll=p.z_ll, i_a=p.relay_i.a)
-    out = trajectory.format_trajectory(points)
-    final = points[-1]
-    post = [p for p in points if p.t >= fault_time]
-    quad_lg = all(p.z_lg.real > 0 and p.z_lg.imag > 0 for p in post)
-    quad_ll = all(p.z_ll.real > 0 and p.z_ll.imag > 0 for p in post)
-    out += f"# final_z_lg = {fmt_complex(final.z_lg)}\n"
-    out += f"# final_z_ll = {fmt_complex(final.z_ll)}\n"
-    out += f"# post_fault_first_quadrant_z_lg = {'yes' if quad_lg else 'no'}\n"
-    out += f"# post_fault_first_quadrant_z_ll = {'yes' if quad_ll else 'no'}\n"
-    out += f"# version = {__version__}\n# scenario_digest = {scenario_digest(s)}\n"
-    return out
+    return (trajectory.format_trajectory(points, fault_time)
+            + f"# version = {__version__}\n# scenario_digest = {scenario_digest(s)}\n")
 
 
 def run_validate(s: Scenario) -> str:

@@ -5,6 +5,8 @@ content (CLI exit status 1) and ``NumericalError`` for singular systems,
 undefined measurements and non-finite results (CLI exit status 2).
 """
 
+import cmath
+
 
 class AdmrelayError(Exception):
     """Base class for all toolkit errors."""
@@ -36,3 +38,10 @@ class ConvergenceError(NumericalError):
 
 class MeasurementError(NumericalError):
     """Relay measurement is undefined (no current in the fault loop)."""
+
+
+def require_finite(**values: complex) -> None:
+    """A non-finite result is a numerical failure, never a printed row."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise NumericalError(f"{name} is not finite: {value}")

@@ -60,6 +60,11 @@ def sequence_to_phase(s: SequenceTriple) -> PhaseTriple:
     return PhaseTriple._make(phase_parts(*s))
 
 
+def fmt_complex(z: complex) -> str:
+    """A complex value as printed in the CLI documents, 12 significant digits per part."""
+    return f"{z.real:.12g}{z.imag:+.12g}j"
+
+
 def parallel(zx: complex, zy: complex) -> complex:
     """Equivalent impedance of two parallel branches, zx*zy/(zx+zy).
 

@@ -1,23 +1,22 @@
 """Quasi-static R-X trajectory simulation with inverter current limiting.
 
 The network has two topologies, fault branch open before the fault instant
-and closed after; both share one factorization of the healthy network.  Each
+and closed after, sharing one factorization of the healthy network; each
 topology's six relay rows (fault-node voltages, then the relay's segment
-currents) are taken once per run.  A step reads them with one superposition of
-the applied source phases, and only when its topology or applied source changed
-since the previous step, whose readings and cap test it otherwise reuses.
-When any source phase current exceeds the inverter's RMS cap the limiter
-engages: the internal source is rescaled so the worst phase lands on the cap,
-and negative-/zero-sequence content appears at the inverter's configured
-fractions of the rescaled positive-sequence voltage.  Engagement is
-first-order smoothed so the applied source walks into the limited operating
-point instead of jumping.
+currents) are taken once per run.  A step reads them with one superposition
+of the applied source phases, and only when its topology or applied source
+changed since the previous step; otherwise it holds that step's very reading
+objects and reuses its cap test.  When a source phase current exceeds the
+inverter's RMS cap the limiter engages: the internal source is rescaled so
+the worst phase lands on the cap, and negative-/zero-sequence content appears
+at the inverter's fractions of the rescaled positive-sequence voltage,
+first-order smoothed so the applied source walks into the limited point.
 
-Measured impedances per step follow the relay conventions: the ground element
-of an upstream relay is the plain v_a/i_a loop ratio and a downstream relay's
-ground element is compensated for its load path, so it settles on that path's
-positive-sequence impedance.  Phasor magnitudes are RMS throughout, so the
-per-step RMS of a current is simply its magnitude.
+An upstream relay's ground element reads the plain v_a/i_a loop ratio and a
+downstream one is compensated for its load path, on whose positive-sequence
+impedance it settles; magnitudes are RMS.  Only format_trajectory reads the
+reuse: one row per step, each new reading's tail, finite check and quadrant
+verdicts made once, then the final readings and post-fault verdicts.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import cmath
 import math
 from enum import Enum
 
-from .errors import ConvergenceError, ModelError
+from .errors import ConvergenceError, ModelError, require_finite
 from .network import (
     CurrentLimitedInverter,
     FaultSpec,
@@ -34,7 +33,7 @@ from .network import (
     RelayLocation,
     downstream_path,
 )
-from .phasors import PhaseTriple, phase_parts, phase_to_sequence
+from .phasors import PhaseTriple, fmt_complex, phase_parts, phase_to_sequence
 from .records import Record
 from .relaying import measure_zlg, measure_zll, path_compensation
 from .scenario import default_scenario
@@ -193,16 +192,29 @@ def calibrate_unbalance(m: MicrogridModel, fault: FaultSpec) -> tuple[float, flo
 TRAJECTORY_HEADER = "t_s,Re_Zlg_ohm,Im_Zlg_ohm,Re_Zll_ohm,Im_Zll_ohm,I_a_rms_A,limited"
 
 
-def format_trajectory(points: list[TrajectoryPoint]) -> str:
-    """Delimiter-separated trajectory, one row per step, LF line endings."""
+def format_trajectory(points: list[TrajectoryPoint], fault_time: float) -> str:
+    """The trajectory document's body, LF line endings: one row per step, the
+    final z_lg and z_ll, and whether each reads in the open first quadrant at
+    every step from fault_time on.  A step holding the last new row's very
+    readings reuses its tail, finite check and verdicts; a new reading raises
+    ``NumericalError`` naming the first non-finite of z_lg, z_ll and i_a."""
     lines = [TRAJECTORY_HEADER]
     q = None
+    quad_lg = quad_ll = True
     for p in points:
         # a reused step's readings are the last row's objects (0.0 == -0.0)
         if not (q and p.z_lg is q.z_lg and p.z_ll is q.z_ll and p.relay_i is q.relay_i
                 and p.limited is q.limited):
-            q, rest = p, (f"{p.z_lg.real:.10g},{p.z_lg.imag:.10g},"
-                          f"{p.z_ll.real:.10g},{p.z_ll.imag:.10g},"
-                          f"{abs(p.relay_i.a):.10g},{1 if p.limited else 0}")
+            q, z_lg, z_ll, i_a = p, p.z_lg, p.z_ll, p.relay_i.a
+            if not (cmath.isfinite(z_lg) and cmath.isfinite(z_ll) and cmath.isfinite(i_a)):
+                require_finite(z_lg=z_lg, z_ll=z_ll, i_a=i_a)
+            rest = (f"{z_lg.real:.10g},{z_lg.imag:.10g},{z_ll.real:.10g},{z_ll.imag:.10g},"
+                    f"{abs(i_a):.10g},{1 if p.limited else 0}")
+            in_lg, in_ll = z_lg.real > 0 and z_lg.imag > 0, z_ll.real > 0 and z_ll.imag > 0
+        if p.t >= fault_time:
+            quad_lg, quad_ll = quad_lg and in_lg, quad_ll and in_ll
         lines.append(f"{p.t:.6g},{rest}")
+    lines += [f"# final_z_lg = {fmt_complex(p.z_lg)}", f"# final_z_ll = {fmt_complex(p.z_ll)}",
+              f"# post_fault_first_quadrant_z_lg = {'yes' if quad_lg else 'no'}",
+              f"# post_fault_first_quadrant_z_ll = {'yes' if quad_ll else 'no'}"]
     return "\n".join(lines) + "\n"

@@ -10,8 +10,8 @@ compare the two documents byte for byte, and the exceptions where both raise.
 from __future__ import annotations
 
 from admrelay import __version__, nodal
-from admrelay.cli import CASES, _require_finite
-from admrelay.errors import MeasurementError, ModelError
+from admrelay.cli import CASES
+from admrelay.errors import MeasurementError, ModelError, require_finite as _require_finite
 from admrelay.faults import FaultSolution
 from admrelay.network import FaultSpec, MicrogridModel, RelayLocation, downstream_path
 from admrelay.relaying import measure_zlg, path_compensation

@@ -7,7 +7,7 @@ import pytest
 
 from admrelay import nodal, trajectory
 from admrelay.cli import run_trajectory
-from admrelay.errors import ModelError
+from admrelay.errors import ModelError, NumericalError
 from admrelay.faults import solve_lg_upstream_ideal, solve_lg_upstream_inverter
 from admrelay.network import (
     FaultKind,
@@ -204,14 +204,17 @@ def test_parameter_validation():
 
 def test_serialization_format():
     pts = simulate_trajectory(lg_model(3.68), duration=0.06)
-    text = format_trajectory(pts)
+    text = format_trajectory(pts, 0.05)
     lines = text.strip().split("\n")
     assert lines[0] == TRAJECTORY_HEADER
-    assert len(lines) == len(pts) + 1
+    assert len(lines) == len(pts) + 5
     sample = lines[1].split(",")
     assert len(sample) == 7
     assert sample[-1] in ("0", "1")
     float(sample[0]), float(sample[1])  # parses as numbers
+    assert [line.split(" = ")[0] for line in lines[-4:]] == [
+        "# final_z_lg", "# final_z_ll", "# post_fault_first_quadrant_z_lg",
+        "# post_fault_first_quadrant_z_ll"]
 
 
 def test_format_repeats_a_row_only_for_the_very_same_readings():
@@ -219,8 +222,49 @@ def test_format_repeats_a_row_only_for_the_very_same_readings():
     assert z == z_neg
     pts = [TrajectoryPoint(0.0, i, i, z, z, False), TrajectoryPoint(1e-3, i, i, z, z, True),
            TrajectoryPoint(2e-3, i, i, z_neg, z, True)]
-    assert format_trajectory(pts).splitlines()[1:] == [
-        "0,0,1,0,1,2,0", "0.001,0,1,0,1,2,1", "0.002,-0,1,0,1,2,1"]
+    assert format_trajectory(pts, 1e-3).splitlines()[1:] == [
+        "0,0,1,0,1,2,0", "0.001,0,1,0,1,2,1", "0.002,-0,1,0,1,2,1",
+        "# final_z_lg = -0+1j", "# final_z_ll = 0+1j",
+        "# post_fault_first_quadrant_z_lg = no", "# post_fault_first_quadrant_z_ll = no"]
+
+
+@pytest.mark.parametrize("z_lg, z_ll, i_a, name", [
+    (complex("nan"), complex("nan"), complex("inf"), "z_lg"),
+    (1 + 1j, complex("nan"), complex("inf"), "z_ll"),
+    (1 + 1j, 1 + 1j, complex("inf"), "i_a"),
+])
+def test_format_raises_on_the_first_non_finite_reading(z_lg, z_ll, i_a, name):
+    # two steps share their readings as a reused step does; the third is new
+    first = TrajectoryPoint(0.0, PhaseTriple(1j, 1j, 1j), PhaseTriple(1j, 1j, 1j), 1 + 1j,
+                            1 + 1j, False)
+    bad = TrajectoryPoint(2e-3, first.relay_v, PhaseTriple(i_a, 1j, 1j), z_lg, z_ll, True)
+    points = [first, first._replace(t=1e-3), bad, bad._replace(t=3e-3)]
+    with pytest.raises(NumericalError) as raised:
+        format_trajectory(points, 0.0)
+    assert str(raised.value) == f"{name} is not finite: {getattr(bad, name, i_a)}"
+
+
+def _verdicts(points, fault_time):
+    return [line.rpartition(" = ")[2] for line in
+            format_trajectory(points, fault_time).splitlines()[-2:]]
+
+
+def test_a_post_fault_step_reusing_a_pre_fault_reading_is_judged():
+    # the step at the fault instant holds the pre-fault step's very readings,
+    # which lie outside the first quadrant: no new reading is made after it
+    i = PhaseTriple(1j, 1j, 1j)
+    outside = TrajectoryPoint(0.0, i, i, -1 + 1j, 1 - 1j, False)
+    points = [outside, outside._replace(t=1e-3)]
+    assert _verdicts(points, 1e-3) == ["no", "no"]
+    assert _verdicts(points, 2e-3) == ["yes", "yes"]  # no step at or after the fault
+
+
+def test_a_pre_fault_reading_outside_the_quadrant_leaves_yes():
+    i = PhaseTriple(1j, 1j, 1j)
+    points = [TrajectoryPoint(0.0, i, i, -1 + 1j, 1 - 1j, False),
+              TrajectoryPoint(1e-3, i, i, 1 + 1j, 1 + 1j, False)]
+    assert _verdicts(points, 1e-3) == ["yes", "yes"]
+    assert _verdicts(points, 0.0) == ["no", "no"]
 
 
 def test_the_trajectory_document_is_byte_identical_to_its_reference():
