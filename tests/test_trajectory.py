@@ -276,12 +276,13 @@ def test_the_trajectory_document_is_byte_identical_to_its_reference():
 
 @pytest.mark.parametrize("reactive,verdict", [("12.5 kvar", "yes"), ("-12.5 kvar", "no")])
 def test_a_capacitive_load_leaves_the_first_quadrant(reactive, verdict):
-    s = parse_scenario(scenario_to_text(default_scenario()).replace("load_reactive_power = 12.5 kvar",
-                                              f"load_reactive_power = {reactive}"))
-    text = run_trajectory(s)
-    assert text == document_every_walk(s)
-    assert text.splitlines()[-4:-2] == [f"# post_fault_first_quadrant_z_{name} = {verdict}"
-                                        for name in ("lg", "ll")]
+    text = scenario_to_text(default_scenario())
+    s = parse_scenario(text.replace("load_reactive_power = 12.5 kvar",
+                                    f"load_reactive_power = {reactive}"))
+    document = run_trajectory(s)
+    assert document == document_every_walk(s)
+    assert document.splitlines()[-4:-2] == [f"# post_fault_first_quadrant_z_{name} = {verdict}"
+                                            for name in ("lg", "ll")]
 
 
 def _hex(z):
