@@ -1,8 +1,9 @@
 """Scenario files: a small sectioned key/value format with units.
 
 A scenario is plain text: ``[section]`` headers, ``key = value [unit]``
-lines, ``#`` comments.  Unknown sections, unknown keys, malformed values and
-units outside the fixed per-key table are rejected with field-level messages.
+lines, ``#`` comments.  Unknown sections, unknown keys, malformed values,
+units outside the fixed per-key table and values outside a field's declared
+range are rejected with field-level messages.
 Missing keys take documented defaults; the ``dcb`` and ``transient`` sections
 are optional as a whole.  Parsing and re-emitting is idempotent: emission
 writes every key of every present section in declared order with normalized
@@ -53,41 +54,58 @@ _UNIT_SCALE = {
 }
 
 
+# The range rules a numeric field may declare: the closed interval its SI
+# value must lie in, and the message when it does not.  An open end is the
+# nearest float inside it (x >= 5e-324 is x > 0), so one chained comparison
+# tests every rule.
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+POSITIVE = (_ABOVE_0, math.inf, "must be positive")
+AT_LEAST_0 = (0.0, math.inf, "must be >= 0")
+AT_LEAST_1 = (1.0, math.inf, "must be >= 1")
+IN_0_1 = (0.0, 1.0, "must lie in [0, 1]")
+INSIDE_0_1 = (_ABOVE_0, math.nextafter(1.0, 0.0), "must lie strictly inside (0, 1)")
+
+
 class FieldSpec(Record):
-    __slots__ = ("kind", "units", "choices", "default", "allow_inf")
+    __slots__ = ("kind", "units", "choices", "default", "allow_inf", "rule")
 
     def __init__(self, kind: str, units: tuple[str, ...] = (), choices: tuple[str, ...] = (),
-                 default: object = None, allow_inf: bool = False) -> None:
+                 default: object = None, allow_inf: bool = False,
+                 rule: tuple[float, float, str] | None = None) -> None:
         self.kind = kind  # quantity | number | integer | boolean | choice | kpolicy
         self.units, self.choices, self.default = units, choices, default
         self.allow_inf = allow_inf  # +inf has a model meaning (no fault, no cap, ...)
+        self.rule = rule  # one of the range rules above, or None for any value
 
 
 # Declared order doubles as canonical emission order.
 FIELDS: dict[str, dict[str, FieldSpec]] = {
     "system": {
-        "frequency": FieldSpec("quantity", ("Hz",), default=(60, "Hz")),
-        "line_line_voltage": FieldSpec("quantity", ("V",), default=(480, "V")),
+        "frequency": FieldSpec("quantity", ("Hz",), default=(60, "Hz"), rule=POSITIVE),
+        "line_line_voltage": FieldSpec("quantity", ("V",), default=(480, "V"), rule=POSITIVE),
         "source": FieldSpec("choice", choices=("ideal", "inverter"), default="inverter"),
         "rated_power": FieldSpec("quantity", ("W", "kW"), default=(50, "kW")),
         "dc_bus_voltage": FieldSpec("quantity", ("V",), default=(1800, "V")),
         "filter_inductance": FieldSpec("quantity", ("uF", "uH"), default=(18, "uF")),
         "filter_capacitance": FieldSpec("quantity", ("F", "nF", "uF"), default=(250, "nF")),
-        "i_max": FieldSpec("quantity", ("A",), default=(70, "A"), allow_inf=True),
-        "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=(39, "mohm")),
-        "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=(70.8, "uH")),
+        "i_max": FieldSpec("quantity", ("A",), default=(70, "A"), allow_inf=True,
+                           rule=POSITIVE),
+        "cable_resistance": FieldSpec("quantity", ("ohm", "mohm"), default=(39, "mohm"),
+                                      rule=AT_LEAST_0),
+        "cable_inductance": FieldSpec("quantity", ("H", "mH", "uH"), default=(70.8, "uH"),
+                                      rule=AT_LEAST_0),
         # The cable's zero-sequence impedance and the load neutral grounding
         # have no nameplate values: the usual assumptions for a run with
         # ground return and a resistance-grounded wye load are the defaults.
-        "cable_zero_seq_scale": FieldSpec("number", default=3.0),
-        "fault_position": FieldSpec("number", default=0.5),
-        "load_real_power": FieldSpec("quantity", ("W", "kW"), default=(25, "kW")),
+        "cable_zero_seq_scale": FieldSpec("number", default=3.0, rule=POSITIVE),
+        "fault_position": FieldSpec("number", default=0.5, rule=INSIDE_0_1),
+        "load_real_power": FieldSpec("quantity", ("W", "kW"), default=(25, "kW"), rule=POSITIVE),
         "load_reactive_power": FieldSpec("quantity", ("var", "kvar"), default=(12.5, "kvar")),
         "load_grounding_resistance": FieldSpec(
-            "quantity", ("ohm", "mohm"), default=(1, "ohm"), allow_inf=True
+            "quantity", ("ohm", "mohm"), default=(1, "ohm"), allow_inf=True, rule=AT_LEAST_0
         ),
-        "v2_fraction": FieldSpec("number", default=0.6),
-        "v0_fraction": FieldSpec("number", default=0.6),
+        "v2_fraction": FieldSpec("number", default=0.6, rule=IN_0_1),
+        "v0_fraction": FieldSpec("number", default=0.6, rule=IN_0_1),
         "v2_angle": FieldSpec("quantity", ("deg", "rad"), default=(0, "deg")),
         "v0_angle": FieldSpec("quantity", ("deg", "rad"), default=(0, "deg")),
     },
@@ -105,10 +123,11 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
     },
     "fault": {
         "kind": FieldSpec("choice", choices=("lg", "ll"), default="lg"),
-        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm"), allow_inf=True),
-        "rf_min": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm")),
+        "rf": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm"), allow_inf=True,
+                        rule=AT_LEAST_0),
+        "rf_min": FieldSpec("quantity", ("ohm", "mohm"), default=(3.68, "ohm"), rule=AT_LEAST_0),
         "rf_max": FieldSpec("quantity", ("ohm", "mohm"), default=(1000, "ohm")),
-        "rf_points": FieldSpec("integer", default=40),
+        "rf_points": FieldSpec("integer", default=40, rule=AT_LEAST_1),
         "rf_spacing": FieldSpec("choice", choices=("log", "linear"), default="log"),
     },
     "relay": {
@@ -118,22 +137,23 @@ FIELDS: dict[str, dict[str, FieldSpec]] = {
         "k_policy": FieldSpec("kpolicy", default="auto"),
     },
     "dcb": {
-        "latency": FieldSpec("quantity", ("ms", "s"), default=(2, "ms")),
-        "loss": FieldSpec("number", default=0),
+        "latency": FieldSpec("quantity", ("ms", "s"), default=(2, "ms"), rule=AT_LEAST_0),
+        "loss": FieldSpec("number", default=0, rule=IN_0_1),
         "seed": FieldSpec("integer", default=1),
         # one fundamental cycle
-        "coordination_time": FieldSpec("quantity", ("ms", "s"), default=(16.7, "ms")),
+        "coordination_time": FieldSpec("quantity", ("ms", "s"), default=(16.7, "ms"),
+                                       rule=POSITIVE),
         "operational": FieldSpec("boolean", default=True),
         "script": FieldSpec(
             "choice", choices=("network", "internal", "external"), default="network"
         ),
         "duration": FieldSpec("quantity", ("ms", "s"), default=(100, "ms")),
-        "step": FieldSpec("quantity", ("ms", "s"), default=(0.1, "ms")),
+        "step": FieldSpec("quantity", ("ms", "s"), default=(0.1, "ms"), rule=POSITIVE),
         "fault_time": FieldSpec("quantity", ("ms", "s"), default=(10, "ms")),
     },
     "transient": {
-        "dt": FieldSpec("quantity", ("ms", "s"), default=(1, "ms")),
-        "duration": FieldSpec("quantity", ("ms", "s"), default=(200, "ms")),
+        "dt": FieldSpec("quantity", ("ms", "s"), default=(1, "ms"), rule=POSITIVE),
+        "duration": FieldSpec("quantity", ("ms", "s"), default=(200, "ms"), rule=AT_LEAST_0),
         "fault_time": FieldSpec("quantity", ("ms", "s"), default=(50, "ms")),
         "limiter": FieldSpec(
             "choice", choices=("instantaneous", "latching", "none"), default="instantaneous"
@@ -204,25 +224,26 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
             allowed = "a finite number or inf" if spec.allow_inf else "a finite number"
             raise _error(section, key, f"expected {allowed}, got {tok!r}")
         if kind == "number":
-            return value
-        if tokens[1] not in spec.units:
+            parsed = si = value
+        elif tokens[1] not in spec.units:
             raise _error(section, key,
                          f"unit {tokens[1]!r} not in allowed set {sorted(spec.units)}")
-        return (value, tokens[1])
-    if kind == "integer":
+        else:
+            parsed, si = (value, tokens[1]), value * _UNIT_SCALE[tokens[1]]
+    elif kind == "integer":
         try:
-            return int(tok)
+            parsed = si = int(tok)
         except ValueError as exc:
             raise _error(section, key, f"bad integer {tok!r}") from exc
-    if kind == "boolean":
+    elif kind == "boolean":
         if tok not in ("true", "false"):
             raise _error(section, key, f"expected true or false, got {tok!r}")
         return tok == "true"
-    if kind == "choice":
+    elif kind == "choice":
         if tok not in spec.choices:
             raise _error(section, key, f"{tok!r} not one of {list(spec.choices)}")
         return tok
-    if kind == "kpolicy":
+    else:  # kpolicy
         if tok in ("auto", "line", "downstream-path"):
             return tok
         try:
@@ -233,7 +254,11 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
         if not math.isfinite(abs(k)):  # a k_policy is never inf
             raise _error(section, key, f"expected a finite number, got {tok!r}")
         return k
-    raise _error(section, key, f"unhandled field kind {kind!r}")
+    # the range rule reads the SI value, so 5e-324 ms is not positive
+    rule = spec.rule
+    if rule is not None and not rule[0] <= si <= rule[1]:
+        raise _error(section, key, rule[2])
+    return parsed
 
 
 def _line_maker(key: str, kind: str) -> Callable[[object], str]:
@@ -304,26 +329,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _check_consistency(s: Scenario) -> None:
-    for key in ("frequency", "line_line_voltage", "i_max", "load_real_power"):
-        if s.si("system", key) <= 0:
-            raise ScenarioError(f"[system] {key}: must be positive")
-    pos = float(s.get("system", "fault_position"))  # type: ignore[arg-type]
-    if not 0.0 < pos < 1.0:
-        raise ScenarioError("[system] fault_position: must lie strictly inside (0, 1)")
-    for key in ("v2_fraction", "v0_fraction"):
-        v = float(s.get("system", key))  # type: ignore[arg-type]
-        if not 0.0 <= v <= 1.0:
-            raise ScenarioError(f"[system] {key}: must lie in [0, 1]")
-    for section, key in (("system", "cable_resistance"), ("system", "cable_inductance"),
-                         ("fault", "rf"), ("fault", "rf_min")):
-        if s.si(section, key) < 0:
-            raise ScenarioError(f"[{section}] {key}: must be >= 0")
-    # a cable without impedance, or without a passive zero-sequence one, leaves
-    # the healthy network singular or non-passive
+    """The rules that read several fields, and the bounds on a scenario's work;
+    each field's own range is its FIELDS rule, tested as it is parsed."""
+    # a cable without impedance leaves the healthy network singular
     if s.si("system", "cable_resistance") == s.si("system", "cable_inductance") == 0:
         raise ScenarioError("[system] cable_resistance: must be positive if cable_inductance is 0")
-    if not float(s.get("system", "cable_zero_seq_scale")) > 0:  # type: ignore[arg-type]
-        raise ScenarioError("[system] cable_zero_seq_scale: must be positive")
     z_cable = cable_impedance(s.si("system", "cable_resistance"),
                               s.si("system", "cable_inductance"), s.si("system", "frequency"))
     z_load = load_impedance_from_power(s.si("system", "load_real_power"),
@@ -332,6 +342,7 @@ def _check_consistency(s: Scenario) -> None:
     load = math.hypot(z_load.real, z_load.imag)  # abs() would raise OverflowError
     if 0 < load < math.inf:  # else build_model names the load's under- or overflow
         ratio = math.hypot(z_cable.real, z_cable.imag) / load  # unchanged by a common scale
+        pos = float(s.get("system", "fault_position"))  # type: ignore[arg-type]
         for share, field, what in ((1.0, "cable_resistance", "with cable_inductance, the cable"),
                                    (min(pos, 1.0 - pos), "fault_position", "each segment's")):
             if not share * ratio >= SEGMENT_IMPEDANCE_FLOOR:
@@ -341,34 +352,21 @@ def _check_consistency(s: Scenario) -> None:
     if rf_min > rf_max:
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
     rf_points = int(s.get("fault", "rf_points"))  # type: ignore[arg-type]
-    if rf_points < 1:
-        raise ScenarioError("[fault] rf_points: must be >= 1")
     if rf_points > MAX_RF_POINTS:
         raise ScenarioError(f"[fault] rf_points: must not exceed {MAX_RF_POINTS}")
     # sweep_points spaces a grid from rf_min unless the grid is one point; its
-    # largest point, computed as sweep_points computes it, must be finite
+    # largest point must be finite
     spacing = s.get("fault", "rf_spacing")
     if rf_points > 1 and rf_min != rf_max:
-        if spacing == "linear":
-            top = rf_min + (rf_max - rf_min) / (rf_points - 1) * (rf_points - 1)
-        elif rf_min <= 0:
+        if spacing == "log" and rf_min <= 0:
             raise ScenarioError("[fault] rf_min: log spacing needs rf_min > 0")
-        else:
-            try:  # float ** raises where * gives inf
-                top = rf_min * _log_ratio(rf_min, rf_max, rf_points) ** (rf_points - 1)
-            except OverflowError:
-                top = math.inf
+        try:  # float ** raises where * gives inf
+            top = _grid(rf_min, rf_max, rf_points, spacing)(rf_points - 1)
+        except OverflowError:
+            top = math.inf
         if top == math.inf:
             raise ScenarioError(f"[fault] rf_max: the {spacing} grid from rf_min must not overflow")
     if s.has("dcb"):
-        loss = float(s.get("dcb", "loss"))  # type: ignore[arg-type]
-        if not 0.0 <= loss <= 1.0:
-            raise ScenarioError("[dcb] loss: must lie in [0, 1]")
-        if s.si("dcb", "latency") < 0:
-            raise ScenarioError("[dcb] latency: must be >= 0")
-        for key in ("coordination_time", "step"):
-            if s.si("dcb", key) <= 0:
-                raise ScenarioError(f"[dcb] {key}: must be positive")
         if s.si("dcb", "duration") < s.si("dcb", "step"):
             raise ScenarioError("[dcb] duration: must cover at least one step")
         if s.si("dcb", "duration") / s.si("dcb", "step") >= MAX_DCB_SCANS + 0.5:
@@ -379,8 +377,6 @@ def _check_consistency(s: Scenario) -> None:
             if not math.isfinite(s.si("dcb", key) * 1e3):  # the simulator counts in ms
                 raise ScenarioError(f"[dcb] {key}: must be finite in milliseconds")
     if s.has("transient"):
-        if s.si("transient", "dt") <= 0:
-            raise ScenarioError("[transient] dt: must be positive")
         if s.si("transient", "duration") / s.si("transient", "dt") >= MAX_TRANSIENT_STEPS + 0.5:
             raise ScenarioError(
                 f"[transient] dt: duration/dt must not exceed {MAX_TRANSIENT_STEPS} steps"
@@ -473,13 +469,13 @@ def sweep_points(s: Scenario) -> list[float]:
     n = int(s.get("fault", "rf_points"))  # type: ignore[arg-type]
     if n == 1 or lo == hi:
         return [lo]
-    if str(s.get("fault", "rf_spacing")) == "log":
-        ratio = _log_ratio(lo, hi, n)
-        return [lo * ratio**i for i in range(n)]
+    return list(map(_grid(lo, hi, n, s.get("fault", "rf_spacing")), range(n)))
+
+
+def _grid(lo: float, hi: float, n: int, spacing: object) -> Callable[[int], float]:
+    """Point i of the n-point grid (n > 1) from lo to hi with the given spacing."""
+    if spacing == "log":
+        ratio = (hi / lo) ** (1.0 / (n - 1))
+        return lambda i: lo * ratio**i
     step = (hi - lo) / (n - 1)
-    return [lo + step * i for i in range(n)]
-
-
-def _log_ratio(lo: float, hi: float, n: int) -> float:
-    """Ratio of consecutive points of an n-point log grid from lo to hi."""
-    return (hi / lo) ** (1.0 / (n - 1))
+    return lambda i: lo + step * i

@@ -180,6 +180,21 @@ FIXED = [
     # a linear grid whose top point rounds up to inf: the closed form refused it late
     ("linear-grid-overflow", _edit(rf_min="1 ohm", rf_max="1.7976931348623157e308 ohm",
                                    rf_points="4", rf_spacing="linear"), EVERY_COMMAND_REJECTS),
+    # a [transient] window that ends before t = 0: the simulator made no step
+    # and the document raised on its empty list of points
+    ("negative-transient-window",
+     _edit().replace("\nduration = 200 ms\n", "\nduration = -5 ms\n")
+     .replace("\nfault_time = 50 ms\n", "\nfault_time = -10 ms\n"), EVERY_COMMAND_REJECTS),
+    # a linear sweep from rf = 0 reaches the bolted point, where z_oracle = 0
+    ("bolted-linear-sweep", _edit(rf_min="0 ohm", rf_spacing="linear"), {"sweep": 2}),
+    # a downstream line-line sweep from rf = 0 fails its closed form's rf > 0 check
+    ("bolted-ll-downstream-sweep",
+     _edit(kind="ll", location="downstream", rf_min="0 ohm", rf_spacing="linear"), {"sweep": 1}),
+    # both timers run across 1,000,000 scans to the end of the window
+    ("million-scan-dcb",
+     _edit(coordination_time="1e300 ms", step="1e-10 ms", script="internal")
+     .replace("\nduration = 100 ms\n", "\nduration = 1e-4 ms\n")
+     .replace("\nfault_time = 10 ms\n", "\nfault_time = 0 ms\n"), {"dcb": 0}),
 ]
 
 

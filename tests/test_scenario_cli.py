@@ -628,8 +628,32 @@ def test_segment_floor_is_a_ratio_of_impedances(k):
     ("dcb", "coordination_time", "-16.7 ms", "must be positive", "dcb"),
     ("fault", "rf_min", "-1 ohm", "must be >= 0", "sweep"),
     ("fault", "rf_min", "0 ohm", "log spacing needs rf_min > 0", "sweep"),
+    # one row for each range rule declared in FIELDS
+    ("system", "frequency", "0 Hz", "must be positive", "sweep"),
+    ("system", "line_line_voltage", "-480 V", "must be positive", "sweep"),
+    ("system", "i_max", "0 A", "must be positive", "sweep"),
+    ("system", "cable_resistance", "-1 mohm", "must be >= 0", "sweep"),
+    ("system", "cable_inductance", "-1 uH", "must be >= 0", "sweep"),
+    ("system", "cable_zero_seq_scale", "0", "must be positive", "sweep"),
+    ("system", "fault_position", "1", "must lie strictly inside (0, 1)", "sweep"),
+    ("system", "load_real_power", "-25 kW", "must be positive", "sweep"),
+    ("system", "load_grounding_resistance", "-1 ohm", "must be >= 0", "sweep"),
+    ("system", "v2_fraction", "1.5", "must lie in [0, 1]", "sweep"),
+    ("system", "v0_fraction", "-0.1", "must lie in [0, 1]", "sweep"),
+    ("fault", "rf", "-1 ohm", "must be >= 0", "sweep"),
+    ("fault", "rf_points", "0", "must be >= 1", "sweep"),
+    ("dcb", "loss", "1.5", "must lie in [0, 1]", "dcb"),
+    ("dcb", "coordination_time", "5e-324 ms", "must be positive", "dcb"),
+    ("dcb", "step", "0 ms", "must be positive", "dcb"),
+    ("transient", "dt", "-1 ms", "must be positive", "trajectory"),
+    ("transient", "duration", "-5 ms", "must be >= 0", "trajectory"),
 ], ids=["negative-latency", "zero-coordination", "negative-coordination", "negative-rf_min",
-        "zero-rf_min-log"])
+        "zero-rf_min-log", "zero-frequency", "negative-voltage", "zero-i_max",
+        "negative-cable-resistance", "negative-cable-inductance", "zero-z0-scale",
+        "fault-position-at-load", "negative-load-power", "negative-grounding",
+        "v2-fraction-above-1", "negative-v0-fraction", "negative-rf", "zero-rf_points",
+        "loss-above-1", "coordination-underflows-in-seconds", "zero-dcb-step",
+        "negative-dt", "negative-transient-duration"])
 def test_validation_names_the_field(tmp_path, capsys, section, key, value, message, command):
     for argv in (["validate"], [command]):
         assert _run(tmp_path, _set_field(section, key, value), *argv) == 1, argv
@@ -885,10 +909,13 @@ def test_no_subcommand_imports_numpy_dataclasses_or_hashlib():
     ("[dcb]\nloss = -0.1\n", "[dcb] loss: must lie in [0, 1]"),
     ("[transient]\ndt = 0 ms\n", "[transient] dt: must be positive"),
     ("[transient]\nfault_time = 200 ms\n", "[transient] fault_time: must fall before duration"),
+    # two invalid fields: the first in declared order is named, not the first
+    # in the file, and an out-of-range value counts as much as a malformed one
+    ("[system]\nv0_fraction = x\nfrequency = 0 Hz\n", "[system] frequency: must be positive"),
 ], ids=["empty", "quantity-tokens", "single-token", "bad-quantity-number", "bad-number",
         "boolean", "choice", "k_policy", "duplicate-section", "outside-section",
         "no-equals", "duplicate-key", "system-positive", "fraction-range", "rf_points",
-        "dcb-loss", "transient-dt", "transient-fault_time"])
+        "dcb-loss", "transient-dt", "transient-fault_time", "first-invalid-in-declared-order"])
 def test_validate_reports_each_scenario_error(tmp_path, capsys, text, message):
     assert _run(tmp_path, text, "validate") == 1
     out, err = capsys.readouterr()
