@@ -225,11 +225,12 @@ def _parse_value(section: str, key: str, raw: str, spec: FieldSpec) -> object:
             raise _error(section, key, f"expected {allowed}, got {tok!r}")
         if kind == "number":
             parsed = si = value
-        elif tokens[1] not in spec.units:
-            raise _error(section, key,
-                         f"unit {tokens[1]!r} not in allowed set {sorted(spec.units)}")
         else:
-            parsed, si = (value, tokens[1]), value * _UNIT_SCALE[tokens[1]]
+            unit = tokens[1]
+            if unit not in spec.units:
+                raise _error(section, key,
+                             f"unit {unit!r} not in allowed set {sorted(spec.units)}")
+            parsed, si = (value, unit), value * _UNIT_SCALE[unit]
     elif kind == "integer":
         try:
             parsed = si = int(tok)
@@ -332,10 +333,10 @@ def _check_consistency(s: Scenario) -> None:
     """The rules that read several fields, and the bounds on a scenario's work;
     each field's own range is its FIELDS rule, tested as it is parsed."""
     # a cable without impedance leaves the healthy network singular
-    if s.si("system", "cable_resistance") == s.si("system", "cable_inductance") == 0:
+    resistance, inductance = s.si("system", "cable_resistance"), s.si("system", "cable_inductance")
+    if resistance == inductance == 0:
         raise ScenarioError("[system] cable_resistance: must be positive if cable_inductance is 0")
-    z_cable = cable_impedance(s.si("system", "cable_resistance"),
-                              s.si("system", "cable_inductance"), s.si("system", "frequency"))
+    z_cable = cable_impedance(resistance, inductance, s.si("system", "frequency"))
     z_load = load_impedance_from_power(s.si("system", "load_real_power"),
                                        s.si("system", "load_reactive_power"),
                                        s.si("system", "line_line_voltage"))
@@ -367,9 +368,10 @@ def _check_consistency(s: Scenario) -> None:
         if top == math.inf:
             raise ScenarioError(f"[fault] rf_max: the {spacing} grid from rf_min must not overflow")
     if s.has("dcb"):
-        if s.si("dcb", "duration") < s.si("dcb", "step"):
+        duration, step = s.si("dcb", "duration"), s.si("dcb", "step")
+        if duration < step:
             raise ScenarioError("[dcb] duration: must cover at least one step")
-        if s.si("dcb", "duration") / s.si("dcb", "step") >= MAX_DCB_SCANS + 0.5:
+        if duration / step >= MAX_DCB_SCANS + 0.5:
             raise ScenarioError(
                 f"[dcb] step: duration/step must not exceed {MAX_DCB_SCANS} scans"
             )
@@ -377,11 +379,12 @@ def _check_consistency(s: Scenario) -> None:
             if not math.isfinite(s.si("dcb", key) * 1e3):  # the simulator counts in ms
                 raise ScenarioError(f"[dcb] {key}: must be finite in milliseconds")
     if s.has("transient"):
-        if s.si("transient", "duration") / s.si("transient", "dt") >= MAX_TRANSIENT_STEPS + 0.5:
+        duration = s.si("transient", "duration")
+        if duration / s.si("transient", "dt") >= MAX_TRANSIENT_STEPS + 0.5:
             raise ScenarioError(
                 f"[transient] dt: duration/dt must not exceed {MAX_TRANSIENT_STEPS} steps"
             )
-        if s.si("transient", "fault_time") >= s.si("transient", "duration"):
+        if s.si("transient", "fault_time") >= duration:
             raise ScenarioError("[transient] fault_time: must fall before duration")
 
 
