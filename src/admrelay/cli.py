@@ -173,7 +173,7 @@ def run_sweep(s: Scenario) -> str:
     return "\n".join(rows) + "\n"
 
 
-def run_dcb(s: Scenario, seed: int | None = None) -> str:
+def run_dcb(s: Scenario) -> str:
     from . import dcb  # imported here: validate, case and sweep runs never load it
 
     if not s.has("dcb"):
@@ -191,7 +191,7 @@ def run_dcb(s: Scenario, seed: int | None = None) -> str:
         latency=s.si("dcb", "latency") * 1e3,
         operational=bool(s.get("dcb", "operational")),
         loss_probability=float(s.get("dcb", "loss")),  # type: ignore[arg-type]
-        seed=int(s.get("dcb", "seed")) if seed is None else seed,  # type: ignore[arg-type]
+        seed=int(s.get("dcb", "seed")),  # type: ignore[arg-type]
     )
     scenario = dcb.DcbScenario(
         coordination_time=s.si("dcb", "coordination_time") * 1e3,
@@ -362,12 +362,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
+        if "--seed" in opts and scenario.has("dcb"):  # the run's seed, which the digest covers
+            scenario.sections["dcb"]["seed"] = opts["--seed"]
         if command == "case":
             out = run_case(scenario, opts["--case"])
         elif command == "sweep":
             out = run_sweep(scenario)
         elif command == "dcb":
-            out = run_dcb(scenario, seed=opts.get("--seed"))
+            out = run_dcb(scenario)
         elif command == "trajectory":
             out = run_trajectory(scenario)
         else:

@@ -341,14 +341,18 @@ def _check_consistency(s: Scenario) -> None:
                                        s.si("system", "load_reactive_power"),
                                        s.si("system", "line_line_voltage"))
     load = math.hypot(z_load.real, z_load.imag)  # abs() would raise OverflowError
-    if 0 < load < math.inf:  # else build_model names the load's under- or overflow
-        ratio = math.hypot(z_cable.real, z_cable.imag) / load  # unchanged by a common scale
-        pos = float(s.get("system", "fault_position"))  # type: ignore[arg-type]
-        for share, field, what in ((1.0, "cable_resistance", "with cable_inductance, the cable"),
-                                   (min(pos, 1.0 - pos), "fault_position", "each segment's")):
-            if not share * ratio >= SEGMENT_IMPEDANCE_FLOOR:
-                raise ScenarioError(f"[system] {field}: {what} impedance must be at least "
-                                    f"{SEGMENT_IMPEDANCE_FLOOR:g} of the load impedance")
+    # v_ll^2 / conj(S) under- or overflowed, in a part or in magnitude: no model could solve it
+    if not (z_load.real > 0 and load < math.inf):
+        raise ScenarioError("[system] line_line_voltage: with load_real_power and "
+                            "load_reactive_power, the load impedance under- or overflows to "
+                            "no positive resistance")
+    ratio = math.hypot(z_cable.real, z_cable.imag) / load  # unchanged by a common scale
+    pos = float(s.get("system", "fault_position"))  # type: ignore[arg-type]
+    for share, field, what in ((1.0, "cable_resistance", "with cable_inductance, the cable"),
+                               (min(pos, 1.0 - pos), "fault_position", "each segment's")):
+        if not share * ratio >= SEGMENT_IMPEDANCE_FLOOR:
+            raise ScenarioError(f"[system] {field}: {what} impedance must be at least "
+                                f"{SEGMENT_IMPEDANCE_FLOOR:g} of the load impedance")
     rf_min, rf_max = s.si("fault", "rf_min"), s.si("fault", "rf_max")
     if rf_min > rf_max:
         raise ScenarioError("[fault] rf_min must not exceed rf_max")
@@ -443,11 +447,6 @@ def build_model(s: Scenario) -> MicrogridModel:
         s.si("system", "load_reactive_power"),
         s.si("system", "line_line_voltage"),
     )
-    # v_ll^2 / conj(S) under- or overflowed: LoadModel would reject the first, the solve the second
-    if not (z_load.real > 0 and math.isfinite(z_load.real) and math.isfinite(z_load.imag)):
-        raise ScenarioError("[system] line_line_voltage: with load_real_power and "
-                            "load_reactive_power, the load impedance under- or overflows to "
-                            "no positive resistance")
     load = LoadModel(z_load, complex(s.si("system", "load_grounding_resistance")))
     kind = FaultKind(str(s.get("fault", "kind")))
     fault = FaultSpec(kind=kind, rf=s.si("fault", "rf"))

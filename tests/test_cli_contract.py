@@ -3,7 +3,11 @@
 Every command either succeeds (exit 0) with a document free of nan and inf,
 or fails with exit 1 (invalid input) or 2 (numerical failure), an empty
 stdout and one error line without a traceback.  A scenario that validate
-rejects is rejected by every command with the same message.
+rejects is rejected by every command with the same message.  Conversely, a
+scenario that validate accepts is not refused by both dcb and trajectory
+with one identical message: a refusal that two commands with no common step
+but the parse and the model build share is a scenario rule, which belongs in
+validation.
 
 The generator starts from the default scenario and changes a few fields,
 mostly to in-range values and sometimes to extreme ones (0, subnormal,
@@ -105,11 +109,11 @@ def violations(text: str, directory: str) -> tuple[list[str], dict[str, object]]
     path = os.path.join(directory, "scenario.scn")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    found, exits, rejected = [], {}, None
+    found, exits, errors, rejected = [], {}, {}, None
     for argv in COMMANDS:
         name = " ".join(argv)
         code, out, err = run(path, argv)
-        exits[name] = code
+        exits[name], errors[name] = code, err
         if code not in (0, 1, 2):
             found.append(f"{name}: raised or returned {code!r}")
             continue
@@ -122,6 +126,10 @@ def violations(text: str, directory: str) -> tuple[list[str], dict[str, object]]
             rejected = err
         elif rejected is not None and (code, err) != (1, rejected):
             found.append(f"{name}: exit {code} with {err!r} for a scenario validate rejects")
+    if exits["validate"] == 0 and exits["dcb"] == exits["trajectory"] == 1 \
+            and errors["dcb"] == errors["trajectory"]:
+        found.append(f"dcb and trajectory: exit 1 with {errors['dcb']!r} for a scenario "
+                     "validate accepts")
     return found, exits
 
 
@@ -154,15 +162,17 @@ FIXED = [
     ("subnormal-case", _edit(rf="5e-324 ohm"), {"case --case 2": 2}),
     # the load impedance under- or overflows to no positive resistance, and an
     # ungrounded load neutral that only the closed forms reject
-    ("load-underflow", _edit(line_line_voltage="1e-300 V"),
-     {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
-    ("load-overflow", _edit(load_reactive_power="1e300 kvar"),
-     {"case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+    ("load-underflow", _edit(line_line_voltage="1e-300 V"), EVERY_COMMAND_REJECTS),
+    ("load-overflow", _edit(load_reactive_power="1e300 kvar"), EVERY_COMMAND_REJECTS),
     ("open-neutral", _edit(load_grounding_resistance="inf ohm"),
      {"case --case 2": 1, "sweep": 1, "dcb": 0, "trajectory": 0}),
     # v_ll^2 overflows, so the load impedance is not finite
-    ("voltage-overflow", _edit(line_line_voltage="1e200 V"),
-     {"validate": 0, "case --case 2": 1, "sweep": 1, "dcb": 1, "trajectory": 1}),
+    ("voltage-overflow", _edit(line_line_voltage="1e200 V"), EVERY_COMMAND_REJECTS),
+    # both parts of the load impedance (about 1.5e308 each) are finite, but its
+    # magnitude is not: abs() raised OverflowError in sweep and case
+    ("load-magnitude-overflow", _edit(line_line_voltage="1.2247e154 V",
+                                      load_real_power="0.5 W", load_reactive_power="0.5 var"),
+     EVERY_COMMAND_REJECTS),
     # [dcb] times that overflow when the simulator counts them in ms
     ("dcb-ms-overflow",
      _edit(step="1e308 s").replace("\nduration = 100 ms\n", "\nduration = 1e308 s\n"),

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -468,6 +469,26 @@ def test_cli_dcb_seed_override_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_dcb_seed_is_the_scenarios_seed(tmp_path):
+    # --seed sets [dcb] seed, so the channel and the printed scenario_digest
+    # read one value, and a file that names the seed gives the same document
+    text = _set_field("dcb", "script", "external", _set_field("dcb", "loss", "0.5"))
+    path = tmp_path / "lossy.scn"
+    path.write_text(text, encoding="utf-8")
+    seeded = tmp_path / "seeded.scn"
+    seeded.write_text(_set_field("dcb", "seed", "2", text), encoding="utf-8")
+    docs = {}
+    for name, argv in (("seed 1", [path, "--seed", "1"]), ("seed 2", [path, "--seed", "2"]),
+                       ("file", [seeded])):
+        out = tmp_path / "out.txt"
+        assert cli.main(["dcb", str(argv[0]), *argv[1:], "--out", str(out)]) == 0
+        docs[name] = out.read_bytes()
+    assert docs["seed 2"] == docs["file"]
+    assert b"\n26.7,A,Trip\n" in docs["seed 1"] and b"\n12.1,A,BlockReceived\n" in docs["seed 2"]
+    digests = [doc.split(b"# scenario_digest = ")[1] for doc in docs.values()]
+    assert digests[0] != digests[1]
+
+
 def test_cli_dcb_requires_section(tmp_path, capsys):
     path = tmp_path / "nodcb.scn"
     path.write_text("[system]\nsource = inverter\n", encoding="utf-8")
@@ -809,24 +830,45 @@ def test_sweep_rejects_an_open_neutral_before_factoring_its_network(monkeypatch)
 
 @pytest.mark.parametrize("key, value, field, commands", [
     ("line_line_voltage", "1e-300 V", "line_line_voltage",
-     ["case --case 2", "sweep", "dcb", "trajectory"]),
+     ["validate", "case --case 2", "sweep", "dcb", "trajectory"]),
     ("load_reactive_power", "1e300 kvar", "line_line_voltage",
-     ["case --case 2", "sweep", "dcb", "trajectory"]),
+     ["validate", "case --case 2", "sweep", "dcb", "trajectory"]),
     ("load_grounding_resistance", "inf ohm", "load_grounding_resistance",
      ["case --case 2", "case --case 3", "sweep"]),
 ], ids=["load-impedance-underflow", "load-impedance-overflow", "open-neutral"])
 def test_a_scenario_that_validates_fails_late_naming_its_field(
     tmp_path, capsys, key, value, field, commands
 ):
-    # the load impedance v_ll^2 / conj(S) has no positive resistance left, or
-    # the closed forms of case and sweep meet an ungrounded load neutral
+    # the load impedance v_ll^2 / conj(S) has no positive resistance left, a
+    # scenario rule that validate names too, or the closed forms of case and
+    # sweep meet an ungrounded load neutral, which validate accepts
     text = _set_field("system", key, value)
-    assert _run(tmp_path, text, "validate") == 0
-    capsys.readouterr()
+    if "validate" not in commands:
+        assert _run(tmp_path, text, "validate") == 0
+        capsys.readouterr()
     for argv in commands:
         assert _run(tmp_path, text, *argv.split()) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"validation error: [system] {field}: "), argv
+
+
+def test_a_load_impedance_whose_magnitude_overflows_is_named_by_validation(tmp_path, capsys):
+    # z_load is about 1.5e308 + 1.5e308j: both parts are finite, |z_load| is
+    # not, and abs() raised OverflowError in sweep and case
+    text = _set_field("system", "line_line_voltage", "1.2247e154 V")
+    text = _set_field("system", "load_real_power", "0.5 W", text)
+    text = _set_field("system", "load_reactive_power", "0.5 var", text)
+    z_load = load_impedance_from_power(0.5, 0.5, 1.2247e154)
+    assert math.isfinite(z_load.real) and math.isfinite(z_load.imag)
+    assert math.hypot(z_load.real, z_load.imag) == math.inf
+    message = ("[system] line_line_voltage: with load_real_power and load_reactive_power, "
+               "the load impedance under- or overflows to no positive resistance")
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+    for argv in (["validate"], ["case", "--case", "2"], ["sweep"], ["dcb"], ["trajectory"]):
+        assert _run(tmp_path, text, *argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"validation error: {message}\n"), argv
 
 
 def test_a_timer_running_across_a_million_scans_keeps_its_document():
