@@ -126,8 +126,8 @@ def violations(text: str, directory: str) -> tuple[list[str], dict[str, object]]
             rejected = err
         elif rejected is not None and (code, err) != (1, rejected):
             found.append(f"{name}: exit {code} with {err!r} for a scenario validate rejects")
-    if exits["validate"] == 0 and exits["dcb"] == exits["trajectory"] == 1 \
-            and errors["dcb"] == errors["trajectory"]:
+    if exits["validate"] == 0 and exits["dcb"] == exits["trajectory"] == 1 and (
+            errors["dcb"] == errors["trajectory"]):
         found.append(f"dcb and trajectory: exit 1 with {errors['dcb']!r} for a scenario "
                      "validate accepts")
     return found, exits
