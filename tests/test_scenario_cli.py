@@ -495,6 +495,29 @@ def test_cli_dcb_requires_section(tmp_path, capsys):
     assert cli.main(["dcb", str(path)]) == 1
 
 
+# sha256 of run_dcb's document on the default scenario with each fixed script
+SCRIPTED_DCB_SHA256 = {
+    "internal": "d86f1a1694a0289fcecb918c5ac806ba555db7b32bffd0305b7ed100864e3204",
+    "external": "f2ca6c7c79387c18544fd3c7b4b6cfedd48c402ab4918b28c8ce6e02ccdd8776",
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTED_DCB_SHA256))
+def test_cli_dcb_scripted_documents_keep_their_bytes(script):
+    doc = cli.run_dcb(parse_scenario(_set_field("dcb", "script", script)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == SCRIPTED_DCB_SHA256[script]
+
+
+def test_cli_dcb_network_script_builds_its_model_once(monkeypatch):
+    s = default_scenario()
+    assert s.get("dcb", "script") == "network"
+    want = cli.run_dcb(s)
+    calls = []
+    monkeypatch.setattr(cli, "build_model", lambda s: calls.append(s) or build_model(s))
+    assert cli.run_dcb(s) == want
+    assert calls == [s]
+
+
 def test_cli_trajectory_output(tmp_path, capsys):
     path = _write_default(tmp_path)
     assert cli.main(["trajectory", path]) == 0

@@ -159,6 +159,27 @@ def test_a_run_without_limiter_measures_once_per_topology(monkeypatch):
     assert len(calls) == 2  # healthy before the fault instant, faulted after
 
 
+def _holds_the_same_readings(p, q):
+    return (p.relay_v is q.relay_v and p.relay_i is q.relay_i and p.z_lg is q.z_lg
+            and p.z_ll is q.z_ll)
+
+
+def test_a_reused_step_holds_the_previous_steps_very_objects():
+    # without a limiter the source never changes, so only the first step and
+    # the first faulted step read the rows; every other step reuses its reading
+    pts = simulate_trajectory(lg_model(3.68), limiter=None)
+    fresh = [k for k in range(1, len(pts)) if not _holds_the_same_readings(pts[k], pts[k - 1])]
+    assert fresh == [next(k for k, p in enumerate(pts) if p.t >= 0.05)]
+
+
+def test_a_settled_limited_run_reuses_its_last_reading():
+    # engaged from the start, level reaches 1.0 and the source stops changing
+    pts = simulate_trajectory(ll_model(2.0, inverter(i_max="20 A")), fault_time=0.0)
+    assert all(p.limited for p in pts[1:])
+    assert _holds_the_same_readings(pts[-1], pts[-2])
+    assert not _holds_the_same_readings(pts[2], pts[1])
+
+
 def test_unlimited_inverter_keeps_balanced_source():
     m = lg_model(3.68, inverter(i_max="inf A"))
     pts = simulate_trajectory(m)
@@ -329,7 +350,10 @@ def _model(kind, rf, i_max, unbalance):
 def _assert_matches_reference(kind, rf, i_max, unbalance, limiter, location, **kw):
     m = _model(kind, rf, i_max, unbalance)
     kw.update(limiter=LIMITERS[limiter], relay_location=UP if location == "up" else DOWN)
-    assert _bits(simulate_trajectory(m, **kw)) == _bits(simulate_every_step(m, **kw))
+    points = simulate_trajectory(m, **kw)
+    # _bits iterates the triples, so it cannot tell a PhaseTriple from a plain tuple
+    assert all(type(p.relay_v) is PhaseTriple and type(p.relay_i) is PhaseTriple for p in points)
+    assert _bits(points) == _bits(simulate_every_step(m, **kw))
 
 
 @pytest.mark.parametrize("limiter,location,kind,source,dt,rf,i_max,fault_time,unbalance",
