@@ -3,10 +3,11 @@
 The network has two topologies, fault branch open before the fault instant
 and closed after, sharing one factorization of the healthy network; each
 topology's six relay rows (fault-node voltages, then the relay's segment
-currents) are taken once per run.  A step reads them with one superposition
-of the applied source phases, and only when its topology or applied source
-changed since the previous step; otherwise it holds that step's very reading
-objects and reuses its cap test.  When a source phase current exceeds the
+currents) are taken once per run, flat.  A step reads them as straight-line
+sums over the applied source phases, nodal._superpose's operations in its
+order, and makes its two PhaseTriples with tuple.__new__; it does so only when
+its topology or applied source changed since the previous step, and otherwise
+holds that step's very reading objects and reuses its cap test.  When a source phase current exceeds the
 inverter's RMS cap the limiter engages: the internal source is rescaled so
 the worst phase lands on the cap, and negative-/zero-sequence content appears
 at the inverter's fractions of the rescaled positive-sequence voltage,
@@ -128,10 +129,12 @@ def simulate_trajectory(
     # (healthy, faulted), indexed by whether the fault is on
     network = nodal.Network(m)
     topologies = [network.transfer(m.fault._replace(rf=math.inf)), network.transfer(m.fault)]
-    # each topology's relay rows: the fault-node voltages, then the relay's currents
-    relay_rows = [tf.maps[0:3] + tf.maps[row:row + 3] for tf in topologies]
+    # each topology's relay rows, flat: the fault-node voltages, then the relay's currents
+    relay_rows = [sum(tf.maps[0:3] + tf.maps[row:row + 3], ()) for tf in topologies]
     rotations = _rotations(src) if limit_active else None
     targets = [_target_scale(tf, src, rotations) for tf in topologies] if rotations else [1.0, 1.0]
+    cap = src.i_max_rms * (1.0 + _CAP_SLACK) if limit_active else math.inf
+    retarget = limiter is LimiterKind.INSTANTANEOUS_SATURATION
     balanced = phase_parts(0j, src.v1, 0j)
     smoothing = 1.0 - math.exp(-dt / TAU_LIM_DEFAULT_S)
 
@@ -148,21 +151,31 @@ def simulate_trajectory(
         # carry -0.0 parts
         if inputs != (faulted, engaged, target, level):
             inputs = (faulted, engaged, target, level)
-            v_src = _applied_phases(src, target, level, rotations) if engaged else balanced
-            va, vb, vc, ia, ib, ic = nodal._superpose(relay_rows[faulted], v_src)
-            v, cur = PhaseTriple(va, vb, vc), PhaseTriple(ia, ib, ic)
+            sa, sb, sc = _applied_phases(src, target, level, rotations) if engaged else balanced
+            # nodal._superpose's operations, written out
+            (va0, va1, va2, vb0, vb1, vb2, vc0, vc1, vc2,
+             ia0, ia1, ia2, ib0, ib1, ib2, ic0, ic1, ic2) = relay_rows[faulted]
+            va = va0 * sa + va1 * sb + va2 * sc
+            vb = vb0 * sa + vb1 * sb + vb2 * sc
+            vc = vc0 * sa + vc1 * sb + vc2 * sc
+            ia = ia0 * sa + ia1 * sb + ia2 * sc
+            ib = ib0 * sa + ib1 * sb + ib2 * sc
+            ic = ic0 * sa + ic1 * sb + ic2 * sc
+            # PhaseTriple._make without its Python-level call
+            v = tuple.__new__(PhaseTriple, (va, vb, vc))
+            cur = tuple.__new__(PhaseTriple, (ia, ib, ic))
             # i0 as phase_to_sequence computes it
             z_lg = measure_zlg(va, ia, (ia + ib + ic) / 3.0, k_lg)
             z_ll = measure_zll(vb, vc, ib, ic)
             # the steps that reuse this one's source would repeat its cap test
             over = limit_active and not engaged and _worst_phase(
-                cur if row == 3 else nodal._superpose(topologies[faulted].maps[3:6], v_src)
-            ) > src.i_max_rms * (1.0 + _CAP_SLACK)
+                cur if row == 3 else nodal._superpose(topologies[faulted].maps[3:6], (sa, sb, sc))
+            ) > cap
         points.append(TrajectoryPoint(t, v, cur, z_lg, z_ll, engaged))
 
         if engaged:
             # the latching limiter keeps its engagement target
-            if limiter is LimiterKind.INSTANTANEOUS_SATURATION:
+            if retarget:
                 target = targets[faulted]
             level += smoothing * (1.0 - level)
         elif over:
