@@ -178,11 +178,10 @@ def run_dcb(s: Scenario) -> str:
 
     if not s.has("dcb"):
         raise ModelError("scenario has no [dcb] section")
-    m = build_model(s)
     script_kind = str(s.get("dcb", "script"))
     fault_time = s.si("dcb", "fault_time") * 1e3  # ms
-    if script_kind == "network":
-        script = dcb.couple_from_network(m, fault_time=fault_time)
+    if script_kind == "network":  # the only script that reads the model
+        script = dcb.couple_from_network(build_model(s), fault_time=fault_time)
     else:  # internal, or external: beyond relay B, which then looks reverse
         external = script_kind == "external"
         script = {dcb.RELAY_A: [dcb.PickupChange(fault_time, True, False)],

@@ -502,8 +502,13 @@ SCRIPTED_DCB_SHA256 = {
 }
 
 
+def _no_model(s):
+    raise AssertionError("a scripted dcb run reads no model")
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPTED_DCB_SHA256))
-def test_cli_dcb_scripted_documents_keep_their_bytes(script):
+def test_cli_dcb_scripted_documents_keep_their_bytes_and_build_no_model(script, monkeypatch):
+    monkeypatch.setattr(cli, "build_model", _no_model)
     doc = cli.run_dcb(parse_scenario(_set_field("dcb", "script", script)))
     assert hashlib.sha256(doc.encode()).hexdigest() == SCRIPTED_DCB_SHA256[script]
 
