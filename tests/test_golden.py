@@ -6,7 +6,7 @@ scenarios next to them (ideal source, line-line, downstream relay).  They
 pin the current behaviour for refactors; a refactor that changes a byte
 must explain the change, not regenerate them.  The 132 documents the
 benchmark's in-process workloads make from its seeds 1-3 are pinned by one
-digest.
+digest, and the layer harness that computes it counts opcodes repeatably.
 """
 
 import importlib.util
@@ -64,9 +64,20 @@ def _load(path: Path):
     return module
 
 
-def test_benchmark_documents_keep_their_digest(monkeypatch):
+@pytest.fixture
+def ab_layers(monkeypatch):
     # bench/gen.py is imported as it stands, and no bytecode is written beside it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setitem(sys.modules, "gen", _load(ROOT / "bench" / "gen.py"))
-    ab_layers = _load(ROOT / "tools" / "ab_layers.py")
+    return _load(ROOT / "tools" / "ab_layers.py")
+
+
+def test_benchmark_documents_keep_their_digest(ab_layers):
     assert ab_layers._documents_digest() == BENCHMARK_DIGEST
+
+
+def test_the_layer_harness_counts_opcodes_exactly(ab_layers):
+    inputs, setup, run = ab_layers._layers()["op.dcb-study"]()
+    first, second = (ab_layers._opcodes(setup, run) for _ in range(2))
+    assert first == second > 0
+    assert inputs == 45

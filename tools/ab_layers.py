@@ -23,6 +23,13 @@ the processes of that fastest pass, in microseconds per input, and the
 relative change of the minimums and of the medians; on a host whose speed
 drifts between processes, the minimums are the steadier figure.  A layer a
 tree does not have reads n/a.
+One more process per side counts the Python opcodes that one pass of each
+layer executes (``sys.settrace`` with ``frame.f_trace_opcodes``), after an
+untraced pass has warmed imports, and the report prints them per input, with
+their relative change, next to the minimums.  The counts repeat exactly from
+run to run, so the host's drift does not move them; but they miss the work
+done inside C (allocation, complex arithmetic, string formatting), so a
+count supports a timing and does not replace it.
 It also prints each tree's digest of the 132 in-process documents: the
 sha256 of their sha256 hex digests joined by newlines, workload by workload
 and seed by seed, in generation order.  The last line of stdout is one JSON
@@ -202,6 +209,32 @@ def _fastest(setup, run) -> float:
     return best
 
 
+def _opcodes(setup, run) -> int:
+    """The Python opcodes one pass executes, after one untraced pass; work done
+    inside C calls is not counted."""
+    run(setup() if setup else None)
+    state = setup() if setup else None
+    count = 0
+
+    def step(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return step
+
+    def call(frame, event, arg):
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return step
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run(state)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def _documents_digest() -> str:
     from admrelay import cli, scenario
 
@@ -211,18 +244,21 @@ def _documents_digest() -> str:
     return hashlib.sha256("\n".join(hexes).encode()).hexdigest()
 
 
-def child() -> None:
-    """Time every layer of the tree on PYTHONPATH; print one JSON line."""
+def child(count: bool) -> None:
+    """Time, or count the opcodes of, every layer of the tree on PYTHONPATH;
+    print one JSON line."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(ROOT, "bench"))
-    result = {"digest": _documents_digest(), "us_per_input": {}}
+    key = "opcodes_per_input" if count else "us_per_input"
+    result = {"digest": _documents_digest(), key: {}}
     for name, build in _layers().items():
         try:
             inputs, setup, run = build()
-            result["us_per_input"][name] = _fastest(setup, run) / inputs * 1e6
+            result[key][name] = (_opcodes(setup, run) if count
+                                 else _fastest(setup, run) * 1e6) / inputs
         except AttributeError as exc:  # the layer, or a name it needs, is not in this tree
             print(f"{name}: n/a: {exc}", file=sys.stderr)
-            result["us_per_input"][name] = None
+            result[key][name] = None
     print(json.dumps(result))
 
 
@@ -234,9 +270,9 @@ def _archive(rev: str, dest: str) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def _side(tree: str) -> dict:
+def _side(tree: str, mode: str = "--child") -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"], cwd=tree,
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), mode], cwd=tree,
                          env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -251,9 +287,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--count-child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child()
+    if args.child or args.count_child:
+        child(args.count_child)
         return 0
     if not (args.parent and args.change):
         parser.error("give PARENT and CHANGE")
@@ -268,10 +305,12 @@ def main(argv: list[str]) -> int:
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 runs[side].append(_side(trees[side]))
                 print(f"round {k + 1}, {side}: done", file=sys.stderr)
+        counts = {side: _side(trees[side], "--count-child") for side in runs}
+        print("opcode counts: done", file=sys.stderr)
     names = list(dict.fromkeys(n for side in runs.values() for r in side for n in r["us_per_input"]))
     layers = {}
     print(f"{'layer (us per input)':<30}{'parent min/median/IQR':>26}{'change min/median/IQR':>26}"
-          f"{'min':>8}{'median':>8}")
+          f"{'min':>8}{'median':>8}{'opcodes per input':>24}{'':>8}")
     for name in names:
         row = {}
         for side in runs:
@@ -280,19 +319,29 @@ def main(argv: list[str]) -> int:
         p, c = row["parent"], row["change"]
         for stat in ("min", "median"):
             row[f"{stat}_change"] = round(c[stat] / p[stat] - 1, 4) if p and c else None
+        op_p, op_c = (counts[side]["opcodes_per_input"].get(name) for side in ("parent", "change"))
+        row["opcodes"] = {"parent": op_p and round(op_p, 1), "change": op_c and round(op_c, 1)}
+        row["opcodes_change"] = round(op_c / op_p - 1, 4) if op_p and op_c else None
         layers[name] = row
         cells = [f"{s['min']:.1f}/{s['median']:.1f}/{s['iqr']:.1f}" if s else "n/a" for s in (p, c)]
-        changes = "".join(f" {row[k]:>+7.1%}" if row[k] is not None else f"{'':>8}"
-                          for k in ("min_change", "median_change"))
-        print(f"{name:<30}{cells[0]:>26}{cells[1]:>26}{changes}")
-    digests = {side: sorted({r["digest"] for r in runs[side]}) for side in runs}
+        cells.append(f"{op_p:.0f} -> {op_c:.0f}" if op_p and op_c else "n/a")
+        changes = [f" {row[k]:>+7.1%}" if row[k] is not None else f"{'':>8}"
+                   for k in ("min_change", "median_change", "opcodes_change")]
+        print(f"{name:<30}{cells[0]:>26}{cells[1]:>26}{changes[0]}{changes[1]}{cells[2]:>24}"
+              f"{changes[2]}")
+    print("opcode counts repeat exactly but miss work done inside C (allocation, complex "
+          "arithmetic, formatting): they support the timings and do not replace them")
+    digests = {side: sorted({r["digest"] for r in runs[side] + [counts[side]]}) for side in runs}
     for side, found in digests.items():
         print(f"documents digest, {side}: {', '.join(found)}")
     print(json.dumps({
         "method": f"tools/ab_layers.py {args.parent} {args.change}: each tree a git archive, "
                   f"{PROCESSES} alternating processes per side, each layer's fastest pass "
                   f"(gc off, at least 3 passes and {BUDGET} s) over the inputs of seeds "
-                  "1-3, in us per input; min, median and IQR over the processes",
+                  "1-3, in us per input; min, median and IQR over the processes; opcodes: "
+                  "the Python opcodes one pass executes per input after an untraced pass "
+                  "(sys.settrace with f_trace_opcodes, one more process per side), exact "
+                  "but blind to work done inside C",
         "parent": args.parent, "change": args.change, "layers": layers,
         "documents_digest": {side: found[0] if len(found) == 1 else found
                              for side, found in digests.items()},
