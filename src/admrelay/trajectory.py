@@ -5,13 +5,14 @@ and closed after, sharing one factorization of the healthy network; each
 topology's six relay rows (fault-node voltages, then the relay's segment
 currents) are taken once per run, flat.  A step reads them as straight-line
 sums over the applied source phases, nodal._superpose's operations in its
-order, and makes its two PhaseTriples with tuple.__new__; it does so only when
-its topology or applied source changed since the previous step, and otherwise
-holds that step's very reading objects and reuses its cap test.  When a source phase current exceeds the
-inverter's RMS cap the limiter engages: the internal source is rescaled so
-the worst phase lands on the cap, and negative-/zero-sequence content appears
-at the inverter's fractions of the rescaled positive-sequence voltage,
-first-order smoothed so the applied source walks into the limited point.
+order, and makes its two PhaseTriples with tuple.__new__; it does so only
+when its topology or applied source changed since the previous step, and
+otherwise holds that step's very reading objects and reuses its cap test.
+When a source phase current exceeds the inverter's RMS cap the limiter
+engages: the internal source is rescaled so the worst phase lands on the cap,
+and negative-/zero-sequence content appears at the inverter's fractions of
+the rescaled positive-sequence voltage, first-order smoothed so the applied
+source walks into the limited point.
 
 An upstream relay's ground element reads the plain v_a/i_a loop ratio and a
 downstream one is compensated for its load path, on whose positive-sequence
