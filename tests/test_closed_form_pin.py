@@ -6,12 +6,16 @@ Each solver runs on randomized models against the frozen copy in
 count), or raise the same class with the same message.  The draws cover
 rf = 0 and rf = inf, solid, resistive and open load grounding, zero
 unbalance fractions, a dead source, a zero-impedance source-side segment and
-models of the wrong fault kind or source.
+models of the wrong fault kind or source.  Run more draws than the suite does,
+one model per solver and seed, with
+
+    PYTHONPATH=src python tests/test_closed_form_pin.py FIRST STOP
 """
 
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -96,3 +100,25 @@ def test_closed_form_is_bit_identical_to_the_frozen_reference(name):
         assert got == _outcome(getattr(ref, name), m), m
         solved += isinstance(got, list)
     assert solved >= DRAWS // 2
+
+
+def main(argv):
+    """Compare each solver with the frozen reference on one model per seed,
+    drawn from random.Random(f"closed-form:{name}:{seed}")."""
+    first, stop = map(int, argv)
+    models, solved, mismatches = 0, 0, []
+    for seed in range(first, stop):
+        for name, (kind, source_class) in SOLVERS.items():
+            m = _model(random.Random(f"closed-form:{name}:{seed}"), kind, source_class)
+            got = _outcome(getattr(faults, name), m)
+            models += 1
+            solved += isinstance(got, list)
+            if got != _outcome(getattr(ref, name), m):
+                mismatches.append((name, seed))
+    print(f"seeds {first}..{stop - 1}: {models} models, {solved} solved, "
+          f"{len(mismatches)} mismatches {mismatches[:10]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
