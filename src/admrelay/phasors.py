@@ -57,7 +57,7 @@ def phase_parts(zero: complex, pos: complex, neg: complex) -> tuple[complex, com
 
 def sequence_to_phase(s: SequenceTriple) -> PhaseTriple:
     """Recombine symmetrical components into phase quantities."""
-    return PhaseTriple._make(phase_parts(*s))
+    return tuple.__new__(PhaseTriple, phase_parts(*s))
 
 
 def fmt_complex(z: complex) -> str:
