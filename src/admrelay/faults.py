@@ -8,10 +8,11 @@ a fault: an infinite rf (fault branch open) raises ModelError.
 Each chain is split in two.  Its reduction does the rf-free terms of a
 model's network and source once and returns its evaluation, which does only
 the terms that depend on rf: it returns z_measured and the function that
-assembles the whole solution.  A solver reduces its model, evaluates it at the
-model's rf and assembles the solution; an rf sweep reduces once per network
-(:func:`reduce`) and reads z_measured at every grid point.  Both run the same
-expressions, so a sweep point reads bit for bit what its model's solve does.
+assembles the whole solution.  Only :func:`reduce` picks a chain.  A solver
+checks its model's source class and fault kind, evaluates reduce's chain at
+the model's rf and assembles the solution; an rf sweep reduces once per network
+and reads z_measured at every grid point.  Both run the same expressions, so a
+sweep point reads bit for bit what its model's solve does.
 
 Conventions shared by all six cases:
 
@@ -110,10 +111,20 @@ def _finite_inputs(m: MicrogridModel) -> None:
         )
 
 
-def _solve(reduction: Callable[[MicrogridModel], Callable[[float], Measured]],
-           m: MicrogridModel) -> FaultSolution:
-    """m's whole solution: its chain reduced, evaluated at m's rf and assembled."""
-    return reduction(m)(m.fault.rf)[1]()
+# what a solver needs of its model -> the end of the message when the model lacks it
+_EXPECTS = {IdealSource: "an IdealSource model", FaultKind.LINE_GROUND_A: "a line-ground fault",
+            CurrentLimitedInverter: "a CurrentLimitedInverter model",
+            FaultKind.LINE_LINE_BC: "a line-line fault"}
+
+
+def _solved(m: MicrogridModel, kind: FaultKind, source: type | None = None) -> FaultSolution:
+    """m solved by :func:`reduce`'s chain at m's rf, after checking m's source class
+    (an upstream solver names one; a downstream one takes any) and fault kind."""
+    if source:
+        _require(isinstance(m.source, source), f"solver expects {_EXPECTS[source]}")
+    _require(m.fault.kind is kind, f"solver expects {_EXPECTS[kind]}")
+    location = RelayLocation.UPSTREAM_OF_FAULT if source else RelayLocation.DOWNSTREAM_OF_FAULT
+    return reduce(m, location)(m.fault.rf)[1]()
 
 
 def _assemble(
@@ -137,27 +148,30 @@ def _measure_ll(
     return z_measured, lambda: FaultSolution(v, i, i_seq, z_measured, inter())
 
 
+def _lg_reduction(m: MicrogridModel) -> tuple:
+    """Both line-ground chains' rf-free prologue: v_src, the source-side segment, the
+    load-side path, the healthy Thevenin set and the v_eq2 and v_eq0 dividers."""
+    _finite_inputs(m)
+    v_src = m.source.sequence_voltages()
+    z1_up, z0_up = m.line_1m.z1, m.line_1m.z0
+    z_d, z_d0 = downstream_path(m)
+    th = thevenin_line_ground(m)
+    v_eq2 = v_src.neg * z_d / (z1_up + z_d)
+    v_eq0 = v_src.zero * z_d0 / (z0_up + z_d0)
+    return v_src, z1_up, z0_up, z_d, z_d0, th, v_eq2, v_eq0
+
+
 def _lg_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
     """Shared line-ground upstream chain; it carries the source's sequence
     voltages, so a balanced source is the degenerate (zero neg/zero) case."""
-    _finite_inputs(m)
-    v_src = m.source.sequence_voltages()
-    z1_up = m.line_1m.z1
-    z0_up = m.line_1m.z0
-    z_d, z_d0 = downstream_path(m)
-    th = thevenin_line_ground(m)
-
-    # Thevenin voltages of the negative- and zero-sequence networks at the
-    # fault node: the healthy voltage dividers applied to the source content.
-    v_eq2 = v_src.neg * z_d / (z1_up + z_d)
-    v_eq0 = v_src.zero * z_d0 / (z0_up + z_d0)
+    v_src, z1_up, z0_up, z_d, z_d0, th, v_eq2, v_eq0 = _lg_reduction(m)
 
     # Series chain hanging off the fault node: negative network, zero network
     # and three times the fault resistance.
     v_1 = v_src.pos
     v_2 = v_eq2 + v_eq0
     z_eq20 = th.z_eq2 + th.z_eq0
-    z_1d = parallel(z1_up, z_d)
+    z_1d = th.z_eq1
     i_1n = v_1 / z1_up
     # The source's own unbalance also circulates through the load path; the
     # compact chain has no such term, but without it an unbalanced source
@@ -209,19 +223,12 @@ def _lg_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
 
 def solve_lg_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-ground fault, balanced stiff source, relay on the source side."""
-    _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
-    _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _solve(_lg_upstream, m)
+    return _solved(m, FaultKind.LINE_GROUND_A, IdealSource)
 
 
 def solve_lg_upstream_inverter(m: MicrogridModel) -> FaultSolution:
     """Line-ground fault, current-limited inverter source, source-side relay."""
-    _require(
-        isinstance(m.source, CurrentLimitedInverter),
-        "solver expects a CurrentLimitedInverter model",
-    )
-    _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _solve(_lg_upstream, m)
+    return _solved(m, FaultKind.LINE_GROUND_A, CurrentLimitedInverter)
 
 
 def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
@@ -232,19 +239,11 @@ def solve_lg_downstream(m: MicrogridModel) -> FaultSolution:
     element reads exactly z_m2 + z_load regardless of source model or fault
     resistance.
     """
-    _require(m.fault.kind is FaultKind.LINE_GROUND_A, "solver expects a line-ground fault")
-    return _solve(_lg_downstream, m)
+    return _solved(m, FaultKind.LINE_GROUND_A)
 
 
 def _lg_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
-    _finite_inputs(m)
-    v_src = m.source.sequence_voltages()
-    z_d1, z_d0 = downstream_path(m)
-    z1_up = m.line_1m.z1
-    z0_up = m.line_1m.z0
-    th = thevenin_line_ground(m)
-    v_eq2 = v_src.neg * z_d1 / (z1_up + z_d1)
-    v_eq0 = v_src.zero * z_d0 / (z0_up + z_d0)
+    _, _, _, z_d1, z_d0, th, v_eq2, v_eq0 = _lg_reduction(m)
     v_eq = th.v_eq1 + v_eq2 + v_eq0
     z_eq = th.z_eq1 + th.z_eq2 + th.z_eq0
     k = z_d0 / z_d1 - 1.0
@@ -301,7 +300,7 @@ def _ll_node_voltages(
     z0_up = m.line_1m.z0
     z_d, z_d0 = downstream_path(m)
 
-    z_eq = parallel(z1_up, z_d)  # positive- and negative-sequence reduction alike
+    z_eq = parallel(z1_up, z_d)  # pos and neg alike (no z0 parallel: it can raise)
     v_eq1 = v_src.pos * z_d / (z1_up + z_d)
     v_eq2 = v_src.neg * z_d / (z1_up + z_d)
     dv = v_eq1 - v_eq2
@@ -359,19 +358,12 @@ def _ll_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
 
 def solve_ll_upstream_ideal(m: MicrogridModel) -> FaultSolution:
     """Line-line (b-c) fault, balanced stiff source, source-side relay."""
-    _require(isinstance(m.source, IdealSource), "solver expects an IdealSource model")
-    _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _solve(_ll_upstream, m)
+    return _solved(m, FaultKind.LINE_LINE_BC, IdealSource)
 
 
 def solve_ll_upstream_inverter(m: MicrogridModel) -> FaultSolution:
     """Line-line (b-c) fault, current-limited inverter source, source-side relay."""
-    _require(
-        isinstance(m.source, CurrentLimitedInverter),
-        "solver expects a CurrentLimitedInverter model",
-    )
-    _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _solve(_ll_upstream, m)
+    return _solved(m, FaultKind.LINE_LINE_BC, CurrentLimitedInverter)
 
 
 def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
@@ -381,8 +373,7 @@ def solve_ll_downstream(m: MicrogridModel) -> FaultSolution:
     load path forces (v_b - v_c)/(i_b - i_c) = z_m2 + z_load whenever the
     fault actually draws current, which requires rf > 0.
     """
-    _require(m.fault.kind is FaultKind.LINE_LINE_BC, "solver expects a line-line fault")
-    return _solve(_ll_downstream, m)
+    return _solved(m, FaultKind.LINE_LINE_BC)
 
 
 def _ll_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
@@ -403,8 +394,8 @@ def _ll_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
 
 
 def reduce(m: MicrogridModel, location: RelayLocation) -> Callable[[float], Measured]:
-    """The closed form of m's fault kind for a relay at location, reduced for m's
-    network and source, to evaluate at any rf as the matching solve_* does at m's."""
+    """The one chain choice: the closed form of m's fault kind for a relay at location,
+    reduced for m's network and source; each solve_* evaluates it at m's rf, a sweep at any."""
     lg = m.fault.kind is FaultKind.LINE_GROUND_A
     if location is RelayLocation.UPSTREAM_OF_FAULT:
         return _lg_upstream(m) if lg else _ll_upstream(m)
