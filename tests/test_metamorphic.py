@@ -24,7 +24,7 @@ from admrelay.network import LoadModel, RelayLocation
 from test_closed_form_pin import SOLVERS, _model
 
 DRAWS = 400  # models per solver
-ORACLE_DRAWS = 40  # the first of them, solved by the nodal oracle too (about 0.4 ms a solve)
+ORACLE_DRAWS = 20  # the first of them, solved by the nodal oracle too (about 0.4 ms a solve)
 POWERS = (-7, 9)
 
 
