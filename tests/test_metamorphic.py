@@ -55,8 +55,11 @@ def test_readings_scale_with_the_impedances_and_ignore_the_source_voltage(name):
     models = [_model(rng, *SOLVERS[name]) for _ in range(DRAWS)]
     location = (RelayLocation.DOWNSTREAM_OF_FAULT if name.endswith("downstream")
                 else RelayLocation.UPSTREAM_OF_FAULT)
-    for solve, draws in ((getattr(faults, name), DRAWS),
-                         (lambda m: nodal.solve_network(m, location), ORACLE_DRAWS)):
+
+    def oracle(m):
+        return nodal.solve_network(m, location)
+
+    for solve, draws in ((getattr(faults, name), DRAWS), (oracle, ORACLE_DRAWS)):
         mismatches = {"impedances": [], "source": []}
         for i, m in enumerate(models[:draws]):
             base = _reading(solve, m)
@@ -66,4 +69,4 @@ def test_readings_scale_with_the_impedances_and_ignore_the_source_voltage(name):
                     mismatches["impedances"].append((i, k))
                 if _reading(solve, _scaled_source(m, s)) != base:
                     mismatches["source"].append((i, k))
-        assert mismatches == {"impedances": [], "source": []}, draws
+        assert mismatches == {"impedances": [], "source": []}, solve.__name__
