@@ -2,23 +2,71 @@
 
 :func:`simulate_every_scan` evaluates both relays on every scan of the grid,
 as :func:`admrelay.dcb.simulate` did before it learned to skip the scans
-where nothing can change.  The tests compare the two traces exactly.
+where nothing can change.  It keeps its own frozen copy of the relay rule
+as the simulator first wrote it, with a carrier flag of its own and an inputs
+record, so a rewrite of :func:`admrelay.dcb.relay_step` cannot change both
+sides at once.  The tests compare the two traces exactly.
 """
 
 from __future__ import annotations
 
 import random
 
-from admrelay.dcb import (
-    RELAY_A,
-    RELAY_B,
-    DcbEvent,
-    DcbScenario,
-    EventKind,
-    RelayInputs,
-    RelayState,
-    relay_step,
-)
+from admrelay.dcb import RELAY_A, RELAY_B, DcbEvent, DcbScenario, EventKind
+from admrelay.errors import ModelError
+from admrelay.records import Record
+
+
+class RelayState(Record):
+    __slots__ = ("forward_pickup", "reverse_pickup", "carrier_tx", "coordination_timer", "tripped")
+
+    def __init__(self, forward_pickup: bool = False, reverse_pickup: bool = False,
+                 carrier_tx: bool = False, coordination_timer: float = 0.0,
+                 tripped: bool = False) -> None:
+        self.forward_pickup, self.reverse_pickup = forward_pickup, reverse_pickup
+        self.carrier_tx, self.tripped = carrier_tx, tripped
+        self.coordination_timer = coordination_timer  # ms of continuous unblocked forward pickup
+
+
+class RelayInputs(Record):
+    __slots__ = ("fwd", "rev", "block_rx")
+
+    def __init__(self, fwd: bool, rev: bool, block_rx: bool) -> None:
+        self.fwd, self.rev, self.block_rx = fwd, rev, block_rx
+
+
+def relay_step(
+    state: RelayState, inputs: RelayInputs, dt: float, coordination_time: float
+) -> tuple[RelayState, list[EventKind]]:
+    """Advance one relay by one scan of dt ms and report emitted events."""
+    if not dt > 0:
+        raise ModelError("relay scan step must be positive")
+    events: list[EventKind] = []
+    if inputs.fwd and not state.forward_pickup:
+        events.append(EventKind.PICKUP_FWD)
+    if inputs.rev and not state.reverse_pickup:
+        events.append(EventKind.PICKUP_REV)
+
+    carrier = inputs.rev
+    if carrier and not state.carrier_tx:
+        events.append(EventKind.CARRIER_START)
+    elif not carrier and state.carrier_tx:
+        events.append(EventKind.CARRIER_STOP)
+
+    counting = inputs.fwd and not inputs.block_rx
+    # Tolerance absorbs float accumulation over many scans of dt.
+    expired = state.coordination_timer >= coordination_time * (1.0 - 1e-9)
+    trip_now = (not state.tripped) and counting and expired
+    if trip_now:
+        events.append(EventKind.TRIP)
+    new_state = RelayState(
+        forward_pickup=inputs.fwd,
+        reverse_pickup=inputs.rev,
+        carrier_tx=carrier,
+        coordination_timer=state.coordination_timer + dt if counting else 0.0,
+        tripped=state.tripped or trip_now,
+    )
+    return new_state, events
 
 
 def simulate_every_scan(scenario: DcbScenario) -> list[DcbEvent]:
