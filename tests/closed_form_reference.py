@@ -4,7 +4,10 @@ Each ``solve_*`` here reduces its model and evaluates every term of its chain
 at every call, as :mod:`admrelay.faults` did before it split each chain into
 an rf-free reduction, made once per network, and a per-rf evaluation.  The
 tests compare the two bit for bit: every field of the ``FaultSolution``, every
-intermediate, and the class and message of what either raises.
+intermediate, and the class and message of what either raises.  It keeps its
+own frozen copies of the chain inputs, the downstream path and the
+line-ground Thevenin reduction, so a defect in either cannot move the solvers
+and this reference together.
 """
 
 from __future__ import annotations
@@ -18,10 +21,26 @@ from admrelay.network import (
     FaultKind,
     IdealSource,
     MicrogridModel,
-    downstream_path,
-    thevenin_line_ground,
+    TheveninSet,
 )
 from admrelay.phasors import SequenceTriple, parallel, sequence_to_phase
+
+
+def downstream_path(m: MicrogridModel) -> tuple[complex, complex]:
+    """Positive- and zero-sequence impedance of the load-side path from the
+    fault node: (z_m2 + z_load, z_m2_0 + z_load + 3*z_ground)."""
+    z_d1 = m.line_m2.z1 + m.load.z_load
+    z_d0 = m.line_m2.z0 + m.load.z_load + 3.0 * m.load.z_ground
+    return z_d1, z_d0
+
+
+def thevenin_line_ground(m: MicrogridModel) -> TheveninSet:
+    """Reduce each sequence network of the healthy system at the fault node."""
+    z_d1, z_d0 = downstream_path(m)
+    z_eq1 = parallel(m.line_1m.z1, z_d1)
+    v_eq1 = m.source.v1 * z_d1 / (m.line_1m.z1 + z_d1)
+    z_eq0 = parallel(m.line_1m.z0, z_d0)
+    return TheveninSet(z_eq1=z_eq1, z_eq2=z_eq1, z_eq0=z_eq0, v_eq1=v_eq1)
 
 
 def _require(condition: bool, message: str) -> None:
