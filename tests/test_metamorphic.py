@@ -7,25 +7,40 @@ reference copy (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01,
 
 * every impedance (both segments' z1 and z0, z_load, z_ground) and rf
   scaled by 2^k scales each reading z_measured by exactly 2^k;
-* the source voltage v1 scaled by 2^k leaves z_measured bit-identical.
+* the source voltage v1 scaled by 2^k leaves z_measured bit-identical;
+* a sweep scenario's cable resistance and inductance, load grounding and rf
+  grid scaled by 2^k, and its load powers by 2^-k (so z_load scales by 2^k),
+  leave the document's rel_err column byte-identical and scale its rf_ohm,
+  Re_Z, Im_Z, mag_Z and oracle_mag_Z columns by 2^k, to the printed 10
+  digits.
 
-A model that raises must raise the same class after scaling; the message may
-print the scaled values.  A dimensional slip, such as an absolute ohm
-constant added inside a chain, breaks the first relation to the bit.
+A model or scenario that raises must raise the same class after scaling; the
+message may print the scaled values.  A dimensional slip, such as an absolute
+ohm constant added inside a chain or on the way from a scenario to its model,
+breaks the relations.  Run the sweep relation on more seeds than the suite
+does with
+
+    PYTHONPATH=src python tests/test_metamorphic.py FIRST STOP
 """
 
 import random
+import sys
+from decimal import Decimal
 
 import pytest
 
 from admrelay import faults, nodal
+from admrelay.cli import run_sweep
 from admrelay.network import LoadModel, RelayLocation
+from admrelay.scenario import parse_scenario
 
 from test_closed_form_pin import SOLVERS, _model
+from test_sweep import COMBOS, _log_uniform
 
 DRAWS = 400  # models per solver
 ORACLE_DRAWS = 20  # the first of them, solved by the nodal oracle too (about 0.4 ms a solve)
 POWERS = (-7, 9)
+SWEEP_SEEDS = range(100)  # about 0.5 s; CI runs 2,000
 
 
 def _scaled_impedances(m, s):
@@ -70,3 +85,114 @@ def test_readings_scale_with_the_impedances_and_ignore_the_source_voltage(name):
                 if _reading(solve, _scaled_source(m, s)) != base:
                     mismatches["source"].append((i, k))
         assert mismatches == {"impedances": [], "source": []}, solve.__name__
+
+
+# sweep scenario quantities scaled by 2^k, and by 2^-k
+WITH_K = ("cable_resistance", "cable_inductance", "load_grounding_resistance", "rf_min", "rf_max")
+AGAINST_K = ("load_real_power", "load_reactive_power")
+
+
+def _sweep_scenario(rng, kind, location, source, spacing):
+    """{section: {key: value}}, a quantity as (number, unit), drawn from the
+    ranges of test_sweep's scenarios, random unbalance included."""
+    grounding = 0.0 if rng.random() < 0.2 else _log_uniform(rng, 1e-3, 1e3)
+    rf_min = 0.0 if spacing == "linear" and rng.random() < 0.25 else _log_uniform(rng, 1e-3, 20.0)
+    system = {
+        "source": source,
+        "fault_position": rng.uniform(0.02, 0.98),
+        "cable_zero_seq_scale": _log_uniform(rng, 0.2, 20.0),
+        "cable_resistance": (_log_uniform(rng, 5.0, 200.0), "mohm"),
+        "cable_inductance": (_log_uniform(rng, 10.0, 500.0), "uH"),
+        "load_real_power": (rng.uniform(5.0, 50.0), "kW"),
+        "load_reactive_power": (rng.uniform(0.0, 30.0), "kvar"),
+        "load_grounding_resistance": (grounding, "ohm"),
+        "v2_fraction": rng.uniform(0.0, 1.0),
+        "v0_fraction": rng.uniform(0.0, 1.0),
+        "v2_angle": (rng.uniform(-180.0, 180.0), "deg"),
+        "v0_angle": (rng.uniform(-180.0, 180.0), "deg"),
+    }
+    fault = {"kind": kind, "rf_min": (rf_min, "ohm"),
+             "rf_max": (rf_min + _log_uniform(rng, 1e-2, 1e4), "ohm"),
+             "rf_points": rng.randint(1, 24), "rf_spacing": spacing}
+    return {"system": system, "fault": fault, "relay": {"location": location}}
+
+
+def _sweep_text(scenario, k):
+    """The scenario's text with its WITH_K quantities scaled by 2^k and its
+    AGAINST_K ones by 2^-k, each number written with repr."""
+    def value(key, v):
+        if not isinstance(v, tuple):
+            return v
+        power = k if key in WITH_K else -k if key in AGAINST_K else 0
+        return f"{v[0] * 2.0 ** power!r} {v[1]}"
+
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value(key, v)}\n" for key, v in fields.items())
+                   for name, fields in scenario.items())
+
+
+def _sweep_rows(text):
+    """The document's header and point rows, without the trailer, or the
+    class raised."""
+    try:
+        document = run_sweep(parse_scenario(text))
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return type(exc)
+    return [row.split(",") for row in document.splitlines() if not row.startswith("#")]
+
+
+def _half_digit(d):
+    """Half a unit in the 10th significant digit of d."""
+    return Decimal(5).scaleb(d.adjusted() - 10)
+
+
+def _scaled_to_ten_digits(printed, scaled, s):
+    """Whether some value that prints as `printed` at 10 significant digits
+    prints as `scaled` once multiplied by s: their rounding intervals meet."""
+    x, y = Decimal(printed), Decimal(scaled)
+    if not (x and y):
+        return printed == scaled
+    return abs(y / s - x) <= _half_digit(x) + _half_digit(y) / s
+
+
+def _sweep_mismatches(seed):
+    """The powers k at which seed's scaled sweep breaks the relation, and how
+    many documents the seed's unscaled and scaled runs printed."""
+    scenario = _sweep_scenario(random.Random(f"sweep-scaling:{seed}"), *COMBOS[seed % len(COMBOS)])
+    base = _sweep_rows(_sweep_text(scenario, 0))
+    bad, documents = [], 0
+    for k in POWERS:
+        rows, s = _sweep_rows(_sweep_text(scenario, k)), Decimal(2) ** k
+        documents += isinstance(rows, list)
+        if not isinstance(base, list) or not isinstance(rows, list):
+            same = rows == base
+        else:
+            same = len(rows) == len(base) and rows[0] == base[0] and all(
+                b[5] == a[5] and all(map(_scaled_to_ten_digits, a[:5], b[:5], [s] * 5))
+                for a, b in zip(base[1:], rows[1:]))
+        if not same:
+            bad.append(k)
+    return bad, documents
+
+
+def test_sweep_documents_scale_with_the_impedances():
+    results = {seed: _sweep_mismatches(seed) for seed in SWEEP_SEEDS}
+    assert {seed: bad for seed, (bad, _) in results.items() if bad} == {}
+    assert sum(documents for _, documents in results.values()) >= len(SWEEP_SEEDS)
+
+
+def main(argv):
+    """Check the sweep relation at each power on one scenario per seed, the
+    test_sweep combinations taken in turn."""
+    first, stop = map(int, argv)
+    documents, mismatches = 0, []
+    for seed in range(first, stop):
+        bad, printed = _sweep_mismatches(seed)
+        documents += printed
+        mismatches += [(seed, k) for k in bad]
+    print(f"seeds {first}..{stop - 1}: {documents} scaled documents, {len(mismatches)} "
+          f"mismatches {mismatches[:10]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
