@@ -1,10 +1,10 @@
 """Directional comparison blocking: relay logic, carrier channel, simulator.
 
-Two relays guard the line; a reverse-looking pickup keys a carrier that blocks
-the remote relay, a forward pickup that survives the coordination delay
-without a block trips.  The scheme stays dependable with a dead channel (no
-block means trip) and secure for external faults (the block arrives inside
-the coordination window).
+Two relays guard the line.  Each keys its carrier exactly while its reverse
+pickup holds, and the carrier blocks the remote relay; a forward pickup that
+survives the coordination delay without a block trips.  The scheme stays
+dependable with a dead channel (no block means trip) and secure for external
+faults (the block arrives inside the coordination window).
 
 Timing model (fixed scan step): block deliveries due at a scan instant are
 applied before the relays are evaluated, so a block landing exactly at timer
@@ -54,21 +54,15 @@ class DcbEvent(Record):
 
 
 class RelayState(Record):
-    __slots__ = ("forward_pickup", "reverse_pickup", "carrier_tx", "coordination_timer", "tripped")
+    """Pickups at the last scan, timer (ms of continuous unblocked forward
+    pickup) and trip latch; the carrier is keyed while reverse_pickup holds."""
+
+    __slots__ = ("forward_pickup", "reverse_pickup", "coordination_timer", "tripped")
 
     def __init__(self, forward_pickup: bool = False, reverse_pickup: bool = False,
-                 carrier_tx: bool = False, coordination_timer: float = 0.0,
-                 tripped: bool = False) -> None:
+                 coordination_timer: float = 0.0, tripped: bool = False) -> None:
         self.forward_pickup, self.reverse_pickup = forward_pickup, reverse_pickup
-        self.carrier_tx, self.tripped = carrier_tx, tripped
-        self.coordination_timer = coordination_timer  # ms of continuous unblocked forward pickup
-
-
-class RelayInputs(Record):
-    __slots__ = ("fwd", "rev", "block_rx")
-
-    def __init__(self, fwd: bool, rev: bool, block_rx: bool) -> None:
-        self.fwd, self.rev, self.block_rx = fwd, rev, block_rx
+        self.coordination_timer, self.tripped = coordination_timer, tripped
 
 
 class ChannelModel(Record):
@@ -116,42 +110,35 @@ class DcbScenario(Record):
 
 
 def relay_step(
-    state: RelayState, inputs: RelayInputs, dt: float, coordination_time: float
+    state: RelayState, fwd: bool, rev: bool, block_rx: bool, dt: float, coordination_time: float
 ) -> tuple[RelayState, list[EventKind]]:
-    """Advance one relay by one scan of dt ms and report emitted events.
+    """Advance one relay by one scan of dt ms, with this scan's forward and
+    reverse pickups and received block, and report emitted events.
 
-    The timer accumulates while the forward pickup holds without a received
-    block and resets otherwise; the trip latches once the accumulated time
-    reaches the coordination time before this scan's increment.
+    The carrier follows the reverse pickup: a rising one emits PickupRev then
+    CarrierStart, a falling one CarrierStop.  The timer accumulates while the
+    forward pickup holds without a received block and resets otherwise; the
+    trip latches once the accumulated time reaches the coordination time
+    before this scan's increment.
     """
     if not dt > 0:
         raise ModelError("relay scan step must be positive")
     events: list[EventKind] = []
-    if inputs.fwd and not state.forward_pickup:
+    if fwd and not state.forward_pickup:
         events.append(EventKind.PICKUP_FWD)
-    if inputs.rev and not state.reverse_pickup:
-        events.append(EventKind.PICKUP_REV)
-
-    carrier = inputs.rev
-    if carrier and not state.carrier_tx:
-        events.append(EventKind.CARRIER_START)
-    elif not carrier and state.carrier_tx:
+    if rev and not state.reverse_pickup:
+        events += (EventKind.PICKUP_REV, EventKind.CARRIER_START)
+    elif state.reverse_pickup and not rev:
         events.append(EventKind.CARRIER_STOP)
 
-    counting = inputs.fwd and not inputs.block_rx
+    counting = fwd and not block_rx
     # Tolerance absorbs float accumulation over many scans of dt.
     expired = state.coordination_timer >= coordination_time * (1.0 - 1e-9)
     trip_now = (not state.tripped) and counting and expired
     if trip_now:
         events.append(EventKind.TRIP)
-    new_state = RelayState(
-        forward_pickup=inputs.fwd,
-        reverse_pickup=inputs.rev,
-        carrier_tx=carrier,
-        coordination_timer=state.coordination_timer + dt if counting else 0.0,
-        tripped=state.tripped or trip_now,
-    )
-    return new_state, events
+    timer = state.coordination_timer + dt if counting else 0.0
+    return RelayState(fwd, rev, timer, state.tripped or trip_now), events
 
 
 _NAMES = (RELAY_A, RELAY_B)  # a relay is its index here; a delivery is (due, target, value)
@@ -227,8 +214,7 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                 else:  # the other timer, caught up to the same scan
                     n = nxt - i - 1
                     timer = lead[1] if start == lead[0] else reduce(add, repeat(step, n), start)
-                states[r] = RelayState(s.forward_pickup, s.reverse_pickup, s.carrier_tx, timer,
-                                       s.tripped)
+                states[r] = RelayState(s.forward_pickup, s.reverse_pickup, timer, s.tripped)
         return nxt
 
     i = advance(-1)
@@ -250,17 +236,17 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                 cursor[r] += 1
 
         for r in (0, 1):
-            prev = states[r]
-            states[r], kinds = relay_step(prev, RelayInputs(*pickups[r], block_rx[r]), step,
-                                          coordination)
+            fwd, rev = pickups[r]
+            keyed = states[r].reverse_pickup
+            states[r], kinds = relay_step(states[r], fwd, rev, block_rx[r], step, coordination)
             for kind in kinds:
                 events.append(DcbEvent(t, _NAMES[r], kind))
-            if states[r].carrier_tx != prev.carrier_tx and sends:
-                # Transition leaves at end of scan, lands `latency` later unless lost.
+            if rev != keyed and sends:
+                # Carrier transition leaves at end of scan, lands `latency` later unless lost.
                 if draws:
                     rng = rng or random.Random(channel.seed)
                 if not draws or not rng.random() < loss:
-                    pending.append((t + step + latency, 1 - r, states[r].carrier_tx))
+                    pending.append((t + step + latency, 1 - r, rev))
         i = advance(i)
 
     events.sort(key=_trace_order)

@@ -44,30 +44,30 @@ def trip_times(events, relay):
 
 def test_relay_step_basics():
     st = dcb.RelayState()
-    st, kinds = dcb.relay_step(st, dcb.RelayInputs(True, False, False), 1.0, 5.0)
+    st, kinds = dcb.relay_step(st, True, False, False, 1.0, 5.0)
     assert dcb.EventKind.PICKUP_FWD in kinds
     assert st.coordination_timer == 1.0
-    st, kinds = dcb.relay_step(st, dcb.RelayInputs(True, False, True), 1.0, 5.0)
+    st, kinds = dcb.relay_step(st, True, False, True, 1.0, 5.0)
     assert st.coordination_timer == 0.0  # block resets the timer
-    st, kinds = dcb.relay_step(st, dcb.RelayInputs(False, True, False), 1.0, 5.0)
+    st, kinds = dcb.relay_step(st, False, True, False, 1.0, 5.0)
     assert dcb.EventKind.CARRIER_START in kinds
-    assert st.carrier_tx
-    st, kinds = dcb.relay_step(st, dcb.RelayInputs(False, False, False), 1.0, 5.0)
+    assert st.reverse_pickup
+    st, kinds = dcb.relay_step(st, False, False, False, 1.0, 5.0)
     assert dcb.EventKind.CARRIER_STOP in kinds
     with pytest.raises(ModelError):
-        dcb.relay_step(st, dcb.RelayInputs(False, False, False), 0.0, 5.0)
+        dcb.relay_step(st, False, False, False, 0.0, 5.0)
 
 
 def test_relay_step_trip_latches_after_coordination_time():
     st = dcb.RelayState()
     tripped_at = None
     for k in range(10):
-        st, kinds = dcb.relay_step(st, dcb.RelayInputs(True, False, False), 1.0, 5.0)
+        st, kinds = dcb.relay_step(st, True, False, False, 1.0, 5.0)
         if dcb.EventKind.TRIP in kinds:
             tripped_at = k
             break
     assert tripped_at == 5  # five full steps of accumulated pickup
-    st2, kinds = dcb.relay_step(st, dcb.RelayInputs(True, False, False), 1.0, 5.0)
+    st2, kinds = dcb.relay_step(st, True, False, False, 1.0, 5.0)
     assert dcb.EventKind.TRIP not in kinds  # latched, no re-trip
     assert st2.tripped
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from admrelay.dcb import ChannelModel, DcbScenario, RelayInputs, RelayState
+from admrelay.dcb import ChannelModel, DcbScenario, RelayState
 from admrelay.errors import ModelError
 from admrelay.faults import FaultSolution
 from admrelay.network import (
@@ -45,10 +45,10 @@ def _solution(z: complex = 2 + 1j) -> FaultSolution:
      f"MicrogridModel(source={INVERTER_REPR}, line_1m={CABLE_REPR}, line_m2={CABLE_REPR}, "
      "load=LoadModel(z_load=(7.3728+3.6864j), z_ground=(1+0j)), "
      "fault=FaultSpec(kind=<FaultKind.LINE_GROUND_A: 'lg'>, rf=3.68), frequency=60.0)"),
-    (RelayState(), "RelayState(forward_pickup=False, reverse_pickup=False, carrier_tx=False, "
+    (RelayState(), "RelayState(forward_pickup=False, reverse_pickup=False, "
                    "coordination_timer=0.0, tripped=False)"),
-    (RelayState(True, False, True, 1.5, tripped=True),
-     "RelayState(forward_pickup=True, reverse_pickup=False, carrier_tx=True, "
+    (RelayState(True, False, 1.5, tripped=True),
+     "RelayState(forward_pickup=True, reverse_pickup=False, "
      "coordination_timer=1.5, tripped=True)"),
     (_solution(), "FaultSolution(relay_v=PhaseTriple(a=1, b=2j, c=3), "
                   "relay_i=PhaseTriple(a=1, b=0, c=0), "
@@ -89,8 +89,8 @@ def test_records_of_different_classes_never_compare_equal():
     assert LoadModel(1 + 1j, 2j) != SequenceImpedancePair(1 + 1j, 2j)
     assert SequenceImpedancePair(1 + 1j, 2j) != LoadModel(1 + 1j, 2j)
     assert FaultSpec(LG, 3.68) != (LG, 3.68)
-    assert RelayState() != (False, False, False, 0.0, False)
-    assert RelayInputs(True, False, True) != RelayState(True, False, True)
+    assert RelayState() != (False, False, 0.0, False)
+    assert ChannelModel(0.0, True, 0.0, 0) != RelayState(0.0, True, 0.0, 0)
     assert _solution() != (PhaseTriple(1, 2j, 3), PhaseTriple(1, 0, 0), SequenceTriple(0, 1, 0),
                            2 + 1j, {})
     assert FaultSpec(LG, 3.68).__eq__((LG, 3.68)) is NotImplemented
