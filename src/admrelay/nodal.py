@@ -17,7 +17,7 @@ source phases and w = A0^-1 u, z_kk = u^T w and i_f = u^T x0 / (rf + z_kk)
 solution is the bolted one, p = x0 - w u^T x0 / z_kk with u^T p = 0 set
 exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
-from A0 p - b, A0 w and u^T p, made with its kind's bolted solution on first use.
+from A0 p - b and A0 w, made with its kind's bolted solution on first use.
 A :class:`Network` is factored once.  :meth:`Network.injections` streams a
 fault kind's finite rf values through it, giving each one's i_f, c and
 checked residual; it holds the only copy of that arithmetic.  The sweep reads
@@ -287,8 +287,8 @@ class Network:
 
     def _bolted(self, kind: FaultKind) -> tuple:
         """Make and keep the fault kind's bolted solution: u's nonzero (row,
-        entry) pairs, z_kk, u^T x0 and its norm, the maps of p and w, and A0 w,
-        A0 p - b, u^T p."""
+        entry) pairs, z_kk, u^T x0 and its norm, the maps of p and w, and A0 w
+        and A0 p - b."""
         lg = kind is FaultKind.LINE_GROUND_A
         u, w, z_kk = _fault_column(kind, self.lu, self.order)
         ux0 = [sum(map(mul, u, col)) for col in self.x0]
@@ -298,10 +298,9 @@ class Network:
             col[0 if lg else 2] = 0j if lg else col[1]
         lw = [row[0] for row in self._maps([w], False)]
         aw = [sum(map(mul, row, w)) for row in self.a0]
-        up = [sum(map(mul, u, col)) for col in p]
         nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
         self.faults[kind] = bolted = (nonzero, z_kk, ux0, _norm(ux0) or 1.0,
-                                      self._maps(p, True), lw, aw, self._residual(p), up)
+                                      self._maps(p, True), lw, aw, self._residual(p))
         return bolted
 
     def injections(self, kind: FaultKind,
@@ -310,22 +309,21 @@ class Network:
         source phase, and its relative residual, one rf at a time.  Raises
         SingularSystemError at the rf where the fault current is undefined
         (rf = inf among them) or the residual is not below RESIDUAL_LIMIT."""
-        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q, up = (self.faults.get(kind)
-                                                           or self._bolted(kind))
+        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q = self.faults.get(kind) or self._bolted(kind)
         n = len(aw)
         for rf in rfs:
             d = _fault_denominator(rf, z_kk)
             i_f = [v / d for v in ux0]
             c = [rf * f / z_kk for f in i_f]
-            # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c;
-            # u i_f is added only where u is nonzero, at the fault-node rows
+            # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c,
+            # where u^T p = 0; u i_f is added only where u is nonzero, at the fault-node rows
             r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
             for j, fj in enumerate(i_f):
                 for k, uk in u_nonzero:
                     r[j * n + k] += uk * fj
             yield i_f, c, _checked(max(
                 _norm(r) / self.b_norm,
-                _norm(uj + z_kk * cj - rf * fj for uj, cj, fj in zip(up, c, i_f)) / ux0_norm,
+                _norm(z_kk * cj - rf * fj for cj, fj in zip(c, i_f)) / ux0_norm,
             ))
 
     def readings(self, kind: FaultKind, rfs: Iterable[float], v: PhaseTriple,
@@ -335,7 +333,7 @@ class Network:
         rf at a time, raising where :meth:`injections` does.  Each row is the
         kind's bolted row plus lw c, superposed over v in one expression: the
         float operations of :meth:`Transfer.rows`, in the same order."""
-        _, _, _, _, bolted, lw, _, _, _ = self.faults.get(kind) or self._bolted(kind)
+        _, _, _, _, bolted, lw, _, _ = self.faults.get(kind) or self._bolted(kind)
         read = list(zip(bolted[0:3] + bolted[first:first + 3], lw[0:3] + lw[first:first + 3]))
         va, vb, vc = v
         for _, (c0, c1, c2), _ in self.injections(kind, rfs):
@@ -351,7 +349,7 @@ class Network:
             return Transfer(fault, self.residual,
                             (*map(tuple, self._maps(self.x0, True)), (0j, 0j, 0j)))
         i_f, (c0, c1, c2), residual = next(self.injections(fault.kind, (fault.rf,)))
-        _, _, _, _, bolted, lw, _, _, _ = self.faults[fault.kind]
+        _, _, _, _, bolted, lw, _, _ = self.faults[fault.kind]
         rows = [(b0 + lk * c0, b1 + lk * c1, b2 + lk * c2) for (b0, b1, b2), lk in zip(bolted, lw)]
         return Transfer(fault, residual, (*rows, tuple(i_f)))
 
