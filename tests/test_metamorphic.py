@@ -40,7 +40,7 @@ from test_sweep import COMBOS, _log_uniform
 DRAWS = 400  # models per solver
 ORACLE_DRAWS = 20  # the first of them, solved by the nodal oracle too (about 0.4 ms a solve)
 POWERS = (-7, 9)
-SWEEP_SEEDS = range(100)  # about 0.5 s; CI runs 2,000
+SWEEP_SEEDS = range(100)  # about 0.25 s; CI runs 2,000
 
 
 def _scaled_impedances(m, s):
