@@ -211,6 +211,23 @@ def test_two_running_timers_match_the_reference(script, trips):
         r: [pytest.approx(t)] for r, t in trips.items()}
 
 
+@pytest.mark.parametrize("changes, keyed", [
+    ([dcb.PickupChange(10.0, True, False), dcb.PickupChange(10.0, False, True)], True),
+    ([dcb.PickupChange(10.0, False, True), dcb.PickupChange(10.0, True, False)], False),
+    # three at one instant, after a later change listed first
+    ([dcb.PickupChange(30.0, False, False), dcb.PickupChange(10.0, False, True),
+      dcb.PickupChange(10.0, True, True), dcb.PickupChange(10.0, True, False)], False),
+], ids=["forward-then-reverse", "reverse-then-forward", "three-at-once"])
+def test_same_instant_script_changes_apply_in_script_order(changes, keyed):
+    # the change listed last at an instant holds at that scan: A keys its
+    # carrier and blocks B exactly when that change is a reverse pickup
+    s = scripted({"A": changes, "B": [dcb.PickupChange(10.0, True, False)]})
+    events = dcb.simulate(s)
+    assert events == simulate_every_scan(s)
+    assert (dcb.EventKind.CARRIER_START in {e.kind for e in events if e.relay == "A"}) == keyed
+    assert dcb.trip_summary(events)["B"] == {"tripped": not keyed, "blocked": keyed}
+
+
 def _random_scenario(rng):
     """A seeded DCB scenario across the regimes where skipping scans could
     go wrong: latency next to the coordination time (c - 0.15, c - 0.05, c,
