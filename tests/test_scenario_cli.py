@@ -539,6 +539,24 @@ def test_cli_trajectory_requires_section(tmp_path):
     assert cli.main(["trajectory", str(path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["case", "--case", "2"], ["sweep"], ["dcb"],
+                                  ["trajectory"]], ids=lambda argv: argv[0])
+def test_cli_main_calls_the_run_function_patched_on_the_module(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # main looks up cli.run_<command> when it runs, as the benchmark tracer
+    # and these tests patch it there; a table of functions made at import
+    # would call the unpatched one
+    argv = [argv[0], _write_default(tmp_path), *argv[1:]]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    name, calls = f"run_{argv[0]}", []
+    run = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or run(*a))
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == want
+
+
 def test_cli_results_carry_version_and_digest(tmp_path, capsys):
     path = _write_default(tmp_path)
     digest = scenario_digest(default_scenario())
