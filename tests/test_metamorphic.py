@@ -12,35 +12,46 @@ reference copy (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01,
   grid scaled by 2^k, and its load powers by 2^-k (so z_load scales by 2^k),
   leave the document's rel_err column byte-identical and scale its rf_ohm,
   Re_Z, Im_Z, mag_Z and oracle_mag_Z columns by 2^k, to the printed 10
-  digits.
+  digits;
+* a trajectory scenario's cable resistance and inductance, load grounding
+  and rf scaled by 2^k, and its load powers and i_max by 2^-k (so every
+  current scales by 2^-k, limited or not), leave the document's t_s and
+  limited columns, its row count and both quadrant verdicts byte-identical,
+  and scale its Re_Z/Im_Z columns and final_z lines by 2^k and its I_a_rms_A
+  column by 2^-k, to the printed 10 and 12 digits.  The relation leaves the
+  source voltages alone, so it cannot see an absolute volt offset: one added
+  to the balanced source keeps it on every seed.
 
 A model or scenario that raises must raise the same class after scaling; the
 message may print the scaled values.  A dimensional slip, such as an absolute
 ohm constant added inside a chain or on the way from a scenario to its model,
-breaks the relations.  Run the sweep relation on more seeds than the suite
-does with
+breaks the relations.  Run the sweep and trajectory relations on more seeds
+than the suite does with
 
-    PYTHONPATH=src python tests/test_metamorphic.py FIRST STOP
+    PYTHONPATH=src python tests/test_metamorphic.py FIRST STOP [sweep|trajectory]
 """
 
 import random
+import re
 import sys
 from decimal import Decimal
 
 import pytest
 
 from admrelay import faults, nodal
-from admrelay.cli import run_sweep
+from admrelay.cli import run_sweep, run_trajectory
 from admrelay.network import LoadModel, RelayLocation
 from admrelay.scenario import parse_scenario
 
 from test_closed_form_pin import SOLVERS, _model
 from test_sweep import COMBOS, _log_uniform
+from trajectory_document_reference import scenario_text
 
 DRAWS = 400  # models per solver
 ORACLE_DRAWS = 20  # the first of them, solved by the nodal oracle too (about 0.4 ms a solve)
 POWERS = (-7, 9)
 SWEEP_SEEDS = range(100)  # about 0.25 s; CI runs 2,000
+TRAJECTORY_SEEDS = range(100)  # about 0.45 s; CI runs 2,000
 
 
 def _scaled_impedances(m, s):
@@ -140,18 +151,19 @@ def _sweep_rows(text):
     return [row.split(",") for row in document.splitlines() if not row.startswith("#")]
 
 
-def _half_digit(d):
-    """Half a unit in the 10th significant digit of d."""
-    return Decimal(5).scaleb(d.adjusted() - 10)
+def _half_digit(d, digits=10):
+    """Half a unit in the 10th (or `digits`th) significant digit of d."""
+    return Decimal(5).scaleb(d.adjusted() - digits)
 
 
-def _scaled_to_ten_digits(printed, scaled, s):
-    """Whether some value that prints as `printed` at 10 significant digits
-    prints as `scaled` once multiplied by s: their rounding intervals meet."""
+def _scaled_to_ten_digits(printed, scaled, s, digits=10):
+    """Whether some value that prints as `printed` at 10 (or `digits`)
+    significant digits prints as `scaled` once multiplied by s: their
+    rounding intervals meet."""
     x, y = Decimal(printed), Decimal(scaled)
     if not (x and y):
         return printed == scaled
-    return abs(y / s - x) <= _half_digit(x) + _half_digit(y) / s
+    return abs(y / s - x) <= _half_digit(x, digits) + _half_digit(y, digits) / s
 
 
 def _sweep_mismatches(seed):
@@ -180,18 +192,121 @@ def test_sweep_documents_scale_with_the_impedances():
     assert sum(documents for _, documents in results.values()) >= len(SWEEP_SEEDS)
 
 
-def main(argv):
-    """Check the sweep relation at each power on one scenario per seed, the
-    test_sweep combinations taken in turn."""
-    first, stop = map(int, argv)
+# trajectory scenario quantities scaled by 2^k, and by 2^-k
+TRAJECTORY_WITH_K = ("cable_resistance", "cable_inductance", "load_grounding_resistance", "rf")
+TRAJECTORY_AGAINST_K = ("load_real_power", "load_reactive_power", "i_max")
+CABLE = "[system]\ncable_resistance = 39 mohm\ncable_inductance = 70.8 uH\n"  # the defaults
+
+
+def _trajectory_text(seed, k):
+    """scenario_text(seed) with the cable written out, its TRAJECTORY_WITH_K
+    quantities scaled by 2^k and its TRAJECTORY_AGAINST_K ones by 2^-k, each
+    number written with repr (inf stays inf)."""
+    lines = scenario_text(seed).replace("[system]\n", CABLE, 1).splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, _, value = line.partition(" = ")
+        power = k if key in TRAJECTORY_WITH_K else -k if key in TRAJECTORY_AGAINST_K else 0
+        if power:
+            number, unit = value.split()
+            lines[i] = f"{key} = {float(number) * 2.0 ** power!r} {unit}\n"
+    return "".join(lines)
+
+
+def _trajectory_document(text):
+    """The trajectory document, or the class raised."""
+    try:
+        return run_trajectory(parse_scenario(text))
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return type(exc)
+
+
+def _complex_parts(printed):
+    """The real and imaginary parts of a complex printed as 1.5e-05-2j."""
+    return re.fullmatch(r"(.+?)((?<!e)[+-].*)j", printed).groups()
+
+
+def _trajectory_scales(base, scaled, s):
+    """Whether the scaled document is the base one with its impedances scaled
+    by s and its currents by 1/s, to the printed digits."""
+    base, scaled = base.splitlines(), scaled.splitlines()
+    if len(base) != len(scaled) or base[0] != scaled[0]:
+        return False
+    for a, b in zip(base[1:], scaled[1:]):
+        if a.startswith("# final_z_"):
+            key, _, za = a.partition(" = ")
+            key_b, _, zb = b.partition(" = ")
+            if key != key_b or not all(map(_scaled_to_ten_digits, _complex_parts(za),
+                                           _complex_parts(zb), [s] * 2, [12] * 2)):
+                return False
+        elif a.startswith("#"):
+            if a != b and not (a.startswith("# scenario_digest = ")
+                               and b.startswith("# scenario_digest = ")):
+                return False
+        else:
+            a, b = a.split(","), b.split(",")
+            if not (a[0] == b[0] and a[6] == b[6] and _scaled_to_ten_digits(a[5], b[5], 1 / s)
+                    and all(map(_scaled_to_ten_digits, a[1:5], b[1:5], [s] * 4))):
+                return False
+    return True
+
+
+def _trajectory_mismatches(seed):
+    """The powers k at which seed's scaled trajectory breaks the relation,
+    whether its unscaled run printed a document, and whether a row of it is
+    limited."""
+    base = _trajectory_document(_trajectory_text(seed, 0))
+    bad = []
+    for k in POWERS:
+        scaled = _trajectory_document(_trajectory_text(seed, k))
+        if not isinstance(base, str) or not isinstance(scaled, str):
+            same = scaled == base
+        else:
+            same = _trajectory_scales(base, scaled, Decimal(2) ** k)
+        if not same:
+            bad.append(k)
+    printed = isinstance(base, str)
+    return bad, printed, printed and any(row.endswith(",1") for row in base.splitlines())
+
+
+def test_trajectory_documents_scale_with_the_impedances():
+    results = {seed: _trajectory_mismatches(seed) for seed in TRAJECTORY_SEEDS}
+    assert {seed: bad for seed, (bad, _, _) in results.items() if bad} == {}
+    assert sum(printed for _, printed, _ in results.values()) >= len(TRAJECTORY_SEEDS) // 2
+    assert any(limited for _, _, limited in results.values())
+
+
+def _sweep_report(first, stop):
     documents, mismatches = 0, []
     for seed in range(first, stop):
         bad, printed = _sweep_mismatches(seed)
         documents += printed
         mismatches += [(seed, k) for k in bad]
-    print(f"seeds {first}..{stop - 1}: {documents} scaled documents, {len(mismatches)} "
-          f"mismatches {mismatches[:10]}")
-    return 1 if mismatches else 0
+    return f"{documents} scaled documents", mismatches
+
+
+def _trajectory_report(first, stop):
+    documents, limited, mismatches = 0, 0, []
+    for seed in range(first, stop):
+        bad, printed, with_limited = _trajectory_mismatches(seed)
+        documents, limited = documents + printed, limited + with_limited
+        mismatches += [(seed, k) for k in bad]
+    return f"{documents} documents, {limited} with limited rows", mismatches
+
+
+RELATIONS = {"sweep": _sweep_report, "trajectory": _trajectory_report}
+
+
+def main(argv):
+    """Check the named relations (both if none is named) at each power on one
+    scenario per seed; the sweep takes the test_sweep combinations in turn."""
+    first, stop = map(int, argv[:2])
+    failed = False
+    for name in argv[2:] or RELATIONS:
+        counts, mismatches = RELATIONS[name](first, stop)
+        print(f"{name} seeds {first}..{stop - 1}: {counts}, {len(mismatches)} mismatches "
+              f"{mismatches[:10]}")
+        failed = failed or bool(mismatches)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
