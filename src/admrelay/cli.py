@@ -363,16 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             scenario = parse_scenario(fh.read())
         if "--seed" in opts and scenario.has("dcb"):  # the run's seed, which the digest covers
             scenario.sections["dcb"]["seed"] = opts["--seed"]
-        if command == "case":
-            out = run_case(scenario, opts["--case"])
-        elif command == "sweep":
-            out = run_sweep(scenario)
-        elif command == "dcb":
-            out = run_dcb(scenario)
-        elif command == "trajectory":
-            out = run_trajectory(scenario)
-        else:
-            out = run_validate(scenario)
+        run = globals()[f"run_{command}"]  # looked up now: tracers and tests patch run_*
+        out = run(scenario, opts["--case"]) if command == "case" else run(scenario)
         if opts.get("--out"):
             with open(opts["--out"], "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(out)

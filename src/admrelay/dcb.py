@@ -91,6 +91,8 @@ class PickupChange(Record):
 
 FaultScript = Mapping[str, Sequence[PickupChange]]
 
+_EXPIRY = 1.0 - 1e-9  # the timer's expiry share; tolerance absorbs float accumulation over scans
+
 
 class DcbScenario(Record):
     """Both relays share one coordination time [ms]."""
@@ -132,8 +134,7 @@ def relay_step(
         events.append(EventKind.CARRIER_STOP)
 
     counting = fwd and not block_rx
-    # Tolerance absorbs float accumulation over many scans of dt.
-    expired = state.coordination_timer >= coordination_time * (1.0 - 1e-9)
+    expired = state.coordination_timer >= coordination_time * _EXPIRY
     trip_now = (not state.tripped) and counting and expired
     if trip_now:
         events.append(EventKind.TRIP)
@@ -153,6 +154,8 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     scan would repeat its inputs and emit nothing, and a running timer gains
     the step once per skipped scan in the same float additions, made in order
     by one ``functools.reduce``, so the trace is exactly the scan-by-scan one.
+    The loop holds each relay's state (with its last scan's pickups), block
+    and script changes still to come, the next one last, and the deliveries.
     Channel loss is drawn once per carrier transition from the seeded stream,
     which is made only when a draw can change the trace: an inoperative
     channel delivers nothing, and loss 0 or 1 loses none or all.  The trace
@@ -164,10 +167,10 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
     draws = sends and loss > 0.0  # else none is lost, and no stream is needed
     rng = None
     coordination = scenario.coordination_time
-    limit = coordination * (1.0 - 1e-9)  # relay_step's expiry test
-    states, block_rx, pickups = [RelayState(), RelayState()], [False, False], [(False, False)] * 2
-    script = [sorted(scenario.fault_script.get(r, ()), key=attrgetter("time")) for r in _NAMES]
-    cursor = [0, 0]
+    limit = coordination * _EXPIRY  # relay_step's expiry test
+    states, block_rx = [RelayState(), RelayState()], [False, False]
+    script = [sorted(scenario.fault_script.get(r, ()), key=attrgetter("time"))[::-1]
+              for r in _NAMES]  # a stable sort reversed, so pop() takes a tie in script order
     pending: list[tuple[float, int, bool]] = []
     events: list[DcbEvent] = []
 
@@ -189,16 +192,15 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
         nxt = n_steps + 1
         for d in pending:
             nxt = min(nxt, scan_of(d[0], i + 1))
-        for r in (0, 1):
-            if cursor[r] < len(script[r]):
-                nxt = min(nxt, scan_of(script[r][cursor[r]].time, i + 1))
+        for seq in filter(None, script):
+            nxt = min(nxt, scan_of(seq[-1].time, i + 1))
         # The larger timer first: both gain the same step per scan, and rounded
         # addition is monotone, so the smaller one cannot reach the limit sooner.
         lead = None  # the larger running timer's start and its caught-up value
         a, b = states
         for r in (0, 1) if a.coordination_timer >= b.coordination_timer else (1, 0):
             s = states[r]
-            if pickups[r][0] and not block_rx[r] and not s.tripped:
+            if s.forward_pickup and not block_rx[r] and not s.tripped:
                 start = s.coordination_timer
                 if lead is None:
                     # The scans two steps short of the limit gain the step in one C call, the
@@ -229,19 +231,16 @@ def simulate(scenario: DcbScenario) -> list[DcbEvent]:
                     events.append(DcbEvent(t, _NAMES[r], EventKind.BLOCK_RECEIVED))
                 block_rx[r] = value
 
-        for r in (0, 1):
-            seq = script[r]
-            while cursor[r] < len(seq) and seq[cursor[r]].time <= t + eps:
-                pickups[r] = (seq[cursor[r]].fwd, seq[cursor[r]].rev)
-                cursor[r] += 1
-
-        for r in (0, 1):
-            fwd, rev = pickups[r]
-            keyed = states[r].reverse_pickup
-            states[r], kinds = relay_step(states[r], fwd, rev, block_rx[r], step, coordination)
+        for r, seq in enumerate(script):  # in turn: a delivery made now lands a scan later
+            s = states[r]
+            fwd, rev = s.forward_pickup, s.reverse_pickup
+            while seq and seq[-1].time <= t + eps:
+                change = seq.pop()
+                fwd, rev = change.fwd, change.rev
+            states[r], kinds = relay_step(s, fwd, rev, block_rx[r], step, coordination)
             for kind in kinds:
                 events.append(DcbEvent(t, _NAMES[r], kind))
-            if rev != keyed and sends:
+            if rev != s.reverse_pickup and sends:
                 # Carrier transition leaves at end of scan, lands `latency` later unless lost.
                 if draws:
                     rng = rng or random.Random(channel.seed)
