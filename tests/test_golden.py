@@ -78,5 +78,5 @@ def test_benchmark_documents_keep_their_digest(ab_layers):
 
 def test_the_layer_harness_counts_opcodes_exactly(ab_layers):
     _, setup, run = ab_layers._layers()["op.dcb-study"]()
-    first, second = (ab_layers._opcodes(setup, run) for _ in range(2))
-    assert first == second > 0
+    first, second = (ab_layers._counts(setup, run) for _ in range(2))  # opcodes, C calls
+    assert first == second and min(first) > 0

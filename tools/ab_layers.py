@@ -24,12 +24,14 @@ relative change of the minimums and of the medians; on a host whose speed
 drifts between processes, the minimums are the steadier figure.  A layer a
 tree does not have reads n/a.
 One more process per side counts the Python opcodes that one pass of each
-layer executes (``sys.settrace`` with ``frame.f_trace_opcodes``), after an
-untraced pass has warmed imports, and the report prints them per input, with
-their relative change, next to the minimums.  The counts repeat exactly from
-run to run, so the host's drift does not move them; but they miss the work
-done inside C (allocation, complex arithmetic, string formatting), so a
-count supports a timing and does not replace it.
+layer executes (``sys.settrace`` with ``frame.f_trace_opcodes``) and the C
+functions it calls (``sys.setprofile`` ``c_call`` events), after an untraced
+pass has warmed imports, and the report prints both per input, with their
+relative change, next to the minimums.  The counts repeat exactly from run to
+run, so the host's drift does not move them; but they miss the work done
+inside C (allocation, complex arithmetic, string formatting), and a C call
+counts one whatever it costs, so a count supports a timing and does not
+replace it.
 It also prints each tree's digest of the 132 in-process documents: the
 sha256 of their sha256 hex digests joined by newlines, workload by workload
 and seed by seed, in generation order.  The last line of stdout is one JSON
@@ -209,30 +211,37 @@ def _fastest(setup, run) -> float:
     return best
 
 
-def _opcodes(setup, run) -> int:
-    """The Python opcodes one pass executes, after one untraced pass; work done
-    inside C calls is not counted."""
+def _counts(setup, run) -> tuple[int, int]:
+    """The Python opcodes one pass executes and the C functions it calls,
+    after one untraced pass; work done inside C calls is not counted."""
     run(setup() if setup else None)
     state = setup() if setup else None
-    count = 0
+    opcodes = c_calls = 0
 
     def step(frame, event, arg):
-        nonlocal count
+        nonlocal opcodes
         if event == "opcode":
-            count += 1
+            opcodes += 1
         return step
 
     def call(frame, event, arg):
         frame.f_trace_lines, frame.f_trace_opcodes = False, True
         return step
 
+    def profile(frame, event, arg, off=sys.setprofile):
+        nonlocal c_calls
+        if event == "c_call" and arg is not off:  # not the call that ends the count
+            c_calls += 1
+
     previous = sys.gettrace()
     sys.settrace(call)
+    sys.setprofile(profile)
     try:
         run(state)
     finally:
+        sys.setprofile(None)
         sys.settrace(previous)
-    return count
+    return opcodes, c_calls
 
 
 def _documents_digest() -> str:
@@ -245,20 +254,22 @@ def _documents_digest() -> str:
 
 
 def child(count: bool) -> None:
-    """Time, or count the opcodes of, every layer of the tree on PYTHONPATH;
-    print one JSON line."""
+    """Time, or count the opcodes and C calls of, every layer of the tree on
+    PYTHONPATH; print one JSON line."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(ROOT, "bench"))
-    key = "opcodes_per_input" if count else "us_per_input"
-    result = {"digest": _documents_digest(), key: {}}
+    keys = ("opcodes_per_input", "c_calls_per_input") if count else ("us_per_input",)
+    result = {"digest": _documents_digest(), **{key: {} for key in keys}}
     for name, build in _layers().items():
         try:
             inputs, setup, run = build()
-            result[key][name] = (_opcodes(setup, run) if count
-                                 else _fastest(setup, run) * 1e6) / inputs
+            values = [v / inputs for v in (_counts(setup, run) if count
+                                           else (_fastest(setup, run) * 1e6,))]
         except AttributeError as exc:  # the layer, or a name it needs, is not in this tree
             print(f"{name}: n/a: {exc}", file=sys.stderr)
-            result[key][name] = None
+            values = [None] * len(keys)
+        for key, value in zip(keys, values):
+            result[key][name] = value
     print(json.dumps(result))
 
 
@@ -306,11 +317,11 @@ def main(argv: list[str]) -> int:
                 runs[side].append(_side(trees[side]))
                 print(f"round {k + 1}, {side}: done", file=sys.stderr)
         counts = {side: _side(trees[side], "--count-child") for side in runs}
-        print("opcode counts: done", file=sys.stderr)
+        print("opcode and C-call counts: done", file=sys.stderr)
     names = list(dict.fromkeys(n for side in runs.values() for r in side for n in r["us_per_input"]))
     layers = {}
     print(f"{'layer (us per input)':<30}{'parent min/median/IQR':>26}{'change min/median/IQR':>26}"
-          f"{'min':>8}{'median':>8}{'opcodes per input':>24}{'':>8}")
+          f"{'min':>8}{'median':>8}{'opcodes per input':>24}{'':>8}{'C calls per input':>22}")
     for name in names:
         row = {}
         for side in runs:
@@ -319,18 +330,20 @@ def main(argv: list[str]) -> int:
         p, c = row["parent"], row["change"]
         for stat in ("min", "median"):
             row[f"{stat}_change"] = round(c[stat] / p[stat] - 1, 4) if p and c else None
-        op_p, op_c = (counts[side]["opcodes_per_input"].get(name) for side in ("parent", "change"))
-        row["opcodes"] = {"parent": op_p and round(op_p, 1), "change": op_c and round(op_c, 1)}
-        row["opcodes_change"] = round(op_c / op_p - 1, 4) if op_p and op_c else None
-        layers[name] = row
         cells = [f"{s['min']:.1f}/{s['median']:.1f}/{s['iqr']:.1f}" if s else "n/a" for s in (p, c)]
-        cells.append(f"{op_p:.0f} -> {op_c:.0f}" if op_p and op_c else "n/a")
+        for kind in ("opcodes", "c_calls"):
+            n_p, n_c = (counts[side][f"{kind}_per_input"].get(name) for side in runs)
+            row[kind] = {"parent": n_p and round(n_p, 1), "change": n_c and round(n_c, 1)}
+            row[f"{kind}_change"] = round(n_c / n_p - 1, 4) if n_p and n_c else None
+            cells.append(f"{n_p:.0f} -> {n_c:.0f}" if n_p and n_c else "n/a")
+        layers[name] = row
         changes = [f" {row[k]:>+7.1%}" if row[k] is not None else f"{'':>8}"
-                   for k in ("min_change", "median_change", "opcodes_change")]
+                   for k in ("min_change", "median_change", "opcodes_change", "c_calls_change")]
         print(f"{name:<30}{cells[0]:>26}{cells[1]:>26}{changes[0]}{changes[1]}{cells[2]:>24}"
-              f"{changes[2]}")
-    print("opcode counts repeat exactly but miss work done inside C (allocation, complex "
-          "arithmetic, formatting): they support the timings and do not replace them")
+              f"{changes[2]}{cells[3]:>22}{changes[3]}")
+    print("opcode and C-call counts repeat exactly but miss work done inside C (allocation, "
+          "complex arithmetic, formatting), and a C call counts one whatever it costs: they "
+          "support the timings and do not replace them")
     digests = {side: sorted({r["digest"] for r in runs[side] + [counts[side]]}) for side in runs}
     for side, found in digests.items():
         print(f"documents digest, {side}: {', '.join(found)}")
@@ -340,8 +353,9 @@ def main(argv: list[str]) -> int:
                   f"(gc off, at least 3 passes and {BUDGET} s) over the inputs of seeds "
                   "1-3, in us per input; min, median and IQR over the processes; opcodes: "
                   "the Python opcodes one pass executes per input after an untraced pass "
-                  "(sys.settrace with f_trace_opcodes, one more process per side), exact "
-                  "but blind to work done inside C",
+                  "(sys.settrace with f_trace_opcodes, one more process per side); c_calls: "
+                  "the C functions that pass calls per input (sys.setprofile c_call events, "
+                  "same process); both exact but blind to work done inside C",
         "parent": args.parent, "change": args.change, "layers": layers,
         "documents_digest": {side: found[0] if len(found) == 1 else found
                              for side, found in digests.items()},
