@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             scenario = parse_scenario(fh.read())
         if "--seed" in opts and scenario.has("dcb"):  # the run's seed, which the digest covers
             scenario.sections["dcb"]["seed"] = opts["--seed"]
-        run = globals()[f"run_{command}"]  # looked up now: tracers and tests patch run_*
+        run = globals()[f"run_{command}"]  # looked up now: the bench tracer and tests patch run_*
         out = run(scenario, opts["--case"]) if command == "case" else run(scenario)
         if opts.get("--out"):
             with open(opts["--out"], "w", encoding="utf-8", newline="\n") as fh:

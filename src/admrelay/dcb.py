@@ -91,7 +91,7 @@ class PickupChange(Record):
 
 FaultScript = Mapping[str, Sequence[PickupChange]]
 
-_EXPIRY = 1.0 - 1e-9  # the timer's expiry share; tolerance absorbs float accumulation over scans
+_EXPIRY = 1.0 - 1e-9  # tolerance absorbs float accumulation over many scans of dt
 
 
 class DcbScenario(Record):
