@@ -29,9 +29,10 @@ functions it calls (``sys.setprofile`` ``c_call`` events), after an untraced
 pass has warmed imports, and the report prints both per input, with their
 relative change, next to the minimums.  The counts repeat exactly from run to
 run, so the host's drift does not move them; but they miss the work done
-inside C (allocation, complex arithmetic, string formatting), and a C call
-counts one whatever it costs, so a count supports a timing and does not
-replace it.
+inside C (allocation, complex arithmetic, string formatting), a C call
+counts one whatever it costs, and a call of a built-in type (``complex()``,
+``range()``) is no ``c_call`` event, so a count supports a timing and does
+not replace it.
 It also prints each tree's digest of the 132 in-process documents: the
 sha256 of their sha256 hex digests joined by newlines, workload by workload
 and seed by seed, in generation order.  The last line of stdout is one JSON
