@@ -9,6 +9,7 @@ import pytest
 from admrelay import cli, faults, nodal
 from admrelay.cli import run_sweep
 from admrelay.errors import MeasurementError, ModelError, SingularSystemError
+from admrelay.network import FaultSpec
 from admrelay.scenario import build_model, parse_scenario, sweep_points
 
 from sweep_reference import sweep_every_point
@@ -101,7 +102,7 @@ def test_a_failing_residual_check_raises_at_its_grid_point(tmp_path, capsys, mon
     base = build_model(s)
     network = nodal.Network(base)
     grid = sweep_points(s)
-    residuals = [r for _, _, r in network.injections(base.fault.kind, grid)]
+    residuals = [network.transfer(FaultSpec(base.fault.kind, rf)).residual for rf in grid]
     k = max(j for j, r in enumerate(residuals) if r > max([network.residual, *residuals[:j]]))
     assert k > 0
     monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", residuals[k])
