@@ -37,6 +37,16 @@ It also prints each tree's digest of the 132 in-process documents: the
 sha256 of their sha256 hex digests joined by newlines, workload by workload
 and seed by seed, in generation order.  The last line of stdout is one JSON
 object, the ``attribution`` block of a ``BENCH_<n>.json`` record.
+
+    python3 tools/ab_layers.py --counts tools/layer_counts.json [--write]
+
+counts the checkout that holds this script in one fresh process, as the
+count process above does, and prints each opcode count, C-call count and
+documents digest that differs from the file, with the Python release each was
+counted under.  It exits 1 on a differing digest, and on a differing count
+when the release is the file's; under another release, whose bytecode may
+differ, the counts are reported, not checked.  ``--write`` records the counts
+in the file instead.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import hashlib
 import importlib
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -289,6 +300,36 @@ def _side(tree: str, mode: str = "--child") -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def _check_counts(path: str, write: bool) -> int:
+    """Count this checkout and print each difference from the counts in path;
+    with write, record them there instead."""
+    found = dict(_side(ROOT, "--count-child"), python=platform.python_version())
+    if write:
+        with open(path, "w") as f:
+            json.dump(found, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"counts of Python {found['python']} written to {path}")
+        return 0
+    with open(path) as f:
+        recorded = json.load(f)
+    checked = recorded["python"] == found["python"]
+    failed = recorded["digest"] != found["digest"]
+    if failed:
+        print(f"documents digest: {recorded['digest']} -> {found['digest']}")
+    differences = 0
+    for kind in ("opcodes_per_input", "c_calls_per_input"):
+        old, new = recorded[kind], found[kind]
+        for name in dict.fromkeys([*old, *new]):
+            a, b = old.get(name), new.get(name)
+            if a != b:
+                differences += 1
+                change = f" ({b / a - 1:+.3%})" if a and b else ""
+                print(f"{name} {kind}: {a} -> {b}{change}")
+    print(f"{differences} count differences, Python {recorded['python']} -> {found['python']}"
+          + ("" if checked else ": another release, so reported, not checked"))
+    return 1 if failed or (checked and differences) else 0
+
+
 def _stats(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4)
     return {"min": round(min(values), 2), "median": round(med, 2), "iqr": round(q3 - q1, 2)}
@@ -300,10 +341,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change", nargs="?")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--count-child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--counts", metavar="FILE",
+                        help="print each difference of this checkout's counts from FILE")
+    parser.add_argument("--write", action="store_true", help="with --counts: write FILE")
     args = parser.parse_args(argv)
     if args.child or args.count_child:
         child(args.count_child)
         return 0
+    if args.counts:
+        return _check_counts(args.counts, args.write)
     if not (args.parent and args.change):
         parser.error("give PARENT and CHANGE")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
