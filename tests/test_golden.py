@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from admrelay import cli
+from admrelay.scenario import default_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "default.scn"
@@ -80,3 +81,31 @@ def test_the_layer_harness_counts_opcodes_exactly(ab_layers):
     _, setup, run = ab_layers._layers()["op.dcb-study"]()
     first, second = (ab_layers._counts(setup, run) for _ in range(2))  # opcodes, C calls
     assert first == second and min(first) > 0
+
+
+def test_the_benchmark_tracer_resolves_every_layer_and_puts_each_back(monkeypatch):
+    # bench/tracing.py looks up every LAYERS name in src and keys systems by
+    # Matrix.tobytes(); a renamed or removed name fails here, not only in CI's
+    # traced runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = _load(ROOT / "bench" / "tracing.py")
+    layers = {modname: importlib.import_module(f"admrelay.{modname}") for modname in tracing.LAYERS}
+    modules = {name: module for name, module in sys.modules.items()
+               if name == "admrelay" or name.startswith("admrelay.")}
+    before = {(name, attr): value for name, module in modules.items()
+              for attr, value in vars(module).items()}
+    cases = dict(cli.CASES)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for modname, functions in tracing.LAYERS.items():
+            for name in functions:
+                wrapper = getattr(layers[modname], name)
+                assert wrapper is not before[(f"admrelay.{modname}", name)], (modname, name)
+        tracer.op(cli.run_sweep, default_scenario())
+        assert tracer.dump()["distinct_systems"] == 1
+    finally:
+        tracer.uninstall()
+    for (name, attr), value in before.items():
+        assert getattr(modules[name], attr) is value, (name, attr)
+    assert all(cli.CASES[number] is entry for number, entry in cases.items())
