@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -45,6 +46,9 @@ from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to
 from .records import Record
 
 RESIDUAL_LIMIT = 1e-9
+# the injection stream's gate: safety factor on its bound, and its rounding
+# allowance in units of machine epsilon per term (see Network.injections)
+_SAFETY, _ULPS = 1e3, 4
 
 Block = tuple[tuple[complex, ...], ...]
 
@@ -197,6 +201,15 @@ def _fault_denominator(rf: float, z_kk: complex) -> complex:
     return d
 
 
+def _injection(rf: float, z_kk: complex,
+               ux0: list[complex]) -> tuple[list[complex], list[complex]]:
+    """The fault current i_f = u^T x0 / (rf + z_kk) and the injection c = rf i_f / z_kk
+    per source phase; SingularSystemError where the fault current is undefined."""
+    d = _fault_denominator(rf, z_kk)
+    i_f = [v / d for v in ux0]
+    return i_f, [rf * f / z_kk for f in i_f]
+
+
 class Transfer:
     """One fault's network, linear in the source phase voltages.
 
@@ -303,28 +316,78 @@ class Network:
                                       self._maps(p, True), lw, aw, self._residual(p))
         return bolted
 
-    def injections(self, kind: FaultKind,
-                   rfs: Iterable[float]) -> Iterator[tuple[list[complex], list[complex], float]]:
-        """Each finite rf's fault current i_f and injection c = rf i_f / z_kk per
-        source phase, and its relative residual, one rf at a time.  Raises
-        SingularSystemError at the rf where the fault current is undefined
-        (rf = inf among them) or the residual is not below RESIDUAL_LIMIT."""
-        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q = self.faults.get(kind) or self._bolted(kind)
+    def _fault_residual(self, kind: FaultKind, rf: float, i_f: list[complex],
+                        c: list[complex]) -> float:
+        """The checked relative residual of the fault's solution x = p + w c:
+        the larger of |A0 x + u i_f - b| / |b| and |u^T x - rf i_f| / |u^T x0|."""
+        u_nonzero, z_kk, _, ux0_norm, _, _, aw, q = self.faults[kind]
         n = len(aw)
+        # u^T p = 0; u i_f is added only where u is nonzero, at the fault-node rows
+        r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
+        for j, fj in enumerate(i_f):
+            for k, uk in u_nonzero:
+                r[j * n + k] += uk * fj
+        return _checked(max(
+            _norm(r) / self.b_norm,
+            _norm(z_kk * cj - rf * fj for cj, fj in zip(c, i_f)) / ux0_norm,
+        ))
+
+    def _gate(self, kind: FaultKind):
+        """The bound of :meth:`_fault_residual`'s value as a function of (rf, i_f,
+        c), from norms of the kind's bolted solution; None if one of them
+        overflows or is not finite."""
+        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q = self.faults[kind]
+        g = [v / z_kk for v in ux0]
+        e, awu = [list(qj) for qj in q], list(aw)
+        for k, uk in u_nonzero:
+            awu[k] -= uk
+            for ej, gj in zip(e, g):
+                ej[k] += uk * gj
+        tol = _ULPS * sys.float_info.epsilon
+        try:
+            u_norm = _norm(uk for _, uk in u_nonzero)
+            slope = _norm(awu) + tol * _norm(aw)
+            e0, e1, e2 = (_norm(ej) + tol * (_norm(qj) + u_norm * abs(gj))
+                          for ej, qj, gj in zip(e, q, g))
+        except OverflowError:
+            return None
+        if not math.isfinite(slope + e0 + e1 + e2):
+            return None
+        g0, g1, g2 = g
+        u_tol, b_norm = u_norm * tol, self.b_norm
+
+        def bound(rf: float, i_f: list[complex], c: list[complex]) -> float:
+            (f0, f1, f2), (c0, c1, c2) = i_f, c
+            try:
+                dense = math.hypot(
+                    e0 + slope * abs(c0) + u_norm * abs(c0 + f0 - g0) + u_tol * abs(f0),
+                    e1 + slope * abs(c1) + u_norm * abs(c1 + f1 - g1) + u_tol * abs(f1),
+                    e2 + slope * abs(c2) + u_norm * abs(c2 + f2 - g2) + u_tol * abs(f2))
+                branch = math.hypot(abs(z_kk * c0 - rf * f0), abs(z_kk * c1 - rf * f1),
+                                    abs(z_kk * c2 - rf * f2))
+            except OverflowError:
+                return math.inf
+            return max(dense / b_norm, branch / ux0_norm)
+
+        return bound
+
+    def injections(self, kind: FaultKind,
+                   rfs: Iterable[float]) -> Iterator[tuple[list[complex], list[complex]]]:
+        """Each finite rf's fault current i_f and injection c = rf i_f / z_kk per
+        source phase, one rf at a time, once its residual has passed.  Raises
+        SingularSystemError at the rf where the fault current is undefined
+        (rf = inf among them) or the residual is not below RESIDUAL_LIMIT.
+
+        A point whose gate bound, times _SAFETY, is below RESIDUAL_LIMIT has
+        passed; any other point's residual is computed and checked directly,
+        so the same points raise, with the same messages."""
+        _, z_kk, ux0, _, _, _, _, _ = self.faults.get(kind) or self._bolted(kind)
+        bound = self._gate(kind)
         for rf in rfs:
-            d = _fault_denominator(rf, z_kk)
-            i_f = [v / d for v in ux0]
-            c = [rf * f / z_kk for f in i_f]
-            # the residuals of A0 x + u i_f = b and u^T x = rf i_f for x = p + w c,
-            # where u^T p = 0; u i_f is added only where u is nonzero, at the fault-node rows
-            r = [qk + ak * cj for qj, cj in zip(q, c) for qk, ak in zip(qj, aw)]
-            for j, fj in enumerate(i_f):
-                for k, uk in u_nonzero:
-                    r[j * n + k] += uk * fj
-            yield i_f, c, _checked(max(
-                _norm(r) / self.b_norm,
-                _norm(z_kk * cj - rf * fj for cj, fj in zip(c, i_f)) / ux0_norm,
-            ))
+            i_f, c = _injection(rf, z_kk, ux0)
+            if not (bound and _SAFETY * bound(rf, i_f, c) < RESIDUAL_LIMIT):
+                self._fault_residual(kind, rf, i_f, c)
+            yield i_f, c
 
     def readings(self, kind: FaultKind, rfs: Iterable[float], v: PhaseTriple,
                  first: int) -> Iterator[tuple[list[complex], list[complex]]]:
@@ -336,7 +399,7 @@ class Network:
         _, _, _, _, bolted, lw, _, _ = self.faults.get(kind) or self._bolted(kind)
         read = list(zip(bolted[0:3] + bolted[first:first + 3], lw[0:3] + lw[first:first + 3]))
         va, vb, vc = v
-        for _, (c0, c1, c2), _ in self.injections(kind, rfs):
+        for _, (c0, c1, c2) in self.injections(kind, rfs):
             vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
                   for (b0, b1, b2), lk in read]
             yield vi[:3], vi[3:]
@@ -348,8 +411,11 @@ class Network:
         if fault.rf == math.inf:
             return Transfer(fault, self.residual,
                             (*map(tuple, self._maps(self.x0, True)), (0j, 0j, 0j)))
-        i_f, (c0, c1, c2), residual = next(self.injections(fault.kind, (fault.rf,)))
-        _, _, _, _, bolted, lw, _, _ = self.faults[fault.kind]
+        _, z_kk, ux0, _, bolted, lw, _, _ = (self.faults.get(fault.kind)
+                                             or self._bolted(fault.kind))
+        i_f, c = _injection(fault.rf, z_kk, ux0)
+        residual = self._fault_residual(fault.kind, fault.rf, i_f, c)
+        c0, c1, c2 = c
         rows = [(b0 + lk * c0, b1 + lk * c1, b2 + lk * c2) for (b0, b1, b2), lk in zip(bolted, lw)]
         return Transfer(fault, residual, (*rows, tuple(i_f)))
 

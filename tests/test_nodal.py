@@ -549,6 +549,19 @@ def test_network_transfer_rejects_an_undefined_fault_current(monkeypatch, make, 
         network.transfer(m.fault)
 
 
+@UNDEFINED_FAULT_CURRENT
+@pytest.mark.parametrize("make", [lg_model, ll_model], ids=["lg", "ll"])
+def test_network_injections_reject_an_undefined_fault_current(monkeypatch, make, rf, fake_w,
+                                                              message):
+    # the stream's gate norms overflow with the faked w; the point falls back
+    # to the direct path and raises as the transfer does
+    m = make(rf)
+    _fault_solve_faked(monkeypatch, 3, fake_w)
+    network = nodal.Network(m)
+    with pytest.raises(SingularSystemError, match=message):
+        next(network.injections(m.fault.kind, (m.fault.rf,)))
+
+
 @pytest.mark.parametrize("rf", [0.0, 3.68, math.inf])
 def test_fault_phases_check_their_residuals(monkeypatch, rf):
     m = lg_model(rf)
