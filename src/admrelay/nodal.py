@@ -19,16 +19,49 @@ exactly, plus w c, c = rf i_f / z_kk; rf = inf leaves x0.  The residuals of
 A0 x + u i_f = b and u^T x = rf i_f are affine in (c, i_f): each fault's come
 from A0 p - b and A0 w, made with its kind's bolted solution on first use.
 A :class:`Network` is factored once.  :meth:`Network.injections` streams a
-fault kind's finite rf values through it, giving each one's i_f, c and
-checked residual; it holds the only copy of that arithmetic.  The sweep reads
-each point's fault-node voltage and relay current from
-:meth:`Network.readings`: the bolted rows plus the rows of w times c, in one
-superposition per point.  :meth:`Network.transfer` takes one injection from
-the stream and makes the 13 map rows of a :class:`Transfer` in one pass (x0's
-for rf = inf), which the trajectory and case read and print.  The DCB
-coupling needs one fault and one source vector, so :func:`fault_phases`
-solves x = x0 - w i_f on that one right-hand side; the row readers keep
-:class:`Network`, whose round-off their documents print.
+fault kind's finite rf values through it, giving each one's i_f and c once
+its residual has passed.  The sweep reads each point's fault-node voltage and
+relay current from :meth:`Network.readings`: the bolted rows plus the rows of
+w times c, in one superposition per point.  :meth:`Network.transfer` makes
+one fault's injection, checks its residual directly and makes the 13 map rows
+of a :class:`Transfer` in one pass (x0's for rf = inf), which the trajectory
+and case read and print.  The DCB coupling needs one fault and one source
+vector, so :func:`fault_phases` solves x = x0 - w i_f on that one right-hand
+side; the row readers keep :class:`Network`, whose round-off their documents
+print.
+
+The stream checks each point through an O(1) bound.  With q_j = A0 p_j - b_j
+for source phase j, g_j = u^T x0_j / z_kk and e_j = q_j + u g_j (the bolted
+solution's own defect), the residual r_j = q_j + (A0 w) c_j + u i_f_j is, for
+any g_j and exactly, e_j + (A0 w - u) c_j + u (c_j + i_f_j - g_j), whose last
+factor is zero but for rounding.  So |r_j| <= |e_j| + |A0 w - u| |c_j| +
+|u| |c_j + i_f_j - g_j|: with the norms taken once per stream, a few scalar
+operations per point in place of the direct residual's 3 n complex
+multiply-adds and absolute values.  That bounds the exact residual of the
+floats c and i_f, not the residual as the direct check evaluates it, whose
+rounding is as large as the residual itself: with nothing added the bound fell
+below the evaluated residual at 294 of the 49,166 stream points of
+tests/test_sweep.py seeds 0-3999 (smallest ratio 0.81).  In floats an entry
+q_k + a_k c_j + u_k i_f_j has u_k i_f_j exact (u_k is 0 or +-1), a complex
+product that errs by at most (sqrt(5)/2) eps |a_k| |c_j| (Brent, Percival and
+Zimmermann, Math. Comp. 76, 2007) and two sums that each err by at most eps/2
+of their magnitude, so the evaluated column is within about eps (|q_j| +
+2.2 |A0 w| |c_j| + |u| |i_f_j|) of the exact one; the gate's own e_j errs by
+about eps (|q_j| + |u| |g_j|), and c_j + i_f_j - g_j, all cancellation, by
+about eps |u| (|c_j| + |i_f_j| + |g_j|), where |A0 w| is near |u|.  The bound
+adds 4 eps (|q_j| + |A0 w| |c_j| + |u| (|i_f_j| + |g_j|)), which covers these
+and the norms' own rounding: on the same points it is at least 1.036 times
+the evaluated residual.  The fault branch's law, |z_kk c - rf i_f| over three
+terms, enters as the direct check evaluates it.  A point passes when its
+bound times a safety factor of 1e3 is below RESIDUAL_LIMIT, so an allowance
+short by less than that factor on a network outside the tested ones still
+lets no failing point through; the bounds sit near 1e-15 against a limit of
+1e-9, so the factor costs no point its skip.  Every other point is checked
+directly, with the direct check's message, so the same points raise as
+without the gate.  The norms are taken under a guard: if one overflows
+(abs() of a complex beyond the float range raises OverflowError) or is not
+finite, the stream has no gate and every point is checked directly, as is a
+point whose own bound overflows.  Transfer.residual is the direct value.
 """
 
 from __future__ import annotations
@@ -378,9 +411,13 @@ class Network:
         SingularSystemError at the rf where the fault current is undefined
         (rf = inf among them) or the residual is not below RESIDUAL_LIMIT.
 
-        A point whose gate bound, times _SAFETY, is below RESIDUAL_LIMIT has
-        passed; any other point's residual is computed and checked directly,
-        so the same points raise, with the same messages."""
+        The stream takes the norms of :meth:`_gate` once.  A point whose bound,
+        |e_j| + |A0 w - u| |c_j| + |u| |c_j + i_f_j - g_j| per source phase plus
+        a rounding allowance of 4 eps per term (see the module docstring), times
+        _SAFETY (1e3), is below RESIDUAL_LIMIT has passed; any other point, and
+        every point when a norm overflows or is not finite, is checked by
+        :meth:`_fault_residual`, so the same points raise, with the same
+        messages."""
         _, z_kk, ux0, _, _, _, _, _ = self.faults.get(kind) or self._bolted(kind)
         bound = self._gate(kind)
         for rf in rfs:

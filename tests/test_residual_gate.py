@@ -54,11 +54,11 @@ def _points(network, kind, rfs):
 def _raises_as_the_direct_check(monkeypatch, network, kind, rf, direct):
     # with the limit at the point's direct residual, the point must fail, with
     # the direct check's message
-    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", direct)
     message = f"nodal solve residual {direct:.3e} exceeds {direct}"
-    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
-        next(network.injections(kind, (rf,)))
-    monkeypatch.undo()
+    with monkeypatch.context() as patched:
+        patched.setattr(nodal, "RESIDUAL_LIMIT", direct)
+        with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+            next(network.injections(kind, (rf,)))
 
 
 def test_the_bound_covers_the_direct_residual_on_the_sweep_streams(monkeypatch):
@@ -97,9 +97,10 @@ def test_a_default_sweep_checks_its_points_directly_only_when_the_gate_cannot_pa
     s = default_scenario()
     document = run_sweep(s)
     assert checks == []
-    # a limit below the bound times the safety factor, but above every direct
-    # residual: each point is checked directly and passes
-    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 1e-12)
+    # a limit below every bound times the safety factor (1.5e-12 and up), but
+    # above every direct residual (5.2e-16 at most): each point is checked
+    # directly and passes
+    monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 1e-13)
     assert run_sweep(s) == document
     assert len(checks) == len(sweep_points(s)) == 40
 
