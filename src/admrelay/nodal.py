@@ -55,8 +55,8 @@ the evaluated residual.  The fault branch's law, |z_kk c - rf i_f| over three
 terms, enters as the direct check evaluates it.  A point passes when its
 bound times a safety factor of 1e3 is below RESIDUAL_LIMIT, so an allowance
 short by less than that factor on a network outside the tested ones still
-lets no failing point through; the bounds sit near 1e-15 against a limit of
-1e-9, so the factor costs no point its skip.  Every other point is checked
+lets no failing point through; on those points the bound is at most 2.7e-14
+against a limit of 1e-9, so the factor costs no point its skip.  Every other point is checked
 directly, with the direct check's message, so the same points raise as
 without the gate.  The norms are taken under a guard: if one overflows
 (abs() of a complex beyond the float range raises OverflowError) or is not
