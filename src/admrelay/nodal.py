@@ -30,38 +30,45 @@ vector, so :func:`fault_phases` solves x = x0 - w i_f on that one right-hand
 side; the row readers keep :class:`Network`, whose round-off their documents
 print.
 
-The stream checks each point through an O(1) bound.  With q_j = A0 p_j - b_j
-for source phase j, g_j = u^T x0_j / z_kk and e_j = q_j + u g_j (the bolted
-solution's own defect), the residual r_j = q_j + (A0 w) c_j + u i_f_j is, for
-any g_j and exactly, e_j + (A0 w - u) c_j + u (c_j + i_f_j - g_j), whose last
-factor is zero but for rounding.  So |r_j| <= |e_j| + |A0 w - u| |c_j| +
-|u| |c_j + i_f_j - g_j|: with the norms taken once per stream, a few scalar
-operations per point in place of the direct residual's 3 n complex
-multiply-adds and absolute values.  That bounds the exact residual of the
-floats c and i_f, not the residual as the direct check evaluates it, whose
-rounding is as large as the residual itself: with nothing added the bound fell
-below the evaluated residual at 294 of the 49,166 stream points of
-tests/test_sweep.py seeds 0-3999 (smallest ratio 0.81).  In floats an entry
-q_k + a_k c_j + u_k i_f_j has u_k i_f_j exact (u_k is 0 or +-1), a complex
-product that errs by at most (sqrt(5)/2) eps |a_k| |c_j| (Brent, Percival and
-Zimmermann, Math. Comp. 76, 2007) and two sums that each err by at most eps/2
-of their magnitude, so the evaluated column is within about eps (|q_j| +
-2.2 |A0 w| |c_j| + |u| |i_f_j|) of the exact one; the gate's own e_j errs by
-about eps (|q_j| + |u| |g_j|), and c_j + i_f_j - g_j, all cancellation, by
-about eps |u| (|c_j| + |i_f_j| + |g_j|), where |A0 w| is near |u|.  The bound
-adds 4 eps (|q_j| + |A0 w| |c_j| + |u| (|i_f_j| + |g_j|)), which covers these
-and the norms' own rounding: on the same points it is at least 1.036 times
-the evaluated residual.  The fault branch's law, |z_kk c - rf i_f| over three
-terms, enters as the direct check evaluates it.  A point passes when its
-bound times a safety factor of 1e3 is below RESIDUAL_LIMIT, so an allowance
-short by less than that factor on a network outside the tested ones still
-lets no failing point through; on those points the bound is at most 2.7e-14
-against a limit of 1e-9, so the factor costs no point its skip.  Every other point is checked
+The stream checks its residual once.  With q_j = A0 p_j - b_j for source
+phase j, g_j = u^T x0_j / z_kk and e_j = q_j + u g_j (the bolted solution's own
+defect), the residual r_j = q_j + (A0 w) c_j + u i_f_j is, for any g_j and
+exactly, e_j + (A0 w - u) c_j + u (c_j + i_f_j - g_j).  When rf >= 0 and
+Re z_kk >= 0, |rf + z_kk|^2 = rf^2 + 2 rf Re z_kk + |z_kk|^2 >= max(rf^2,
+|z_kk|^2), so |i_f_j| = |u^T x0_j| / |rf + z_kk| <= |g_j| and |c_j| =
+rf |i_f_j| / |z_kk| <= |g_j|, and c_j + i_f_j - g_j is rounding only: one
+bound, |(|e_j| + s |g_j|)_j| / |b| with s = |A0 w - u| plus rounding terms,
+holds at every rf >= 0.  Rounding, with h = eps/2: CPython divides complex
+numbers by Smith's method, within (3 sqrt(2) + 4) h (its denominator sums like
+signs, 3 h; its numerators err by 3 h of |a_r| + |a_i b_i / b_r| and
+|a_i| + |a_r b_i / b_r|, 3 sqrt(2) h |a| / |b| by Cauchy-Schwarz; the last
+division h); rf + z_kk and rf i_f round each part once (h).  To first order
+|i_f_j| and |c_j| are within a factor 1 + (9 sqrt(2) + 14) h of |g_j|, and
+|c_j + i_f_j - g_j| within (9 sqrt(2) + 14) h |g_j| (13.4 eps): 14 eps each.
+The branch law's |z_kk c_j - rf i_f_j| is the division's error and a complex
+product's (sqrt(5) h; Brent, Percival and Zimmermann, Math. Comp. 76, 2007)
+on rf |i_f_j| <= |u^T x0_j|, as rf <= |rf + z_kk|: 5.24 eps of |u^T x0_j|, so
+at most 6 eps after the division by |u^T x0|.  The direct check's rounding is
+as large as the residual: an entry q_k + a_k c_j + u_k i_f_j has u_k i_f_j
+exact (u_k is 0 or +-1), a product within sqrt(5) h |a_k| |c_j| and two sums
+within h each, so the column is within about eps (|q_j| + 2.2 |A0 w| |c_j| +
+|u| |i_f_j|) of the exact one, and e_j within eps (|q_j| + |u| |g_j|).  The
+bound adds 4 eps of |q_j|, |A0 w| |c_j| and |u| (|i_f_j| + |g_j|), covering
+these and the norms' rounding: s = (|A0 w - u| + 4 eps (|A0 w| + |u|))
+(1 + 14 eps) + 18 eps |u|, and the bound is the larger of 6 eps and
+|(|e_j| + 4 eps |q_j| + s |g_j|)_j| / |b|.  Without its eps terms it fell
+below the evaluated residual at 1,748 of the 49,166 points of
+tests/test_sweep.py seeds 0-3999; with them it is at least 1.137 times it
+there, and 1.192 times on 52,000 points of random models at rf from 0 and
+5e-324 to 1e300, which take i_f into underflow (tests/test_residual_gate.py).
+A stream whose bound times a safety factor of 1e3 is below RESIDUAL_LIMIT
+when it starts passes each rf >= 0 unchecked, so an allowance short by less
+than that factor lets no failing point through; the bound is at most 2.8e-14
+there, so the factor costs no stream its gate.  Every other point is checked
 directly, with the direct check's message, so the same points raise as
-without the gate.  The norms are taken under a guard: if one overflows
-(abs() of a complex beyond the float range raises OverflowError) or is not
-finite, the stream has no gate and every point is checked directly, as is a
-point whose own bound overflows.  Transfer.residual is the direct value.
+without the gate: a negative or nan rf, and every point if not Re z_kk >= 0
+or if a norm overflows (abs() of a complex beyond the float range raises
+OverflowError) or is not finite.  Transfer.residual is the direct value.
 """
 
 from __future__ import annotations
@@ -79,9 +86,9 @@ from .phasors import PhaseTriple, SequenceTriple, phase_to_sequence, sequence_to
 from .records import Record
 
 RESIDUAL_LIMIT = 1e-9
-# the injection stream's gate: safety factor on its bound, and its rounding
-# allowance in units of machine epsilon per term (see Network.injections)
-_SAFETY, _ULPS = 1e3, 4
+# the stream's gate (module docstring): safety factor on its bound, and in machine
+# epsilons its allowance per term, the injection's rounding and the branch law's
+_SAFETY, _ULPS, _INJECT, _BRANCH = 1e3, 4, 14, 6
 
 Block = tuple[tuple[complex, ...], ...]
 
@@ -239,8 +246,9 @@ def _injection(rf: float, z_kk: complex,
     """The fault current i_f = u^T x0 / (rf + z_kk) and the injection c = rf i_f / z_kk
     per source phase; SingularSystemError where the fault current is undefined."""
     d = _fault_denominator(rf, z_kk)
-    i_f = [v / d for v in ux0]
-    return i_f, [rf * f / z_kk for f in i_f]
+    g0, g1, g2 = ux0
+    f0, f1, f2 = g0 / d, g1 / d, g2 / d
+    return [f0, f1, f2], [rf * f0 / z_kk, rf * f1 / z_kk, rf * f2 / z_kk]
 
 
 class Transfer:
@@ -365,44 +373,31 @@ class Network:
             _norm(z_kk * cj - rf * fj for cj, fj in zip(c, i_f)) / ux0_norm,
         ))
 
-    def _gate(self, kind: FaultKind):
-        """The bound of :meth:`_fault_residual`'s value as a function of (rf, i_f,
-        c), from norms of the kind's bolted solution; None if one of them
-        overflows or is not finite."""
-        u_nonzero, z_kk, ux0, ux0_norm, _, _, aw, q = self.faults[kind]
+    def _gate(self, kind: FaultKind) -> float:
+        """One bound of :meth:`_fault_residual`'s value at every rf >= 0 of the
+        kind's stream, from norms of its bolted solution (see the module
+        docstring); inf if not Re z_kk >= 0, or if a norm overflows or is not
+        finite."""
+        u_nonzero, z_kk, ux0, _, _, _, aw, q = self.faults[kind]
+        if not z_kk.real >= 0:
+            return math.inf
         g = [v / z_kk for v in ux0]
         e, awu = [list(qj) for qj in q], list(aw)
         for k, uk in u_nonzero:
             awu[k] -= uk
             for ej, gj in zip(e, g):
                 ej[k] += uk * gj
-        tol = _ULPS * sys.float_info.epsilon
+        eps = sys.float_info.epsilon
+        tol = _ULPS * eps
         try:
             u_norm = _norm(uk for _, uk in u_nonzero)
-            slope = _norm(awu) + tol * _norm(aw)
-            e0, e1, e2 = (_norm(ej) + tol * (_norm(qj) + u_norm * abs(gj))
-                          for ej, qj, gj in zip(e, q, g))
+            slope = ((_norm(awu) + tol * (_norm(aw) + u_norm)) * (1.0 + _INJECT * eps)
+                     + u_norm * (tol + _INJECT * eps))
+            dense = math.hypot(*(_norm(ej) + tol * _norm(qj) + slope * abs(gj)
+                                 for ej, qj, gj in zip(e, q, g))) / self.b_norm
         except OverflowError:
-            return None
-        if not math.isfinite(slope + e0 + e1 + e2):
-            return None
-        g0, g1, g2 = g
-        u_tol, b_norm = u_norm * tol, self.b_norm
-
-        def bound(rf: float, i_f: list[complex], c: list[complex]) -> float:
-            (f0, f1, f2), (c0, c1, c2) = i_f, c
-            try:
-                dense = math.hypot(
-                    e0 + slope * abs(c0) + u_norm * abs(c0 + f0 - g0) + u_tol * abs(f0),
-                    e1 + slope * abs(c1) + u_norm * abs(c1 + f1 - g1) + u_tol * abs(f1),
-                    e2 + slope * abs(c2) + u_norm * abs(c2 + f2 - g2) + u_tol * abs(f2))
-                branch = math.hypot(abs(z_kk * c0 - rf * f0), abs(z_kk * c1 - rf * f1),
-                                    abs(z_kk * c2 - rf * f2))
-            except OverflowError:
-                return math.inf
-            return max(dense / b_norm, branch / ux0_norm)
-
-        return bound
+            return math.inf
+        return max(dense, _BRANCH * eps) if math.isfinite(dense) else math.inf
 
     def injections(self, kind: FaultKind,
                    rfs: Iterable[float]) -> Iterator[tuple[list[complex], list[complex]]]:
@@ -411,18 +406,16 @@ class Network:
         SingularSystemError at the rf where the fault current is undefined
         (rf = inf among them) or the residual is not below RESIDUAL_LIMIT.
 
-        The stream takes the norms of :meth:`_gate` once.  A point whose bound,
-        |e_j| + |A0 w - u| |c_j| + |u| |c_j + i_f_j - g_j| per source phase plus
-        a rounding allowance of 4 eps per term (see the module docstring), times
-        _SAFETY (1e3), is below RESIDUAL_LIMIT has passed; any other point, and
-        every point when a norm overflows or is not finite, is checked by
-        :meth:`_fault_residual`, so the same points raise, with the same
-        messages."""
+        When the stream starts it compares :meth:`_gate`, times _SAFETY (1e3),
+        with RESIDUAL_LIMIT once: if it is below, every rf >= 0 has passed;
+        any other point, a negative or nan rf or every point of a stream
+        without a gate, is checked by :meth:`_fault_residual`, so the same
+        points raise, with the same messages."""
         _, z_kk, ux0, _, _, _, _, _ = self.faults.get(kind) or self._bolted(kind)
-        bound = self._gate(kind)
+        gated = _SAFETY * self._gate(kind) < RESIDUAL_LIMIT
         for rf in rfs:
             i_f, c = _injection(rf, z_kk, ux0)
-            if not (bound and _SAFETY * bound(rf, i_f, c) < RESIDUAL_LIMIT):
+            if not (gated and rf >= 0):
                 self._fault_residual(kind, rf, i_f, c)
             yield i_f, c
 
@@ -430,16 +423,23 @@ class Network:
                  first: int) -> Iterator[tuple[list[complex], list[complex]]]:
         """Each finite rf's fault-node voltages (map rows 0-2) and map rows first..
         first+2 (first 3 or 6: a relay's currents) for the source phases v, one
-        rf at a time, raising where :meth:`injections` does.  Each row is the
-        kind's bolted row plus lw c, superposed over v in one expression: the
-        float operations of :meth:`Transfer.rows`, in the same order."""
+        rf at a time, raising where :meth:`injections` does.  The kind's six
+        bolted rows and their lw entries are unpacked once; each point's row
+        is its bolted row plus lw c, superposed over v as straight-line
+        arithmetic: the float operations of :meth:`Transfer.rows`, in the same
+        order."""
         _, _, _, _, bolted, lw, _, _ = self.faults.get(kind) or self._bolted(kind)
-        read = list(zip(bolted[0:3] + bolted[first:first + 3], lw[0:3] + lw[first:first + 3]))
+        ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22),
+         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) = bolted[0:3] + bolted[first:first + 3]
+        lm0, lm1, lm2, lr0, lr1, lr2 = lw[0:3] + lw[first:first + 3]
         va, vb, vc = v
         for _, (c0, c1, c2) in self.injections(kind, rfs):
-            vi = [(b0 + lk * c0) * va + (b1 + lk * c1) * vb + (b2 + lk * c2) * vc
-                  for (b0, b1, b2), lk in read]
-            yield vi[:3], vi[3:]
+            yield ([(m00 + lm0 * c0) * va + (m01 + lm0 * c1) * vb + (m02 + lm0 * c2) * vc,
+                    (m10 + lm1 * c0) * va + (m11 + lm1 * c1) * vb + (m12 + lm1 * c2) * vc,
+                    (m20 + lm2 * c0) * va + (m21 + lm2 * c1) * vb + (m22 + lm2 * c2) * vc],
+                   [(r00 + lr0 * c0) * va + (r01 + lr0 * c1) * vb + (r02 + lr0 * c2) * vc,
+                    (r10 + lr1 * c0) * va + (r11 + lr1 * c1) * vb + (r12 + lr1 * c2) * vc,
+                    (r20 + lr2 * c0) * va + (r21 + lr2 * c1) * vb + (r22 + lr2 * c2) * vc])
 
     def transfer(self, fault: FaultSpec) -> Transfer:
         """The fault's transfer: x0's rows for rf = inf, else its kind's bolted
