@@ -246,8 +246,8 @@ def _injection(rf: float, z_kk: complex,
     """The fault current i_f = u^T x0 / (rf + z_kk) and the injection c = rf i_f / z_kk
     per source phase; SingularSystemError where the fault current is undefined."""
     d = _fault_denominator(rf, z_kk)
-    g0, g1, g2 = ux0
-    f0, f1, f2 = g0 / d, g1 / d, g2 / d
+    v0, v1, v2 = ux0
+    f0, f1, f2 = v0 / d, v1 / d, v2 / d
     return [f0, f1, f2], [rf * f0 / z_kk, rf * f1 / z_kk, rf * f2 / z_kk]
 
 

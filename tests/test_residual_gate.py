@@ -1,16 +1,20 @@
 """The injection stream's residual gate is sound.
 
-``nodal.Network.injections`` skips a point's direct residual when its gate
-bound, times the safety factor, is below ``RESIDUAL_LIMIT``.  On every stream
-point of the seeded sweep scenarios and of random models of both fault kinds,
-grounded and solid, the bound as evaluated is at least the direct residual as
-evaluated (which ``Transfer.residual`` keeps), and with the limit lowered to a
-point's direct residual the point raises as the direct check does.
+``nodal.Network.injections`` passes every rf >= 0 of a stream without its
+direct residual when the stream's one gate bound, ``Network._gate``, times the
+safety factor, is below ``RESIDUAL_LIMIT``.  On every stream point of the
+seeded sweep scenarios and of random models of both fault kinds, grounded and
+solid, at rf from 0 and 5e-324 to 1e300, the bound is at least the direct
+residual as evaluated (which ``Transfer.residual`` keeps), and with the limit
+lowered to a point's direct residual the point raises as the direct check
+does.  A negative rf, and every point of a stream whose z_kk has a negative
+real part, is checked directly.
 
 Run as a script, ``python tests/test_residual_gate.py FIRST STOP`` checks the
-bound on the sweep streams of seeds FIRST..STOP-1 and prints the point count,
-the number of points the gate passes and the smallest ratio of bound to
-direct residual.
+bound on the sweep stream and on one random model's stream (EXTREME_RFS and
+four draws) of each seed FIRST..STOP-1, prints the streams, the gated
+streams, the points, the smallest ratio of bound to direct residual and the
+points below, and exits 1 if there is any.
 """
 
 import math
