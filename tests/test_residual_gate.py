@@ -59,10 +59,10 @@ def _random_stream(seed):
 
 def _points(network, kind, rfs):
     """Each stream point's rf, the stream's one gate bound and the point's direct
-    residual."""
+    residual; the stream must have a gate."""
     list(network.injections(kind, rfs))
     bound = network._gate(kind)
-    assert type(bound) is float
+    assert type(bound) is float and bound < math.inf
     return [(rf, bound, network.transfer(FaultSpec(kind, rf)).residual) for rf in rfs]
 
 
@@ -159,8 +159,8 @@ def test_a_default_sweep_checks_its_points_directly_only_when_the_gate_cannot_pa
     s = default_scenario()
     document = run_sweep(s)
     assert checks == []
-    # a limit below every bound times the safety factor (1.5e-12 and up), but
-    # above every direct residual (5.2e-16 at most): each point is checked
+    # a limit below the stream's one bound times the safety factor (3.2e-12),
+    # but above every direct residual (5.2e-16 at most): each point is checked
     # directly and passes
     monkeypatch.setattr(nodal, "RESIDUAL_LIMIT", 1e-13)
     assert run_sweep(s) == document
