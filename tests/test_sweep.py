@@ -8,8 +8,9 @@ import pytest
 
 from admrelay import cli, faults, nodal
 from admrelay.cli import run_sweep
-from admrelay.errors import MeasurementError, ModelError, SingularSystemError
+from admrelay.errors import MeasurementError, ModelError, NumericalError, SingularSystemError
 from admrelay.network import FaultSpec
+from admrelay.phasors import PhaseTriple, phase_to_sequence
 from admrelay.scenario import build_model, parse_scenario, sweep_points
 
 from sweep_reference import sweep_every_point
@@ -124,6 +125,67 @@ def test_a_failing_residual_check_raises_at_its_grid_point(tmp_path, capsys, mon
     path.write_text(text)
     assert cli.main(["sweep", str(path)]) == 2
     assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+
+def _crafted_sweep(monkeypatch, v, i, z=None):
+    """Every point of a sweep reads the oracle's relay voltages v and currents i
+    and, if z is given, the closed-form reading z."""
+    monkeypatch.setattr(nodal.Network, "readings",
+                        lambda self, kind, rfs, v_src, first: ((v, i) for _ in rfs))
+    if z is not None:
+        monkeypatch.setattr(faults, "reduce", lambda m, location: lambda rf: (z, None))
+
+
+NAN = complex(math.nan, 0.0)
+# the raises of the oracle comparison, in the order it checks them; the rows
+# with a crafted z pin that order where two checks would both fail
+ORACLE_RAISES = [
+    ("lg", "upstream", [1j, 0j, 0j], [0j, 1j, 1j], None,
+     MeasurementError, "oracle reading: no current in the measuring loop"),
+    ("ll", "downstream", [0j, 1j, 2j], [0j, 1j, 1j], None,
+     MeasurementError, "oracle reading: no current in the measuring loop"),
+    ("lg", "downstream", [1j, 0j, 0j], [0j, 1j, 1j], NAN,
+     MeasurementError, "oracle reading: no current in the measuring loop"),
+    ("lg", "upstream", [NAN, 0j, 0j], [1 + 0j, 0j, 0j], None,
+     NumericalError, "z_oracle is not finite: (nan+nanj)"),
+    ("ll", "upstream", [0j, 1e308 + 0j, -1e308 + 0j], [0j, 0.5 + 0j, 0j], None,
+     NumericalError, "z_oracle is not finite: (inf+nanj)"),
+    ("ll", "upstream", [0j, 0j, 0j], [0j, 1 + 0j, 0j], NAN,
+     NumericalError, "z_measured is not finite: (nan+0j)"),
+    ("lg", "downstream", [0j, 0j, 0j], [1 + 0j, 0j, 0j], None,
+     MeasurementError, "z_oracle = 0 (bolted fault): the relative error is undefined"),
+    ("ll", "downstream", [0j, 0j, 0j], [0j, 1 + 0j, 0j], None,
+     MeasurementError, "z_oracle = 0 (bolted fault): the relative error is undefined"),
+    # the default load path's k makes |1 - k/3| < 1, so v_a / (i_a + k i0)
+    # overflows where v_a / i_a does not
+    ("lg", "downstream", [1.7e308 + 0j, 0j, 0j], [1 + 0j, -1 + 0j, -1 + 0j], None,
+     NumericalError, "z_oracle_compensated is not finite: (inf-1.152388432286945e+307j)"),
+    ("lg", "upstream", [5e-324 + 0j, 0j, 0j], [1 + 0j, 0j, 0j], None,
+     NumericalError, "relative error is not finite: inf"),
+    ("ll", "downstream", [0j, 5e-324 + 0j, 0j], [0j, 1 + 0j, 0j], None,
+     NumericalError, "relative error is not finite: inf"),
+]
+
+
+@pytest.mark.parametrize("kind,location,v,i,z,error,message", ORACLE_RAISES)
+def test_each_raise_of_the_oracle_comparison_keeps_its_class_and_message(
+        monkeypatch, kind, location, v, i, z, error, message):
+    s = parse_scenario(f"[fault]\nkind = {kind}\nrf_points = 3\n[relay]\nlocation = {location}\n")
+    _crafted_sweep(monkeypatch, v, i, z)
+    with pytest.raises(NumericalError) as caught:
+        run_sweep(s)
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_a_case_raises_as_its_sweep_point_does(monkeypatch):
+    # case 3 compares against the compensated reading of the downstream ground element
+    v, i = [1.7e308 + 0j, 0j, 0j], [1 + 0j, -1 + 0j, -1 + 0j]
+    monkeypatch.setattr(nodal, "solve_network", lambda m, location: faults.FaultSolution(
+        PhaseTriple(*v), PhaseTriple(*i), phase_to_sequence(PhaseTriple(*i)), v[0] / i[0]))
+    with pytest.raises(NumericalError) as caught:
+        cli.run_case(parse_scenario("[fault]\nkind = lg\n"), 3)
+    assert (type(caught.value), str(caught.value)) == (
+        NumericalError, "z_oracle_compensated is not finite: (inf-1.152388432286945e+307j)")
 
 
 def main(argv):
