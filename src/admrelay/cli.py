@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from typing import Callable
 
 from . import __version__, faults, nodal
 from .errors import MeasurementError, ModelError, NumericalError, require_finite
@@ -47,29 +48,36 @@ CASES: dict[int, tuple[str, str | None, RelayLocation, object]] = {
 }
 
 
-def _oracle_error(
-    z_measured: complex, v: PhaseTriple | list[complex], i: PhaseTriple | list[complex],
-    m: MicrogridModel, location: RelayLocation
-) -> tuple[complex, float]:
-    """The nodal oracle's reading from its relay voltages v and currents i
-    (nodal.reading), and a closed-form reading's relative error against it,
-    both read the same way: a downstream ground element compensated for its
-    load path (as solve_lg_downstream reads it), any other the plain ratio."""
-    z_oracle = nodal.reading(m.fault.kind, v, i)
-    if not (cmath.isfinite(z_measured) and cmath.isfinite(z_oracle)):
-        require_finite(z_measured=z_measured, z_oracle=z_oracle)
-    if z_oracle == 0:
-        raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
-    z_ref = z_oracle
-    if location is RelayLocation.DOWNSTREAM_OF_FAULT and m.fault.kind is FaultKind.LINE_GROUND_A:
+def _oracle_judge(m: MicrogridModel, location: RelayLocation) -> Callable[..., tuple[complex, float]]:
+    """The judge of a closed-form reading z_measured at a relay at location in
+    m's network: judge(z_measured, v, i) is the nodal oracle's reading from its
+    relay voltages v and currents i (nodal.reading) and z_measured's relative
+    error against it, both read the same way: a downstream ground element
+    compensated for its load path (as solve_lg_downstream reads it), any other
+    the plain ratio.  That choice and the compensation are made here, once."""
+    kind, k = m.fault.kind, None
+    if location is RelayLocation.DOWNSTREAM_OF_FAULT and kind is FaultKind.LINE_GROUND_A:
         z_d1, z_d0 = downstream_path(m)
-        # i0 as phase_to_sequence computes it
-        z_ref = measure_zlg(v[0], i[0], (i[0] + i[1] + i[2]) / 3.0, path_compensation(z_d0, z_d1))
-        require_finite(z_oracle_compensated=z_ref)
-    rel_err = abs(z_measured - z_ref) / abs(z_ref)
-    if not math.isfinite(rel_err):  # |z_ref| subnormal: the quotient overflows
-        raise NumericalError(f"relative error is not finite: {rel_err}")
-    return z_oracle, rel_err
+        k = path_compensation(z_d0, z_d1)
+
+    def judge(z_measured: complex, v: PhaseTriple | list[complex],
+              i: PhaseTriple | list[complex]) -> tuple[complex, float]:
+        z_oracle = nodal.reading(kind, v, i)
+        if not (cmath.isfinite(z_measured) and cmath.isfinite(z_oracle)):
+            require_finite(z_measured=z_measured, z_oracle=z_oracle)
+        if z_oracle == 0:
+            raise MeasurementError("z_oracle = 0 (bolted fault): the relative error is undefined")
+        z_ref = z_oracle
+        if k is not None:
+            # i0 as phase_to_sequence computes it
+            z_ref = measure_zlg(v[0], i[0], (i[0] + i[1] + i[2]) / 3.0, k)
+            require_finite(z_oracle_compensated=z_ref)
+        rel_err = abs(z_measured - z_ref) / abs(z_ref)
+        if not math.isfinite(rel_err):  # |z_ref| subnormal: the quotient overflows
+            raise NumericalError(f"relative error is not finite: {rel_err}")
+        return z_oracle, rel_err
+
+    return judge
 
 
 def _policy_k(s: Scenario, m: MicrogridModel, location: RelayLocation) -> tuple[str, complex]:
@@ -117,7 +125,7 @@ def run_case(s: Scenario, case: int) -> str:
     m = build_model(s)
     sol: FaultSolution = solver(m)
     oracle = nodal.solve_network(m, location)
-    _, rel_err = _oracle_error(sol.z_measured, oracle.relay_v, oracle.relay_i, m, location)
+    _, rel_err = _oracle_judge(m, location)(sol.z_measured, oracle.relay_v, oracle.relay_i)
     policy_name, k = _policy_k(s, m, location)
     z_d1, _ = downstream_path(m)
     z_comp = _compensated(sol, m, k)
@@ -157,17 +165,16 @@ def run_sweep(s: Scenario) -> str:
     # fault-node voltage and its relay's current
     v = sequence_to_phase(base.source.sequence_voltages())
     points = network.readings(kind, grid, v, nodal.RELAY_ROW[location])
+    judge = _oracle_judge(base, location)
     rows = ["rf_ohm,Re_Z,Im_Z,mag_Z,oracle_mag_Z,rel_err"]
     closed_form = None
     for rf, (v_m, relay_i) in zip(grid, points):
         # reduced once, at the first point's model, where its solve would check it
         closed_form = closed_form or faults.reduce(base.with_fault(FaultSpec(kind, rf)), location)
         z, _ = closed_form(rf)
-        z_oracle, rel_err = _oracle_error(z, v_m, relay_i, base, location)
-        rows.append(
-            f"{rf:.10g},{z.real:.10g},{z.imag:.10g},{abs(z):.10g},"
-            f"{abs(z_oracle):.10g},{rel_err:.6e}"
-        )
+        z_oracle, rel_err = judge(z, v_m, relay_i)
+        rows.append("%.10g,%.10g,%.10g,%.10g,%.10g,%.6e"
+                    % (rf, z.real, z.imag, abs(z), abs(z_oracle), rel_err))
     rows.append(f"# version = {__version__}")
     rows.append(f"# scenario_digest = {scenario_digest(s)}")
     return "\n".join(rows) + "\n"

@@ -8,10 +8,13 @@ a fault: an infinite rf (fault branch open) raises ModelError.
 Each chain is split in two.  Its reduction does the rf-free terms of a
 model's network and source once and returns its evaluation, which does only
 the terms that depend on rf: it returns z_measured and the function that
-assembles the whole solution.  Only :func:`reduce` picks a chain.  A solver
-checks its model's source class and fault kind, evaluates reduce's chain at
-the model's rf and assembles the solution; an rf sweep reduces once per network
-and reads z_measured at every grid point.  Both run the same expressions, so a
+assembles the whole solution.  A line-line evaluation reads z_measured from
+the b and c phase parts alone, with :func:`admrelay.phasors.phase_parts`'
+operations; the full phase triples are made only for a solution.  Only
+:func:`reduce` picks a chain.  A solver checks its model's source class and
+fault kind, evaluates reduce's chain at the model's rf and assembles the
+solution; an rf sweep reduces once per network and reads z_measured at every
+grid point.  Both run the same expressions, so a
 sweep point reads bit for bit what its model's solve does.
 
 Conventions shared by all six cases:
@@ -58,7 +61,7 @@ from .network import (
     downstream_path,
     thevenin_line_ground,
 )
-from .phasors import PhaseTriple, SequenceTriple, parallel, sequence_to_phase
+from .phasors import ALPHA, ALPHA2, PhaseTriple, SequenceTriple, parallel, sequence_to_phase
 from .records import Record
 
 # what an evaluation returns: z_measured and the function that assembles the solution
@@ -139,13 +142,15 @@ def _measure_ll(
 ) -> Measured:
     """Line-line z_measured, the phase-distance ratio (v_b - v_c) / (i_b - i_c),
     guarded against a vanishing current difference at the positive-sequence
-    current's scale."""
-    v, i = sequence_to_phase(v_seq), sequence_to_phase(i_seq)
-    di = i.b - i.c
-    if abs(di) < 1e-12 * abs(i_seq.pos):
+    current's scale.  The b and c parts are phase_parts' own expressions, so
+    they carry its bits; the full phase triples are made only for a solution."""
+    v0, v1, v2 = v_seq
+    i0, i1, i2 = i_seq
+    di = (i0 + ALPHA2 * i1 + ALPHA * i2) - (i0 + ALPHA * i1 + ALPHA2 * i2)
+    if abs(di) < 1e-12 * abs(i1):
         raise MeasurementError("line-line element: phase current difference is zero")
-    z_measured = (v.b - v.c) / di
-    return z_measured, lambda: FaultSolution(v, i, i_seq, z_measured, inter())
+    z_measured = ((v0 + ALPHA2 * v1 + ALPHA * v2) - (v0 + ALPHA * v1 + ALPHA2 * v2)) / di
+    return z_measured, lambda: _assemble(v_seq, i_seq, z_measured, inter())
 
 
 def _lg_reduction(m: MicrogridModel) -> tuple:
@@ -335,7 +340,7 @@ def _ll_node_voltages(
                 "v_eq1": v_eq1, "v_eq2": v_eq2, "z_eq1": z_eq, "z_eq2": z_eq,
             }
 
-        return SequenceTriple(zero=v_m0, pos=v_m1, neg=v_m2), intermediates
+        return SequenceTriple(v_m0, v_m1, v_m2), intermediates
 
     return at
 
@@ -351,7 +356,7 @@ def _ll_upstream(m: MicrogridModel) -> Callable[[float], Measured]:
         i_1 = (v_src.pos - v_m.pos) / z1_up
         i_2 = (v_src.neg - v_m.neg) / z1_up
         i_0 = (v_src.zero - v_m.zero) / z0_up if v_src.zero != 0 else 0j
-        return _measure_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2), intermediates)
+        return _measure_ll(v_m, SequenceTriple(i_0, i_1, i_2), intermediates)
 
     return at
 
@@ -387,7 +392,7 @@ def _ll_downstream(m: MicrogridModel) -> Callable[[float], Measured]:
         i_1 = v_m.pos / z_d1
         i_2 = v_m.neg / z_d1
         i_0 = v_m.zero / z_d0 if v_m.zero != 0 else 0j
-        return _measure_ll(v_m, SequenceTriple(zero=i_0, pos=i_1, neg=i_2),
+        return _measure_ll(v_m, SequenceTriple(i_0, i_1, i_2),
                            lambda: dict(intermediates(), z_d1=z_d1))
 
     return at

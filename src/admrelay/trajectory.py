@@ -222,12 +222,12 @@ def format_trajectory(points: list[TrajectoryPoint], fault_time: float) -> str:
             q, z_lg, z_ll, i_a = p, p.z_lg, p.z_ll, p.relay_i.a
             if not (cmath.isfinite(z_lg) and cmath.isfinite(z_ll) and cmath.isfinite(i_a)):
                 require_finite(z_lg=z_lg, z_ll=z_ll, i_a=i_a)
-            rest = (f"{z_lg.real:.10g},{z_lg.imag:.10g},{z_ll.real:.10g},{z_ll.imag:.10g},"
-                    f"{abs(i_a):.10g},{1 if p.limited else 0}")
+            rest = "%.10g,%.10g,%.10g,%.10g,%.10g,%d" % (
+                z_lg.real, z_lg.imag, z_ll.real, z_ll.imag, abs(i_a), 1 if p.limited else 0)
             in_lg, in_ll = z_lg.real > 0 and z_lg.imag > 0, z_ll.real > 0 and z_ll.imag > 0
         if p.t >= fault_time:
             quad_lg, quad_ll = quad_lg and in_lg, quad_ll and in_ll
-        lines.append(f"{p.t:.6g},{rest}")
+        lines.append("%.6g," % p.t + rest)
     lines += [f"# final_z_lg = {fmt_complex(p.z_lg)}", f"# final_z_ll = {fmt_complex(p.z_ll)}",
               f"# post_fault_first_quadrant_z_lg = {'yes' if quad_lg else 'no'}",
               f"# post_fault_first_quadrant_z_ll = {'yes' if quad_ll else 'no'}"]
